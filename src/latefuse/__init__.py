@@ -7,7 +7,6 @@ from .ingestion import (
     DuplicateKeyError,
     GroundTruth,
     IngestionError,
-    InducerRecord,
     InducerTable,
     MissingLabelError,
     NormalizationParams,
@@ -35,7 +34,6 @@ __all__ = [
     "GRADIENT_METHODS",
     "GroundTruth",
     "IngestionError",
-    "InducerRecord",
     "InducerTable",
     "METHODS",
     "MissingLabelError",

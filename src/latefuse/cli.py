@@ -20,6 +20,8 @@ from .fusion import fuse, make_mse_objective, save_weights
 from .ingestion import (
     IngestionError,
     InducerTable,
+    NormalizationParams,
+    ScoreMatrix,
     apply_minmax,
     assemble,
     fit_minmax,
@@ -33,6 +35,7 @@ from .optimizers import (
     NonFiniteObjectiveError,
     OptimizerConfig,
     OptimizerReport,
+    ParameterError,
     optimize,
 )
 
@@ -106,7 +109,7 @@ class RunResult:
     manifest: RunManifest
     report: OptimizerReport
     eval_report: EvalReport
-    norm_params: object
+    norm_params: NormalizationParams
     inducer_names: list[str]
     wall_time: float
 
@@ -156,8 +159,11 @@ def split_overrides(method: str, overrides: dict) -> tuple[dict, dict]:
     return config_kwargs, method_params
 
 
-def execute(manifest: RunManifest) -> RunResult:
-    """Run the full pipeline in memory; writes nothing."""
+Prepared = tuple[ScoreMatrix, ScoreMatrix, NormalizationParams]
+
+
+def prepare(manifest: RunManifest) -> Prepared:
+    """Parse, align and normalize the manifest's data into (dev, test, norm params); writes nothing."""
     dev_tables = load_split(manifest.dev_paths)
     test_tables = load_split(manifest.test_paths)
     dev_names = [t.inducer_name for t in dev_tables]
@@ -171,24 +177,27 @@ def execute(manifest: RunManifest) -> RunResult:
     dev = assemble(dev_tables, truth)
     test = assemble(test_tables, truth)
     params = fit_minmax(dev)
-    dev_norm = apply_minmax(params, dev)
-    test_norm = apply_minmax(params, test)
+    return apply_minmax(params, dev), apply_minmax(params, test), params
 
+
+def fit(data: Prepared, manifest: RunManifest) -> RunResult:
+    """Search weights on the dev matrix and evaluate them on the test matrix; writes nothing."""
+    dev, test, norm_params = data
     config_kwargs, method_params = split_overrides(manifest.method, manifest.overrides)
     config = OptimizerConfig(
-        dimension=dev_norm.n_inducers,
+        dimension=dev.n_inducers,
         seed=manifest.seed,
         method_params=method_params,
         **config_kwargs,
     )
-    objective = make_mse_objective(dev_norm)
+    objective = make_mse_objective(dev)
     started = time.perf_counter()
     report = optimize(manifest.method, objective, config)
     wall_time = time.perf_counter() - started
 
-    fused_test = fuse(report.best_weights, test_norm)
-    eval_report = map_at_k(fused_test, test_norm, manifest.k)
-    return RunResult(manifest, report, eval_report, params, list(dev_norm.inducer_names), wall_time)
+    fused_test = fuse(report.best_weights, test)
+    eval_report = map_at_k(fused_test, test, manifest.k)
+    return RunResult(manifest, report, eval_report, norm_params, list(dev.inducer_names), wall_time)
 
 
 def _atomic(write_fn, final: Path, created: list[Path]) -> None:
@@ -228,13 +237,13 @@ def write_run_artifacts(result: RunResult) -> Path:
 
 
 def run(manifest: RunManifest) -> RunResult:
-    result = execute(manifest)
+    result = fit(prepare(manifest), manifest)
     write_run_artifacts(result)
     return result
 
 
 def compare(manifests: list[RunManifest], out_dir: str | Path) -> list[RunResult]:
-    """Execute several methods on one dataset and write a summary table."""
+    """Fit several methods on one dataset, prepared once, and write a summary table."""
     if not manifests:
         raise UsageError("compare needs at least one manifest")
     first = manifests[0]
@@ -248,7 +257,11 @@ def compare(manifests: list[RunManifest], out_dir: str | Path) -> list[RunResult
         if not same:
             raise UsageError("compare manifests must share dev, test, truth, and k")
 
-    results = [run(m) for m in manifests]
+    data = prepare(first)
+    results = []
+    for m in manifests:
+        results.append(fit(data, m))
+        write_run_artifacts(results[-1])
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -440,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_compare(args)
-    except UsageError as exc:
+    except (UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonFiniteObjectiveError as exc:

@@ -50,28 +50,16 @@ class MissingLabelError(IngestionError):
     """A sample has scores but no ground-truth label."""
 
 
-@dataclass(frozen=True)
-class InducerRecord:
-    video_id: str
-    image_id: str
-    class_label: int
-    raw_score: float
-
-    @property
-    def key(self) -> Key:
-        return (self.video_id, self.image_id)
-
-
 @dataclass
 class InducerTable:
-    inducer_name: str
-    records: list[InducerRecord]
+    """One inducer's scores in file order: ``scores[i]`` belongs to ``keys[i]``."""
 
-    def keys(self) -> set[Key]:
-        return {r.key for r in self.records}
+    inducer_name: str
+    keys: list[Key]
+    scores: np.ndarray  # (n,) float64, raw
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.keys)
 
 
 @dataclass
@@ -98,10 +86,6 @@ class ScoreMatrix:
     @property
     def n_inducers(self) -> int:
         return len(self.inducer_names)
-
-    def samples(self) -> Iterator[tuple[str, str, float]]:
-        for (vid, iid), label in zip(self.sample_keys, self.labels):
-            yield vid, iid, float(label)
 
 
 @dataclass
@@ -133,8 +117,9 @@ def _parse_binary(token: str, field: str, lineno: int, where: str) -> int:
 def parse_inducer_file(source: IO[bytes] | IO[str], inducer_name: str) -> InducerTable:
     """Parse one inducer CSV into an InducerTable, in file order.
 
-    Raises ParseError (naming the offending line), or DuplicateKeyError when a
-    (video_id, image_id) pair repeats.
+    The ``class`` column is validated, then dropped: nothing downstream
+    reads it.  Raises ParseError (naming the offending line), or
+    DuplicateKeyError when a (video_id, image_id) pair repeats.
     """
     lines = list(_decode_lines(source))
     where = f"inducer {inducer_name!r}"
@@ -143,7 +128,8 @@ def parse_inducer_file(source: IO[bytes] | IO[str], inducer_name: str) -> Induce
     if lines[0].strip() != INDUCER_HEADER:
         raise ParseError(f"{where}: bad header at line 1: {lines[0]!r}")
 
-    records: list[InducerRecord] = []
+    keys: list[Key] = []
+    scores: list[float] = []
     seen: set[Key] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -152,7 +138,7 @@ def parse_inducer_file(source: IO[bytes] | IO[str], inducer_name: str) -> Induce
         if len(fields) != 4:
             raise ParseError(f"{where}: expected 4 fields, got {len(fields)} at line {lineno}")
         vid, iid, cls_tok, score_tok = (f.strip() for f in fields)
-        cls = _parse_binary(cls_tok, "class", lineno, where)
+        _parse_binary(cls_tok, "class", lineno, where)
         try:
             score = float(score_tok)
         except ValueError:
@@ -163,8 +149,9 @@ def parse_inducer_file(source: IO[bytes] | IO[str], inducer_name: str) -> Induce
         if key in seen:
             raise DuplicateKeyError(f"{where}: duplicate key {key} at line {lineno}")
         seen.add(key)
-        records.append(InducerRecord(vid, iid, cls, score))
-    return InducerTable(inducer_name, records)
+        keys.append(key)
+        scores.append(score)
+    return InducerTable(inducer_name, keys, np.array(scores, dtype=np.float64))
 
 
 def parse_ground_truth(source: IO[bytes] | IO[str], name: str = "ground truth") -> GroundTruth:
@@ -225,9 +212,9 @@ def assemble(tables: Sequence[InducerTable], truth: GroundTruth) -> ScoreMatrix:
     if not tables:
         raise AlignmentError("need at least one inducer table")
 
-    reference = tables[0].keys()
+    reference = set(tables[0].keys)
     for table in tables[1:]:
-        diff = reference.symmetric_difference(table.keys())
+        diff = reference.symmetric_difference(table.keys)
         if diff:
             offending = sorted(diff)[:10]
             raise AlignmentError(
@@ -245,9 +232,9 @@ def assemble(tables: Sequence[InducerTable], truth: GroundTruth) -> ScoreMatrix:
     n, m = len(keys), len(tables)
     scores = np.empty((n, m), dtype=np.float64)
     for col, table in enumerate(tables):
-        for record in table.records:
-            scores[index[record.key], col] = record.raw_score
-    labels = np.array([float(truth.labels[key]) for key in keys], dtype=np.float64)
+        rows = np.fromiter(map(index.__getitem__, table.keys), dtype=np.intp, count=len(table))
+        scores[rows, col] = table.scores
+    labels = np.fromiter(map(truth.labels.__getitem__, keys), dtype=np.float64, count=n)
     return ScoreMatrix(keys, labels, [t.inducer_name for t in tables], scores)
 
 
@@ -299,11 +286,17 @@ def load_normalization(path: str | Path) -> NormalizationParams:
     return NormalizationParams({name: (entry["min"], entry["max"]) for name, entry in doc.items()})
 
 
-def write_inducer_csv(path: str | Path, table: InducerTable) -> None:
-    """Write an inducer table in the exact on-disk format (full-precision scores)."""
+def write_inducer_csv(path: str | Path, table: InducerTable, classes: Sequence[int]) -> None:
+    """Write an inducer table in the exact on-disk format (full-precision scores).
+
+    The table carries no ``class`` column, so the caller supplies one 0/1
+    value per row.
+    """
+    if len(classes) != len(table):
+        raise ValueError(f"{len(classes)} class values for {len(table)} rows")
     lines = [INDUCER_HEADER]
-    for r in table.records:
-        lines.append(f"{r.video_id},{r.image_id},{r.class_label},{r.raw_score!r}")
+    for (vid, iid), cls, score in zip(table.keys, classes, table.scores.tolist()):
+        lines.append(f"{vid},{iid},{int(cls)},{score!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -10,6 +10,7 @@ from .common import (
     NonFiniteObjectiveError,
     OptimizerConfig,
     OptimizerReport,
+    ParameterError,
     equal_start,
     projected_gradient_norm,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "NonFiniteObjectiveError",
     "OptimizerConfig",
     "OptimizerReport",
+    "ParameterError",
     "equal_start",
     "optimize",
     "projected_gradient_norm",

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -27,6 +28,20 @@ class NonFiniteObjectiveError(RuntimeError):
         super().__init__(f"non-finite {kind} value {value!r} at point {self.point.tolist()}")
 
 
+class ParameterError(ValueError):
+    """An optimizer setting has the wrong type or lies out of its range."""
+
+
+def _check_type(key: str, value, default) -> None:
+    """Require an integer where the default is an int, and a real number otherwise."""
+    integral = isinstance(default, int)
+    wanted = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        raise ParameterError(
+            f"{key} must be {'an integer' if integral else 'a number'}, got {value!r}"
+        )
+
+
 @dataclass
 class OptimizerConfig:
     dimension: int
@@ -38,14 +53,17 @@ class OptimizerConfig:
     method_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.default is not MISSING:
+                _check_type(f.name, getattr(self, f.name), f.default)
         if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ParameterError("dimension must be >= 1")
         if not self.lower_bound < self.upper_bound:
-            raise ValueError("lower_bound must be strictly below upper_bound")
+            raise ParameterError("lower_bound must be strictly below upper_bound")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ParameterError("max_iterations must be >= 1")
         if not self.tolerance > 0:
-            raise ValueError("tolerance must be > 0")
+            raise ParameterError("tolerance must be > 0")
 
     @property
     def span(self) -> float:
@@ -208,13 +226,14 @@ def projected_backtracking(
 
 
 def resolve_params(config: OptimizerConfig, defaults: Mapping[str, float]) -> dict:
-    """Merge method_params over defaults; unknown keys are an error."""
+    """Merge method_params over defaults; unknown keys and mistyped values are an error."""
     params = dict(defaults)
     for key, value in config.method_params.items():
         if key not in defaults:
-            raise ValueError(
+            raise ParameterError(
                 f"unknown method parameter {key!r}; valid keys: {sorted(defaults)}"
             )
+        _check_type(key, value, defaults[key])
         params[key] = value
     return params
 

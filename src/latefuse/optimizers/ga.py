@@ -10,6 +10,7 @@ from .common import (
     Incumbent,
     OptimizerConfig,
     OptimizerReport,
+    ParameterError,
     equal_start,
     make_report,
     resolve_params,
@@ -37,11 +38,11 @@ def optimize_ga(objective: Objective, config: OptimizerConfig) -> OptimizerRepor
     if mutation_rate is None:
         mutation_rate = 1.0 / config.dimension
     if pop_size < 2:
-        raise ValueError("population_size must be >= 2")
+        raise ParameterError("population_size must be >= 2")
     if not 1 <= tournament <= pop_size:
-        raise ValueError("tournament_size must be in [1, population_size]")
+        raise ParameterError("tournament_size must be in [1, population_size]")
     if not 0 <= elite < pop_size:
-        raise ValueError("elite_count must be in [0, population_size)")
+        raise ParameterError("elite_count must be in [0, population_size)")
 
     rng = np.random.default_rng(config.seed)
     lo, hi, m = config.lower_bound, config.upper_bound, config.dimension

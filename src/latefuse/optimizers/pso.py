@@ -10,6 +10,7 @@ from .common import (
     Incumbent,
     OptimizerConfig,
     OptimizerReport,
+    ParameterError,
     equal_start,
     make_report,
     resolve_params,
@@ -29,7 +30,7 @@ def optimize_pso(objective: Objective, config: OptimizerConfig) -> OptimizerRepo
     swarm_size = int(p["swarm_size"])
     window = int(p["stagnation_window"])
     if swarm_size < 1:
-        raise ValueError("swarm_size must be >= 1")
+        raise ParameterError("swarm_size must be >= 1")
 
     rng = np.random.default_rng(config.seed)
     lo, hi, m = config.lower_bound, config.upper_bound, config.dimension

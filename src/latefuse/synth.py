@@ -21,7 +21,6 @@ import numpy as np
 from . import fusion
 from .ingestion import (
     GroundTruth,
-    InducerRecord,
     InducerTable,
     ScoreMatrix,
     apply_minmax,
@@ -129,48 +128,64 @@ def _labels(spec: SynthSpec, normalized: np.ndarray, rng: np.random.Generator) -
     return (fused >= np.median(fused)).astype(np.float64)
 
 
-def build_tables(spec: SynthSpec) -> tuple[list[InducerTable], GroundTruth]:
-    """Materialize the dataset in memory, in the ingestion module's types."""
+def _own_range(raw: np.ndarray) -> np.ndarray:
+    """Each column rescaled by its own min-max; a constant column maps to 0."""
+    mins, maxs = raw.min(axis=0), raw.max(axis=0)
+    span = np.where(maxs > mins, maxs - mins, 1.0)
+    return (raw - mins) / span
+
+
+def _raw_matrix(spec: SynthSpec) -> ScoreMatrix:
+    """The dataset as one raw (unnormalized) matrix, rows in key order."""
     rng = np.random.default_rng(spec.seed)
     keys = sample_keys(spec.n_samples, spec.n_videos, spec.key_prefix)
     raw = _raw_scores(spec, rng)
-
     # Normalize a private copy only to derive labels; files keep raw scores.
-    mins, maxs = raw.min(axis=0), raw.max(axis=0)
-    span = np.where(maxs > mins, maxs - mins, 1.0)
-    normalized = (raw - mins) / span
-    labels = _labels(spec, normalized, rng)
-
+    labels = _labels(spec, _own_range(raw), rng)
     width = len(str(spec.m_inducers))
-    tables = []
-    for j in range(spec.m_inducers):
-        name = f"inducer_{j + 1:0{width}d}"
-        records = [
-            InducerRecord(vid, iid, int(normalized[i, j] >= 0.5), float(raw[i, j]))
-            for i, (vid, iid) in enumerate(keys)
-        ]
-        tables.append(InducerTable(name, records))
-    truth = GroundTruth({key: int(labels[i]) for i, key in enumerate(keys)})
+    names = [f"inducer_{j + 1:0{width}d}" for j in range(spec.m_inducers)]
+    return ScoreMatrix(keys, labels, names, raw)
+
+
+def _tables(matrix: ScoreMatrix) -> tuple[list[InducerTable], GroundTruth]:
+    tables = [
+        InducerTable(name, matrix.sample_keys, matrix.scores[:, j].copy())
+        for j, name in enumerate(matrix.inducer_names)
+    ]
+    truth = GroundTruth({key: int(label) for key, label in zip(matrix.sample_keys, matrix.labels)})
     return tables, truth
+
+
+def build_tables(spec: SynthSpec) -> tuple[list[InducerTable], GroundTruth]:
+    """Materialize the dataset in memory, in the ingestion module's types."""
+    return _tables(_raw_matrix(spec))
+
+
+def _write_dataset(matrix: ScoreMatrix, sidecar: dict, out_dir: str | Path) -> GeneratedDataset:
+    """Write the raw matrix as inducer CSVs, one truth CSV, and a JSON sidecar.
+
+    An inducer's own binary call (its ``class`` column) is whether its score
+    lies in the top half of its own range.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    tables, truth = _tables(matrix)
+    calls = _own_range(matrix.scores) >= 0.5
+    inducer_paths = []
+    for j, table in enumerate(tables):
+        path = out / f"{table.inducer_name}.csv"
+        write_inducer_csv(path, table, calls[:, j])
+        inducer_paths.append(path)
+    truth_path = out / "ground_truth.csv"
+    write_ground_truth_csv(truth_path, truth, keys=matrix.sample_keys)
+    sidecar_path = out / "synth_spec.json"
+    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    return GeneratedDataset(inducer_paths, truth_path, sidecar_path, list(matrix.inducer_names))
 
 
 def generate(spec: SynthSpec, out_dir: str | Path) -> GeneratedDataset:
     """Emit m inducer CSVs, one truth CSV, and a JSON sidecar echoing the generation recipe."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tables, truth = build_tables(spec)
-    keys = [r.key for r in tables[0].records]
-
-    inducer_paths = []
-    for table in tables:
-        path = out / f"{table.inducer_name}.csv"
-        write_inducer_csv(path, table)
-        inducer_paths.append(path)
-    truth_path = out / "ground_truth.csv"
-    write_ground_truth_csv(truth_path, truth, keys=keys)
-    sidecar_path = out / "synth_spec.json"
-    sidecar_path.write_text(json.dumps(spec.to_dict(), indent=2) + "\n", encoding="utf-8")
-    return GeneratedDataset(inducer_paths, truth_path, sidecar_path, [t.inducer_name for t in tables])
+    return _write_dataset(_raw_matrix(spec), spec.to_dict(), out_dir)
 
 
 def generate_perfect_inducer(
@@ -194,29 +209,10 @@ def generate_perfect_inducer(
         label_rule="random_balanced",
         key_prefix=key_prefix,
     )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tables, truth = build_tables(spec)
-    keys = [r.key for r in tables[0].records]
-    perfect = tables[0]
-    perfect.records = [
-        InducerRecord(vid, iid, truth.labels[(vid, iid)], float(truth.labels[(vid, iid)]))
-        for vid, iid in keys
-    ]
-
-    inducer_paths = []
-    for table in tables:
-        path = out / f"{table.inducer_name}.csv"
-        write_inducer_csv(path, table)
-        inducer_paths.append(path)
-    truth_path = out / "ground_truth.csv"
-    write_ground_truth_csv(truth_path, truth, keys=keys)
-    sidecar_path = out / "synth_spec.json"
-    sidecar_path.write_text(
-        json.dumps({**spec.to_dict(), "perfect_inducer": tables[0].inducer_name}, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    return GeneratedDataset(inducer_paths, truth_path, sidecar_path, [t.inducer_name for t in tables])
+    matrix = _raw_matrix(spec)
+    matrix.scores[:, 0] = matrix.labels
+    sidecar = {**spec.to_dict(), "perfect_inducer": matrix.inducer_names[0]}
+    return _write_dataset(matrix, sidecar, out_dir)
 
 
 def planted_score_matrix(
@@ -239,12 +235,9 @@ def planted_score_matrix(
         seed=seed,
         planted_weights=weights,
     )
-    tables, _ = build_tables(spec)
+    raw = _raw_matrix(spec)
     rng = np.random.default_rng(spec.seed + 1)
-    keys = [r.key for r in tables[0].records]
-    scores = np.column_stack([[r.raw_score for r in t.records] for t in tables])
-    matrix = ScoreMatrix(keys, np.zeros(n_samples), [t.inducer_name for t in tables], scores)
-    matrix = apply_minmax(fit_minmax(matrix), matrix)
+    matrix = apply_minmax(fit_minmax(raw), raw)
     labels = fusion.fuse(np.asarray(weights, dtype=np.float64), matrix)
     if noise_sigma > 0:
         labels = labels + rng.normal(0.0, noise_sigma, size=n_samples)
@@ -263,12 +256,8 @@ def random_score_matrix(
         seed=seed,
         label_rule="random_balanced",
     )
-    tables, truth = build_tables(spec)
-    keys = [r.key for r in tables[0].records]
-    scores = np.column_stack([[r.raw_score for r in t.records] for t in tables])
-    labels = np.array([float(truth.labels[k]) for k in keys])
-    matrix = ScoreMatrix(keys, labels, [t.inducer_name for t in tables], scores)
-    return apply_minmax(fit_minmax(matrix), matrix)
+    raw = _raw_matrix(spec)
+    return apply_minmax(fit_minmax(raw), raw)
 
 
 class GridResult(NamedTuple):

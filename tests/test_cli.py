@@ -180,6 +180,17 @@ def test_usage_error_unknown_set_key(dataset_pair, tmp_path, capsys):
     assert "swarm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "setting", ["max_iterations=1e3", "swarm_size=2.5", "tolerance=-1", "swarm_size=0"]
+)
+def test_usage_error_bad_numeric_setting(dataset_pair, tmp_path, capsys, command, setting):
+    method = ["--method", "pso"] if command == "run" else ["--methods", "pso"]
+    code = main([command, *method, "--set", setting, *data_flags(dataset_pair, tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert setting.split("=")[0] in capsys.readouterr().err
+
+
 def test_data_error_missing_file(dataset_pair, tmp_path, capsys):
     dev, test = dataset_pair
     code = main(
@@ -353,6 +364,41 @@ def test_compare_summary_json_mirrors_csv(compare_out):
         assert row["test_map_at_10"] == float(cells[2])
         assert row["evaluations"] == int(cells[3])
         assert math.isclose(row["wall_time"], float(cells[4]), abs_tol=1e-9)
+
+
+def test_compare_parses_each_inducer_file_once(dataset_pair, tmp_path, capsys, monkeypatch):
+    dev, test = dataset_pair
+    parsed = []
+
+    def counting_read(path):
+        parsed.append(path)
+        return read_inducer_csv(path)
+
+    monkeypatch.setattr(cli, "read_inducer_csv", counting_read)
+    code = main(["compare", "--methods", "all", *data_flags(dataset_pair, tmp_path / "cmp")])
+    assert code == EXIT_OK
+    assert sorted(parsed) == sorted(dev.inducer_paths + test.inducer_paths)
+    capsys.readouterr()
+
+
+def test_compare_directories_match_single_runs(compare_out, dataset_pair, tmp_path, capsys):
+    scoped = {
+        "pso": ["--set", "swarm_size=30", "--set", "stagnation_window=15"],
+        "ga": ["--set", "population_size=30", "--set", "stagnation_window=15",
+               "--set", "max_generations=120"],
+    }
+    for method in ["equal", "pso", "ga", "nelder-mead", "trust-region", "lbfgsb", "tnc"]:
+        out = tmp_path / "single" / method
+        flags = ["--method", method, "--seed", "3", *scoped.get(method, [])]
+        assert main(["run", *flags, *data_flags(dataset_pair, out)]) == EXIT_OK
+        single = read_bytes(out, ARTIFACTS)
+        compared = read_bytes(compare_out / method, ARTIFACTS)
+        # manifest.json differs only in out_dir
+        doc = json.loads(single["manifest.json"])
+        doc["out_dir"] = json.loads(compared["manifest.json"])["out_dir"]
+        single["manifest.json"] = (json.dumps(doc, indent=2) + "\n").encode()
+        assert single == compared, method
+    capsys.readouterr()
 
 
 def test_compare_subset_and_dedup(dataset_pair, tmp_path, capsys):

@@ -12,7 +12,6 @@ from latefuse.ingestion import (
     AlignmentError,
     DuplicateKeyError,
     GroundTruth,
-    InducerRecord,
     InducerTable,
     MissingLabelError,
     NormalizationParams,
@@ -40,6 +39,10 @@ def truth_source(*rows):
     return io.StringIO("video_id,image_id,label\n" + "\n".join(rows) + "\n")
 
 
+def table(name, keys, scores):
+    return InducerTable(name, list(keys), np.asarray(scores, dtype=float))
+
+
 def matrix_from(columns, labels=None):
     cols = [np.asarray(c, dtype=float) for c in columns]
     n = len(cols[0])
@@ -52,14 +55,18 @@ def matrix_from(columns, labels=None):
 # ---------------------------------------------------------------- parsing
 
 def test_parse_single_line():
-    table = parse_inducer_file(inducer_source("v1,i1,1,0.73"), "a")
-    assert len(table) == 1
-    assert table.records[0] == InducerRecord("v1", "i1", 1, 0.73)
+    parsed = parse_inducer_file(inducer_source("v1,i1,1,0.73"), "a")
+    assert len(parsed) == 1
+    assert parsed.inducer_name == "a"
+    assert parsed.keys == [("v1", "i1")]
+    assert parsed.scores.dtype == np.float64
+    assert parsed.scores.tolist() == [0.73]
 
 
 def test_parse_keeps_file_order():
-    table = parse_inducer_file(inducer_source("v2,i9,0,0.5", "v1,i1,1,0.1"), "a")
-    assert [r.key for r in table.records] == [("v2", "i9"), ("v1", "i1")]
+    parsed = parse_inducer_file(inducer_source("v2,i9,0,0.5", "v1,i1,1,0.1"), "a")
+    assert parsed.keys == [("v2", "i9"), ("v1", "i1")]
+    assert parsed.scores.tolist() == [0.5, 0.1]
 
 
 def test_parse_class_out_of_range_names_line():
@@ -99,8 +106,8 @@ def test_parse_empty_file():
 
 
 def test_parse_accepts_bytes():
-    table = parse_inducer_file(io.BytesIO(b"video_id,image_id,class,score\nv1,i1,0,1e-3\n"), "a")
-    assert table.records[0].raw_score == 1e-3
+    parsed = parse_inducer_file(io.BytesIO(b"video_id,image_id,class,score\nv1,i1,0,1e-3\n"), "a")
+    assert parsed.scores[0] == 1e-3
 
 
 def test_parse_ground_truth_basics():
@@ -148,20 +155,20 @@ def test_assemble_sorts_rows_and_maps_columns():
 
 
 def test_assemble_disjoint_keys():
-    t1 = InducerTable("a", [InducerRecord("v1", "i1", 0, 0.1)])
-    t2 = InducerTable("b", [InducerRecord("v2", "i2", 0, 0.2)])
+    t1 = table("a", [("v1", "i1")], [0.1])
+    t2 = table("b", [("v2", "i2")], [0.2])
     with pytest.raises(AlignmentError):
         assemble([t1, t2], GroundTruth({("v1", "i1"): 0, ("v2", "i2"): 0}))
 
 
 def test_assemble_missing_label():
-    t1 = InducerTable("a", [InducerRecord("v1", "i1", 0, 0.1)])
+    t1 = table("a", [("v1", "i1")], [0.1])
     with pytest.raises(MissingLabelError):
         assemble([t1], GroundTruth({}))
 
 
 def test_assemble_tolerates_extra_truth_keys():
-    t1 = InducerTable("a", [InducerRecord("v1", "i1", 0, 0.1)])
+    t1 = table("a", [("v1", "i1")], [0.1])
     matrix = assemble([t1], GroundTruth({("v1", "i1"): 1, ("zz", "zz"): 0}))
     assert matrix.n_samples == 1
 
@@ -173,10 +180,10 @@ def test_assemble_empty_table_list():
 
 def test_assemble_order_independent_of_record_order():
     t1, t2, truth = two_tables()
-    shuffled = [
-        InducerTable(t.inducer_name, random.Random(3).sample(t.records, len(t.records)))
-        for t in (t1, t2)
-    ]
+    shuffled = []
+    for t in (t1, t2):
+        order = random.Random(3).sample(range(len(t)), len(t))
+        shuffled.append(table(t.inducer_name, [t.keys[i] for i in order], t.scores[order]))
     a = assemble([t1, t2], truth)
     b = assemble(shuffled, truth)
     assert a.sample_keys == b.sample_keys
@@ -263,17 +270,22 @@ def test_normalization_json_round_trip(tmp_path):
 
 def test_inducer_csv_round_trip_preserves_scores_exactly(tmp_path):
     rng = np.random.default_rng(5)
-    records = [
-        InducerRecord(f"v{i % 3}", f"i{i}", int(rng.integers(0, 2)), float(rng.normal()))
-        for i in range(20)
-    ]
-    table = InducerTable("roundtrip", records)
+    original = table("roundtrip", [(f"v{i % 3}", f"i{i}") for i in range(20)], rng.normal(size=20))
+    classes = rng.integers(0, 2, size=20)
     path = tmp_path / "roundtrip.csv"
-    write_inducer_csv(path, table)
+    write_inducer_csv(path, original, classes)
     loaded = read_inducer_csv(path)
     assert loaded.inducer_name == "roundtrip"
-    assert loaded.records == records
-    assert path.read_bytes().startswith(b"video_id,image_id,class,score\n")
+    assert loaded.keys == original.keys
+    assert loaded.scores.tolist() == original.scores.tolist()
+    lines = path.read_text().splitlines()
+    assert lines[0] == "video_id,image_id,class,score"
+    assert [int(line.split(",")[2]) for line in lines[1:]] == classes.tolist()
+
+
+def test_write_inducer_csv_needs_one_class_per_row(tmp_path):
+    with pytest.raises(ValueError, match="class values"):
+        write_inducer_csv(tmp_path / "a.csv", table("a", [("v1", "i1")], [0.5]), [0, 1])
 
 
 def test_truth_csv_round_trip(tmp_path):
@@ -301,9 +313,8 @@ def test_assemble_rows_always_sorted(keys, m):
     rng = random.Random(11)
     tables = []
     for j in range(m):
-        recs = [InducerRecord(v, i, 0, rng.random()) for v, i in keys]
-        rng.shuffle(recs)
-        tables.append(InducerTable(f"t{j}", recs))
+        shuffled = rng.sample(keys, len(keys))
+        tables.append(table(f"t{j}", shuffled, [rng.random() for _ in shuffled]))
     truth = GroundTruth({k: 1 for k in keys})
     matrix = assemble(tables, truth)
     assert matrix.sample_keys == keys

@@ -195,12 +195,14 @@ def test_ap_oracle_rejects_bad_k():
         ap_oracle([1], 0)
 
 
-def test_build_tables_class_column_is_binary():
+def test_generate_class_column_is_binary(tmp_path):
     spec = SynthSpec(n_samples=25, m_inducers=3, n_videos=5, seed=31, label_rule="random_balanced")
-    tables, truth = build_tables(spec)
-    assert len(tables) == 3
-    for table in tables:
-        assert {r.class_label for r in table.records} <= {0, 1}
+    dataset = generate(spec, tmp_path)
+    assert len(dataset.inducer_paths) == 3
+    for path in dataset.inducer_paths:
+        classes = {line.split(",")[2] for line in path.read_text().splitlines()[1:]}
+        assert classes == {"0", "1"}
+    _, truth = build_tables(spec)
     assert set(truth.labels.values()) <= {0, 1}
 
 
