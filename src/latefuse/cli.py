@@ -258,10 +258,9 @@ def compare(manifests: list[RunManifest], out_dir: str | Path) -> list[RunResult
             raise UsageError("compare manifests must share dev, test, truth, and k")
 
     data = prepare(first)
-    results = []
-    for m in manifests:
-        results.append(fit(data, m))
-        write_run_artifacts(results[-1])
+    results = [fit(data, m) for m in manifests]  # every fit succeeds before any write
+    for r in results:
+        write_run_artifacts(r)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

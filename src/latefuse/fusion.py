@@ -26,6 +26,8 @@ class Objective:
     consistent with `value` under finite differences.  `value_batch` is an
     optional fast path evaluating a (p, m) stack of weight vectors at once;
     population methods fall back to row-by-row `value` calls without it.
+    It may round differently from `value`, so it only ranks candidates:
+    a reported objective always comes from `value`.
     """
 
     value: Callable[[np.ndarray], float]
@@ -70,7 +72,15 @@ def mse_gradient(weights: Sequence[float] | np.ndarray, matrix: ScoreMatrix) -> 
 
 
 def make_mse_objective(matrix: ScoreMatrix) -> Objective:
-    """Bundle MSE value, gradient, and a batched evaluator for one matrix."""
+    """Bundle MSE value, gradient, and a batched evaluator for one matrix.
+
+    `value` and `gradient` use the residual form.  `value_batch` uses the
+    sufficient statistics of the quadratic f(w) = w'Gw - 2b'w + c, with
+    G = S'S/n, b = S'y/n and c = y'y/n, computed once here, so a batch of
+    p points costs O(p*m^2) instead of O(p*n*m).  Its rounding error is a
+    few ulps of w'Gw, not of f: the last digits where f is far from 0,
+    but more than f itself near an exact fit, where `value` stays exact.
+    """
     if matrix.n_samples == 0:
         raise ValueError("MSE undefined on an empty dataset")
     scores = matrix.scores
@@ -85,9 +95,12 @@ def make_mse_objective(matrix: ScoreMatrix) -> Objective:
         err = scores @ w - labels
         return (2.0 / n) * (scores.T @ err)
 
+    gram = (scores.T @ scores) / n
+    moment = (scores.T @ labels) / n
+    offset = float(labels @ labels) / n
+
     def value_batch(ws: np.ndarray) -> np.ndarray:
-        err = ws @ scores.T - labels[np.newaxis, :]
-        return np.mean(err * err, axis=1)
+        return np.einsum("ij,ij->i", ws @ gram, ws) - 2.0 * (ws @ moment) + offset
 
     return Objective(value=value, gradient=gradient, value_batch=value_batch)
 

@@ -33,13 +33,19 @@ class ParameterError(ValueError):
 
 
 def _check_type(key: str, value, default) -> None:
-    """Require an integer where the default is an int, and a real number otherwise."""
+    """Require an integer where the default is an int, and a finite real number otherwise."""
     integral = isinstance(default, int)
     wanted = numbers.Integral if integral else numbers.Real
     if isinstance(value, bool) or not isinstance(value, wanted):
         raise ParameterError(
             f"{key} must be {'an integer' if integral else 'a number'}, got {value!r}"
         )
+    try:
+        finite = integral or math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ParameterError(f"{key} must be finite, got {value!r}")
 
 
 @dataclass
@@ -174,6 +180,8 @@ class Incumbent:
         self.trace: list[tuple[int, float]] = []
 
     def consider(self, x: np.ndarray, iteration: int, value: float | None = None) -> bool:
+        if value is None and self.best_x is not None and np.array_equal(x, self.best_x):
+            return False  # the incumbent itself: a re-score could not improve on it
         f = self._counting.value(x) if value is None else float(value)
         if f < self.best_f:
             self.best_f = f

@@ -182,13 +182,28 @@ def test_usage_error_unknown_set_key(dataset_pair, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize(
-    "setting", ["max_iterations=1e3", "swarm_size=2.5", "tolerance=-1", "swarm_size=0"]
+    "setting",
+    [
+        "max_iterations=1e3", "swarm_size=2.5", "tolerance=-1", "swarm_size=0",
+        "inertia=nan", "tolerance=inf", "cognitive=-inf",
+    ],
 )
 def test_usage_error_bad_numeric_setting(dataset_pair, tmp_path, capsys, command, setting):
     method = ["--method", "pso"] if command == "run" else ["--methods", "pso"]
     code = main([command, *method, "--set", setting, *data_flags(dataset_pair, tmp_path / "o")])
     assert code == EXIT_USAGE
     assert setting.split("=")[0] in capsys.readouterr().err
+
+
+def test_compare_bad_method_parameter_writes_nothing(dataset_pair, tmp_path, capsys):
+    # pso fails only after equal has been fitted; nothing may be on disk
+    out = tmp_path / "o"
+    code = main(
+        ["compare", "--methods", "all", "--set", "pso.swarm_size=0", *data_flags(dataset_pair, out)]
+    )
+    assert code == EXIT_USAGE
+    assert "swarm_size" in capsys.readouterr().err
+    assert not out.exists() or not any(out.rglob("*"))
 
 
 def test_data_error_missing_file(dataset_pair, tmp_path, capsys):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from latefuse.fusion import (
     save_weights,
 )
 from latefuse.ingestion import ScoreMatrix
-from latefuse.synth import random_score_matrix
+from latefuse.synth import planted_score_matrix, random_score_matrix
 
 
 def small_matrix(scores, labels):
@@ -188,6 +191,63 @@ def test_objective_closures_agree_with_functions():
     vals = obj.value_batch(batch)
     assert vals.shape == (2,)
     assert vals[0] == pytest.approx(mse(w, matrix), rel=1e-12)
+
+
+@st.composite
+def noisy_planted_shapes(draw):
+    """(n, m, seed) with n >= m + 10, so the least-squares residual keeps ten
+    degrees of freedom of label noise and the MSE stays away from 0, where
+    no relative bound can hold (with n <= m the fit is exact)."""
+    m = draw(st.integers(1, 29))
+    return draw(st.integers(m + 10, 300)), m, draw(st.integers(0, 10_000))
+
+
+@given(noisy_planted_shapes())
+def test_value_batch_agrees_with_residual_form(shape):
+    n, m, seed = shape
+    rng = np.random.default_rng(seed)
+    planted = rng.uniform(0.05, 1.0, m) / m
+    matrix = planted_score_matrix(n, m, planted, seed=seed, noise_sigma=0.1)
+    optimum = np.linalg.lstsq(matrix.scores, matrix.labels, rcond=None)[0]
+    points = np.vstack(
+        [
+            rng.uniform(0, 1, (8, m)),
+            planted,
+            optimum,
+            optimum + rng.uniform(-1e-9, 1e-9, (8, m)),
+        ]
+    )
+    obj = make_mse_objective(matrix)
+    batch = obj.value_batch(points)
+    residual = np.array([obj.value(w) for w in points])
+    np.testing.assert_allclose(batch, residual, rtol=1e-12, atol=0)
+
+
+BATCH_BYTES_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from latefuse.fusion import make_mse_objective
+from latefuse.synth import random_score_matrix
+obj = make_mse_objective(random_score_matrix(1877, 29, seed=3))
+points = np.random.default_rng(4).uniform(0, 1, (300, 29))
+sys.stdout.write(hashlib.sha256(obj.value_batch(points).tobytes()).hexdigest())
+"""
+
+
+def test_value_batch_bytes_do_not_depend_on_blas_threads():
+    def digest(threads):
+        env = os.environ | {
+            "OMP_NUM_THREADS": threads,
+            "OPENBLAS_NUM_THREADS": threads,
+            "MKL_NUM_THREADS": threads,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", BATCH_BYTES_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return proc.stdout
+
+    assert digest("1") == digest("4")
 
 
 def test_weights_json_round_trip(tmp_path):

@@ -11,8 +11,10 @@ from latefuse.optimizers import (
     NonFiniteObjectiveError,
     OptimizerConfig,
     OptimizerReport,
+    ParameterError,
     optimize,
 )
+from latefuse.optimizers.common import CountingObjective, Incumbent
 from latefuse.synth import planted_score_matrix, random_score_matrix
 
 SEARCH_METHODS = [m for m in METHODS if m != "equal"]
@@ -69,11 +71,26 @@ def test_config_defaults():
         {"dimension": 3, "lower_bound": 0.5, "upper_bound": 0.5},
         {"dimension": 3, "max_iterations": 0},
         {"dimension": 3, "tolerance": 0.0},
+        {"dimension": 3, "tolerance": math.inf},
+        {"dimension": 3, "upper_bound": math.nan},
+        {"dimension": 3, "lower_bound": -math.inf},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         OptimizerConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "method,key", [("pso", "inertia"), ("ga", "mutation_sigma"), ("ga", "mutation_rate")]
+)
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-beyond-float")]
+)
+def test_non_finite_method_parameter_rejected(method, key, value):
+    config = OptimizerConfig(dimension=2, method_params={key: value})
+    with pytest.raises(ParameterError, match="finite"):
+        optimize(method, quadratic_objective([0.5, 0.5]), config)
 
 
 def test_unknown_method_rejected():
@@ -194,6 +211,40 @@ def test_budget_exhaustion_reports_not_converged():
     report = optimize("lbfgsb", make_mse_objective(matrix), config)
     assert not report.converged
     assert report.iterations == 2
+
+
+# ---------------------------------------------------------------- incumbent
+
+def one_ulp_low(objective):
+    """The same objective, but its batch path reads exactly one ulp below `value`."""
+
+    def value_batch(xs):
+        return np.nextafter([objective.value(x) for x in xs], -np.inf)
+
+    return Objective(value=objective.value, gradient=objective.gradient, value_batch=value_batch)
+
+
+def test_incumbent_does_not_rescore_itself():
+    counting = CountingObjective(quadratic_objective([0.5, 0.5]))
+    incumbent = Incumbent(counting)
+    x = np.array([0.2, 0.7])
+    assert incumbent.consider(x, 0)
+    assert not incumbent.consider(x.copy(), 1)
+    assert counting.function_evaluations == 1
+    assert incumbent.trace == [(0, incumbent.best_f)]
+
+
+@pytest.mark.parametrize("method,size_key", [("pso", "swarm_size"), ("ga", "population_size")])
+def test_population_methods_rescore_only_new_points(method, size_key):
+    # Read one ulp low, the batch value of the incumbent always seems to beat
+    # it; only a new point may cost a scalar evaluation, and each one is an
+    # accepted improvement (the start re-scores included), so it is traced.
+    size = 30
+    obj = one_ulp_low(make_mse_objective(random_score_matrix(60, 4, seed=5)))
+    params = {size_key: size, "stagnation_window": 20}
+    report = optimize(method, obj, OptimizerConfig(dimension=4, seed=1, method_params=params))
+    assert report.iterations > 20
+    assert report.function_evaluations == size * (report.iterations + 1) + len(report.trace)
 
 
 # ---------------------------------------------------------------- method specifics
