@@ -12,10 +12,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
-from .evaluation import EvalReport, UndefinedMetricError, map_at_k
+from .evaluation import EvalReport, map_at_k
 from .fusion import fuse, make_mse_objective, save_weights
 from .ingestion import (
     IngestionError,
@@ -30,21 +30,19 @@ from .ingestion import (
     save_normalization,
 )
 from .optimizers import (
-    METHOD_PARAM_KEYS,
     METHODS,
     NonFiniteObjectiveError,
     OptimizerConfig,
     OptimizerReport,
     ParameterError,
     optimize,
+    resolve,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_ABORT = 4
-
-CONFIG_KEYS = ("max_iterations", "tolerance")
 
 GROUND_TRUTH_BASENAME = "ground_truth.csv"
 
@@ -64,44 +62,49 @@ class RunManifest:
     seed: int = 0
     overrides: dict = field(default_factory=dict)
     trace: bool = False
+    # (OptimizerConfig fields, method params): the overrides, checked and split
+    settings: tuple[dict, dict] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise UsageError(f"unknown method {self.method!r}; choose one of {sorted(METHODS)}")
+        try:
+            self.settings = resolve(self.method, self.overrides)
+        except ParameterError as exc:
+            raise UsageError(str(exc)) from None
         if self.k < 1:
             raise UsageError("k must be >= 1")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if not self.dev_paths or not self.test_paths or not self.truth_paths:
             raise UsageError("dev, test, and truth paths are all required")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "dev_paths": list(self.dev_paths),
-            "test_paths": list(self.test_paths),
-            "truth_paths": list(self.truth_paths),
-            "out_dir": self.out_dir,
-            "k": self.k,
-            "seed": self.seed,
-            "overrides": dict(self.overrides),
-            "trace": self.trace,
-        }
+        doc = asdict(self)
+        del doc["settings"]
+        return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RunManifest":
-        try:
-            return cls(
-                method=doc["method"],
-                dev_paths=list(doc["dev_paths"]),
-                test_paths=list(doc["test_paths"]),
-                truth_paths=list(doc["truth_paths"]),
-                out_dir=doc["out_dir"],
-                k=int(doc.get("k", 10)),
-                seed=int(doc.get("seed", 0)),
-                overrides=dict(doc.get("overrides", {})),
-                trace=bool(doc.get("trace", False)),
-            )
-        except KeyError as exc:
-            raise UsageError(f"manifest is missing field {exc.args[0]!r}") from None
+    def from_dict(cls, doc) -> "RunManifest":
+        """Rebuild a manifest from its JSON echo; each field must have its JSON type."""
+        if not isinstance(doc, dict):
+            raise UsageError(f"manifest must be a JSON object, got {type(doc).__name__}")
+        values = {}
+        for f in fields(cls):
+            if not f.init:
+                continue
+            if f.name in doc:
+                if not _is_json_type(doc[f.name], f.type):
+                    raise UsageError(f"manifest field {f.name!r} must be {f.type}, got {doc[f.name]!r}")
+                values[f.name] = doc[f.name]
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise UsageError(f"manifest is missing field {f.name!r}")
+        return cls(**values)
+
+
+def _is_json_type(value, annotation: str) -> bool:
+    if annotation == "list[str]":
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    kind = {"str": str, "int": int, "bool": bool, "dict": dict}[annotation]
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 @dataclass
@@ -141,24 +144,6 @@ def load_split(entries: list[str]) -> list[InducerTable]:
     return sorted(tables, key=lambda t: t.inducer_name)
 
 
-def split_overrides(method: str, overrides: dict) -> tuple[dict, dict]:
-    """Partition overrides into OptimizerConfig fields and method parameters."""
-    config_kwargs: dict = {}
-    method_params: dict = {}
-    valid = METHOD_PARAM_KEYS[method]
-    for key, value in overrides.items():
-        if key in CONFIG_KEYS:
-            config_kwargs[key] = value
-        elif key in valid:
-            method_params[key] = value
-        else:
-            allowed = sorted(set(CONFIG_KEYS) | valid)
-            raise UsageError(
-                f"parameter {key!r} is not valid for method {method!r}; allowed: {allowed}"
-            )
-    return config_kwargs, method_params
-
-
 Prepared = tuple[ScoreMatrix, ScoreMatrix, NormalizationParams]
 
 
@@ -183,7 +168,7 @@ def prepare(manifest: RunManifest) -> Prepared:
 def fit(data: Prepared, manifest: RunManifest) -> RunResult:
     """Search weights on the dev matrix and evaluate them on the test matrix; writes nothing."""
     dev, test, norm_params = data
-    config_kwargs, method_params = split_overrides(manifest.method, manifest.overrides)
+    config_kwargs, method_params = manifest.settings
     config = OptimizerConfig(
         dimension=dev.n_inducers,
         seed=manifest.seed,
@@ -210,29 +195,34 @@ def _atomic(write_fn, final: Path, created: list[Path]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def write_run_artifacts(result: RunResult) -> Path:
-    """Persist one run's artifact set; on failure remove everything written."""
-    out = Path(result.manifest.out_dir)
+def _write_all(out: Path, writers: dict) -> None:
+    """Write each named file into ``out`` atomically; on failure remove those already written."""
     out.mkdir(parents=True, exist_ok=True)
     created: list[Path] = []
-    manifest_text = json.dumps(result.manifest.to_dict(), indent=2) + "\n"
     try:
-        _atomic(lambda p: p.write_text(manifest_text, encoding="utf-8"), out / "manifest.json", created)
-        _atomic(lambda p: save_normalization(result.norm_params, p), out / "norm_params.json", created)
-        _atomic(
-            lambda p: save_weights(p, result.inducer_names, result.report.best_weights),
-            out / "weights.json",
-            created,
-        )
-        _atomic(lambda p: result.report.save_json(p), out / "optimizer_report.json", created)
-        _atomic(lambda p: result.eval_report.save_json(p), out / "eval_report.json", created)
-        _atomic(lambda p: result.eval_report.save_csv(p), out / "eval_report.csv", created)
-        if result.manifest.trace:
-            _atomic(lambda p: result.report.save_trace_csv(p), out / "trace.csv", created)
+        for name, write_fn in writers.items():
+            _atomic(write_fn, out / name, created)
     except BaseException:
         for path in created:
             path.unlink(missing_ok=True)
         raise
+
+
+def write_run_artifacts(result: RunResult) -> Path:
+    """Persist one run's artifact set; on failure remove everything written."""
+    out = Path(result.manifest.out_dir)
+    manifest_text = json.dumps(result.manifest.to_dict(), indent=2) + "\n"
+    writers = {
+        "manifest.json": lambda p: p.write_text(manifest_text, encoding="utf-8"),
+        "norm_params.json": lambda p: save_normalization(result.norm_params, p),
+        "weights.json": lambda p: save_weights(p, result.inducer_names, result.report.best_weights),
+        "optimizer_report.json": result.report.save_json,
+        "eval_report.json": result.eval_report.save_json,
+        "eval_report.csv": result.eval_report.save_csv,
+    }
+    if result.manifest.trace:
+        writers["trace.csv"] = result.report.save_trace_csv
+    _write_all(out, writers)
     return out
 
 
@@ -262,37 +252,19 @@ def compare(manifests: list[RunManifest], out_dir: str | Path) -> list[RunResult
     for r in results:
         write_run_artifacts(r)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    k = first.k
-    map_col = f"test_map_at_{k}"
-    rows = []
-    for r in results:
-        rows.append(
-            {
-                "method": r.manifest.method,
-                "dev_mse": r.report.best_objective,
-                map_col: r.eval_report.map_at_k,
-                "evaluations": r.report.function_evaluations,
-                "wall_time": round(r.wall_time, 3),
-            }
-        )
-    csv_lines = [f"method,dev_mse,{map_col},evaluations,wall_time"]
-    for row in rows:
-        csv_lines.append(
-            f"{row['method']},{row['dev_mse']!r},{row[map_col]!r},"
-            f"{row['evaluations']},{row['wall_time']}"
-        )
-    csv_text = "\n".join(csv_lines) + "\n"
+    header = ["method", "dev_mse", f"test_map_at_{first.k}", "evaluations", "wall_time"]
+    rows = [
+        dict(zip(header, (r.manifest.method, r.report.best_objective, r.eval_report.map_at_k,
+                          r.report.function_evaluations, round(r.wall_time, 3))))
+        for r in results
+    ]
+    lines = [header, *(row.values() for row in rows)]
+    csv_text = "".join(",".join(map(str, line)) + "\n" for line in lines)
     json_text = json.dumps(rows, indent=2) + "\n"
-    created: list[Path] = []
-    try:
-        _atomic(lambda p: p.write_text(csv_text, encoding="utf-8", newline="\n"), out / "summary.csv", created)
-        _atomic(lambda p: p.write_text(json_text, encoding="utf-8"), out / "summary.json", created)
-    except BaseException:
-        for path in created:
-            path.unlink(missing_ok=True)
-        raise
+    _write_all(Path(out_dir), {
+        "summary.csv": lambda p: p.write_text(csv_text, encoding="utf-8", newline="\n"),
+        "summary.json": lambda p: p.write_text(json_text, encoding="utf-8"),
+    })
     return results
 
 
@@ -368,10 +340,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_from_args(args: argparse.Namespace, method: str, out_dir: str) -> RunManifest:
+def _manifest_from_args(
+    args: argparse.Namespace, method: str, out_dir: str, overrides: dict
+) -> RunManifest:
     if not args.dev or not args.test or not args.truth:
         raise UsageError("--dev, --test, and --truth are required")
-    overrides = parse_set_values(args.set_values)
     return RunManifest(
         method=method,
         dev_paths=[str(Path(p).resolve()) for p in args.dev],
@@ -394,7 +367,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         if not args.method:
             raise UsageError("either --method or --manifest is required")
-        manifest = _manifest_from_args(args, args.method, args.out)
+        manifest = _manifest_from_args(args, args.method, args.out, parse_set_values(args.set_values))
     result = run(manifest)
     k = manifest.k
     print(
@@ -411,28 +384,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("no methods selected")
-    seen: set[str] = set()
-    ordered = []
-    for m in methods:
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r}; choose one of {sorted(METHODS)}")
-        if m not in seen:
-            seen.add(m)
-            ordered.append(m)
+    methods = list(dict.fromkeys(methods))  # drop repeats, keep the order
 
     overrides = parse_set_values(args.set_values)
     for key in overrides:
         head, sep, _ = key.partition(".")
-        if sep and head in METHODS and head not in seen:
+        if sep and head in METHODS and head not in methods:
             raise UsageError(f"--set {key!r} targets a method not selected for this compare")
     out_root = Path(args.out).resolve()
-    manifests = []
-    for m in ordered:
-        scoped = _scoped_overrides(m, overrides)
-        base = _manifest_from_args(args, m, str(out_root / m))
-        base.overrides = scoped
-        split_overrides(m, scoped)  # validate early, before any run starts
-        manifests.append(base)
+    # each manifest checks its method and settings, so all are checked before any parse
+    manifests = [
+        _manifest_from_args(args, m, str(out_root / m), _scoped_overrides(m, overrides))
+        for m in methods
+    ]
 
     results = compare(manifests, out_root)
     k = manifests[0].k
@@ -458,10 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonFiniteObjectiveError as exc:
         print(f"optimization aborted: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    except (IngestionError, UndefinedMetricError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (IngestionError, ValueError, OSError) as exc:  # UndefinedMetricError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

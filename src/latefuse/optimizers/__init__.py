@@ -1,51 +1,73 @@
-"""Weight-search methods over the box-constrained fusion objective."""
+"""Weight-search methods over the box-constrained fusion objective.
+
+``METHODS`` is the one registry: each method's run function, whether it needs
+the objective's gradient, and the typed spec of each of its settings.
+"""
 
 from __future__ import annotations
+
+from typing import Callable, Mapping, NamedTuple
 
 from ..fusion import Objective
 from . import equal, ga, lbfgsb, nelder_mead, pso, tnc, trust_region
 from .common import (
+    CONFIG_SETTINGS,
     CountingObjective,
     Incumbent,
     NonFiniteObjectiveError,
     OptimizerConfig,
     OptimizerReport,
     ParameterError,
+    Setting,
+    check_settings,
     equal_start,
     projected_gradient_norm,
 )
 
+
+class Method(NamedTuple):
+    run: Callable[[Objective, OptimizerConfig, dict], OptimizerReport]
+    settings: Mapping[str, Setting]
+    gradient: bool = False
+
+
 METHODS = {
-    "equal": equal.optimize_equal,
-    "pso": pso.optimize_pso,
-    "ga": ga.optimize_ga,
-    "nelder-mead": nelder_mead.optimize_nelder_mead,
-    "trust-region": trust_region.optimize_trust_region,
-    "lbfgsb": lbfgsb.optimize_lbfgsb,
-    "tnc": tnc.optimize_tnc,
+    "equal": Method(equal.optimize_equal, {}),
+    "pso": Method(pso.optimize_pso, pso.SETTINGS),
+    "ga": Method(ga.optimize_ga, ga.SETTINGS),
+    "nelder-mead": Method(nelder_mead.optimize_nelder_mead, nelder_mead.SETTINGS),
+    "trust-region": Method(trust_region.optimize_trust_region, trust_region.SETTINGS, gradient=True),
+    "lbfgsb": Method(lbfgsb.optimize_lbfgsb, lbfgsb.SETTINGS, gradient=True),
+    "tnc": Method(tnc.optimize_tnc, tnc.SETTINGS, gradient=True),
 }
 
-METHOD_PARAM_KEYS = {
-    "equal": frozenset(),
-    "pso": frozenset(pso.DEFAULTS),
-    "ga": frozenset(ga.DEFAULTS),
-    "nelder-mead": frozenset(nelder_mead.DEFAULTS),
-    "trust-region": frozenset(trust_region.DEFAULTS),
-    "lbfgsb": frozenset(lbfgsb.DEFAULTS),
-    "tnc": frozenset(tnc.DEFAULTS),
-}
+GRADIENT_METHODS = tuple(name for name, m in METHODS.items() if m.gradient)
 
-GRADIENT_METHODS = ("trust-region", "lbfgsb", "tnc")
+
+def _lookup(method: str) -> Method:
+    if method not in METHODS:
+        raise ParameterError(f"unknown method {method!r}; choose one of {sorted(METHODS)}")
+    return METHODS[method]
+
+
+def resolve(method: str, overrides: Mapping) -> tuple[dict, dict]:
+    """Check a run's overrides (key, type, finiteness, range) before any data is read.
+
+    Returns them, as given, split into OptimizerConfig fields and method params.
+    """
+    settings = {**CONFIG_SETTINGS, **_lookup(method).settings}
+    check_settings(settings, overrides, f"method {method!r}")
+    config_fields = {k: v for k, v in overrides.items() if k in CONFIG_SETTINGS}
+    method_params = {k: v for k, v in overrides.items() if k not in CONFIG_SETTINGS}
+    return config_fields, method_params
 
 
 def optimize(method: str, objective: Objective, config: OptimizerConfig) -> OptimizerReport:
-    try:
-        run = METHODS[method]
-    except KeyError:
-        raise ValueError(
-            f"unknown method {method!r}; choose one of {sorted(METHODS)}"
-        ) from None
-    return run(objective, config)
+    spec = _lookup(method)
+    if spec.gradient and objective.gradient is None:
+        raise ValueError(f"{method} needs the objective's gradient")
+    params = check_settings(spec.settings, config.method_params, f"method {method!r}")
+    return spec.run(objective, config, params)
 
 
 __all__ = [
@@ -53,12 +75,14 @@ __all__ = [
     "GRADIENT_METHODS",
     "Incumbent",
     "METHODS",
-    "METHOD_PARAM_KEYS",
+    "Method",
     "NonFiniteObjectiveError",
     "OptimizerConfig",
     "OptimizerReport",
     "ParameterError",
+    "Setting",
     "equal_start",
     "optimize",
     "projected_gradient_norm",
+    "resolve",
 ]

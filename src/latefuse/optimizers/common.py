@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,20 +32,74 @@ class ParameterError(ValueError):
     """An optimizer setting has the wrong type or lies out of its range."""
 
 
-def _check_type(key: str, value, default) -> None:
-    """Require an integer where the default is an int, and a finite real number otherwise."""
-    integral = isinstance(default, int)
-    wanted = numbers.Integral if integral else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, wanted):
-        raise ParameterError(
-            f"{key} must be {'an integer' if integral else 'a number'}, got {value!r}"
-        )
-    try:
-        finite = integral or math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
-        raise ParameterError(f"{key} must be finite, got {value!r}")
+class Setting(NamedTuple):
+    """One optimizer setting: its type, its default and the interval it must lie in.
+
+    A ``None`` default is derived from the dimension by the optimizer.  An end
+    may name another setting, whose value then bounds this one.  ``interval``
+    holds the brackets: "[" and "]" include an end, "(" and ")" exclude it.
+    """
+
+    type: type
+    default: int | float | None
+    low: float | str
+    high: float | str
+    interval: str = "[]"
+
+    def describe(self) -> str:
+        return f"{self.interval[0]}{self.low}, {self.high}{self.interval[1]}"
+
+    def check(self, key: str, value, resolved: Mapping) -> None:
+        """Reject a value of the wrong type, a non-finite real or one outside the interval."""
+        integral = self.type is int
+        wanted = numbers.Integral if integral else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, wanted):
+            raise ParameterError(
+                f"{key} must be {'an integer' if integral else 'a number'}, got {value!r}"
+            )
+        try:
+            finite = integral or math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
+            raise ParameterError(f"{key} must be finite, got {value!r}")
+        low, high = (resolved[end] if isinstance(end, str) else end for end in (self.low, self.high))
+        above = low < value if self.interval[0] == "(" else low <= value
+        below = value < high if self.interval[1] == ")" else value <= high
+        if not (above and below):
+            raise ParameterError(f"{key} must be in {self.describe()}, got {value!r}")
+
+
+def check_settings(specs: Mapping[str, Setting], values: Mapping, owner: str) -> dict:
+    """Merge ``values`` over the defaults of ``specs``, checking every given value.
+
+    A default is checked too where its interval names another setting.
+    """
+    for key in values:
+        if key not in specs:
+            raise ParameterError(
+                f"unknown method parameter {key!r} for {owner}; valid keys: {sorted(specs)}"
+            )
+    resolved = {key: spec.default for key, spec in specs.items()} | dict(values)
+    for key, spec in specs.items():
+        if key in values or isinstance(spec.low, str) or isinstance(spec.high, str):
+            spec.check(key, resolved[key], resolved)
+    return resolved
+
+
+# The OptimizerConfig fields that a run may override by name, next to method settings.
+CONFIG_SETTINGS = {
+    "max_iterations": Setting(int, 10000, 1, 10**7),
+    "tolerance": Setting(float, 1e-8, 0, math.inf, "()"),
+}
+
+_CONFIG_FIELDS = {  # all are given, so only CONFIG_SETTINGS' defaults are read
+    "dimension": Setting(int, None, 1, math.inf, "[)"),
+    "lower_bound": Setting(float, None, -math.inf, math.inf, "()"),
+    "upper_bound": Setting(float, None, "lower_bound", math.inf, "()"),
+    **CONFIG_SETTINGS,
+    "seed": Setting(int, None, 0, math.inf, "[)"),
+}
 
 
 @dataclass
@@ -53,38 +107,21 @@ class OptimizerConfig:
     dimension: int
     lower_bound: float = 0.0
     upper_bound: float = 1.0
-    max_iterations: int = 10000
-    tolerance: float = 1e-8
+    max_iterations: int = CONFIG_SETTINGS["max_iterations"].default
+    tolerance: float = CONFIG_SETTINGS["tolerance"].default
     seed: int = 0
     method_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.default is not MISSING:
-                _check_type(f.name, getattr(self, f.name), f.default)
-        if self.dimension < 1:
-            raise ParameterError("dimension must be >= 1")
-        if not self.lower_bound < self.upper_bound:
-            raise ParameterError("lower_bound must be strictly below upper_bound")
-        if self.max_iterations < 1:
-            raise ParameterError("max_iterations must be >= 1")
-        if not self.tolerance > 0:
-            raise ParameterError("tolerance must be > 0")
+        values = {key: getattr(self, key) for key in _CONFIG_FIELDS}
+        check_settings(_CONFIG_FIELDS, values, "OptimizerConfig")
 
     @property
     def span(self) -> float:
         return self.upper_bound - self.lower_bound
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "max_iterations": self.max_iterations,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "method_params": dict(self.method_params),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -132,10 +169,6 @@ class CountingObjective:
         self.function_evaluations = 0
         self.gradient_evaluations = 0
 
-    @property
-    def has_gradient(self) -> bool:
-        return self._objective.gradient is not None
-
     def value(self, x: np.ndarray) -> float:
         self.function_evaluations += 1
         v = float(self._objective.value(x))
@@ -144,8 +177,6 @@ class CountingObjective:
         return v
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self._objective.gradient is None:
-            raise ValueError("objective provides no gradient")
         self.gradient_evaluations += 1
         g = np.asarray(self._objective.gradient(x), dtype=np.float64)
         if not np.all(np.isfinite(g)):
@@ -202,6 +233,13 @@ def projected_gradient_norm(x: np.ndarray, g: np.ndarray, lo: float, hi: float) 
     return float(np.max(np.abs(x - np.clip(x - g, lo, hi))))
 
 
+# The Armijo line search's settings, shared by the methods that use it.
+LINE_SEARCH_SETTINGS = {
+    "armijo_c": Setting(float, 1e-4, 0, 1, "()"),
+    "max_backtracks": Setting(int, 60, 1, 1000),
+}
+
+
 def projected_backtracking(
     counting: CountingObjective,
     x: np.ndarray,
@@ -210,8 +248,8 @@ def projected_backtracking(
     direction: np.ndarray,
     lo: float,
     hi: float,
-    c: float = 1e-4,
-    max_backtracks: int = 60,
+    c: float,
+    max_backtracks: int,
 ) -> tuple[np.ndarray, float] | None:
     """Armijo backtracking along the projected arc P(x + alpha * direction).
 
@@ -231,19 +269,6 @@ def projected_backtracking(
                 return trial, f_trial
         alpha *= 0.5
     return None
-
-
-def resolve_params(config: OptimizerConfig, defaults: Mapping[str, float]) -> dict:
-    """Merge method_params over defaults; unknown keys and mistyped values are an error."""
-    params = dict(defaults)
-    for key, value in config.method_params.items():
-        if key not in defaults:
-            raise ParameterError(
-                f"unknown method parameter {key!r}; valid keys: {sorted(defaults)}"
-            )
-        _check_type(key, value, defaults[key])
-        params[key] = value
-    return params
 
 
 def make_report(

@@ -6,7 +6,7 @@ from ..fusion import Objective
 from .common import CountingObjective, Incumbent, OptimizerConfig, OptimizerReport, equal_start, make_report
 
 
-def optimize_equal(objective: Objective, config: OptimizerConfig) -> OptimizerReport:
+def optimize_equal(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
     counting = CountingObjective(objective)
     incumbent = Incumbent(counting)
     incumbent.consider(equal_start(config), 0)

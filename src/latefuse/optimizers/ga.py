@@ -10,39 +10,31 @@ from .common import (
     Incumbent,
     OptimizerConfig,
     OptimizerReport,
-    ParameterError,
+    Setting,
     equal_start,
     make_report,
-    resolve_params,
 )
 
-DEFAULTS = {
-    "population_size": 100,
-    "tournament_size": 3,
-    "crossover_rate": 0.9,
-    "mutation_rate": None,  # defaults to 1/dimension
-    "mutation_sigma": 0.1,
-    "elite_count": 1,
-    "max_generations": 1000,
-    "stagnation_window": 100,
+SETTINGS = {
+    "population_size": Setting(int, 100, 2, 10**5),
+    "tournament_size": Setting(int, 3, 1, "population_size"),
+    "crossover_rate": Setting(float, 0.9, 0, 1),
+    "mutation_rate": Setting(float, None, 0, 1),  # None: 1/dimension
+    "mutation_sigma": Setting(float, 0.1, 0, 10),
+    "elite_count": Setting(int, 1, 0, "population_size", "[)"),
+    "max_generations": Setting(int, 1000, 1, 10**7),
+    "stagnation_window": Setting(int, 100, 0, 10**7),  # 0: never stop early
 }
 
 
-def optimize_ga(objective: Objective, config: OptimizerConfig) -> OptimizerReport:
-    p = resolve_params(config, DEFAULTS)
-    pop_size = int(p["population_size"])
-    tournament = int(p["tournament_size"])
-    elite = int(p["elite_count"])
-    window = int(p["stagnation_window"])
+def optimize_ga(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
+    pop_size = p["population_size"]
+    tournament = p["tournament_size"]
+    elite = p["elite_count"]
+    window = p["stagnation_window"]
     mutation_rate = p["mutation_rate"]
     if mutation_rate is None:
         mutation_rate = 1.0 / config.dimension
-    if pop_size < 2:
-        raise ParameterError("population_size must be >= 2")
-    if not 1 <= tournament <= pop_size:
-        raise ParameterError("tournament_size must be in [1, population_size]")
-    if not 0 <= elite < pop_size:
-        raise ParameterError("elite_count must be in [0, population_size)")
 
     rng = np.random.default_rng(config.seed)
     lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
@@ -57,7 +49,7 @@ def optimize_ga(objective: Objective, config: OptimizerConfig) -> OptimizerRepor
     incumbent.consider(population[0], 0)
     incumbent.consider(population[int(np.argmin(fitness))], 0)
 
-    generations = min(int(p["max_generations"]), config.max_iterations)
+    generations = min(p["max_generations"], config.max_iterations)
     anchor = incumbent.best_f
     since_improvement = 0
     converged = False

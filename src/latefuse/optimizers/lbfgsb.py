@@ -8,22 +8,19 @@ import numpy as np
 
 from ..fusion import Objective
 from .common import (
+    LINE_SEARCH_SETTINGS,
     CountingObjective,
     Incumbent,
     OptimizerConfig,
     OptimizerReport,
+    Setting,
     equal_start,
     make_report,
     projected_backtracking,
     projected_gradient_norm,
-    resolve_params,
 )
 
-DEFAULTS = {
-    "history": 10,
-    "armijo_c": 1e-4,
-    "max_backtracks": 60,
-}
+SETTINGS = {"history": Setting(int, 10, 1, 1000), **LINE_SEARCH_SETTINGS}
 
 
 def _two_loop(g: np.ndarray, pairs: deque) -> np.ndarray:
@@ -42,11 +39,10 @@ def _two_loop(g: np.ndarray, pairs: deque) -> np.ndarray:
     return q
 
 
-def optimize_lbfgsb(objective: Objective, config: OptimizerConfig) -> OptimizerReport:
-    p = resolve_params(config, DEFAULTS)
-    history = int(p["history"])
+def optimize_lbfgsb(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
+    history = p["history"]
     c = float(p["armijo_c"])
-    max_backtracks = int(p["max_backtracks"])
+    max_backtracks = p["max_backtracks"]
     lo, hi = config.lower_bound, config.upper_bound
 
     counting = CountingObjective(objective)

@@ -10,17 +10,17 @@ from .common import (
     Incumbent,
     OptimizerConfig,
     OptimizerReport,
+    Setting,
     equal_start,
     make_report,
-    resolve_params,
 )
 
-DEFAULTS = {
-    "initial_step": 0.05,
-    "reflection": 1.0,
-    "expansion": 2.0,
-    "contraction": 0.5,
-    "shrink": 0.5,
+SETTINGS = {
+    "initial_step": Setting(float, 0.05, 0, 1, "(]"),  # a share of the box span
+    "reflection": Setting(float, 1.0, 0, 10, "(]"),
+    "expansion": Setting(float, 2.0, 1, 10, "(]"),
+    "contraction": Setting(float, 0.5, 0, 1, "()"),
+    "shrink": Setting(float, 0.5, 0, 1, "()"),
 }
 
 
@@ -35,8 +35,7 @@ def _initial_simplex(x0: np.ndarray, step: float, lo: float, hi: float) -> np.nd
     return simplex
 
 
-def optimize_nelder_mead(objective: Objective, config: OptimizerConfig) -> OptimizerReport:
-    p = resolve_params(config, DEFAULTS)
+def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
     alpha = float(p["reflection"])
     gamma = float(p["expansion"])
     beta = float(p["contraction"])

@@ -10,27 +10,23 @@ from .common import (
     Incumbent,
     OptimizerConfig,
     OptimizerReport,
-    ParameterError,
+    Setting,
     equal_start,
     make_report,
-    resolve_params,
 )
 
-DEFAULTS = {
-    "swarm_size": 300,
-    "inertia": 0.729,
-    "cognitive": 1.49445,
-    "social": 1.49445,
-    "stagnation_window": 100,
+SETTINGS = {
+    "swarm_size": Setting(int, 300, 1, 10**5),
+    "inertia": Setting(float, 0.729, 0, 10),
+    "cognitive": Setting(float, 1.49445, 0, 10),
+    "social": Setting(float, 1.49445, 0, 10),
+    "stagnation_window": Setting(int, 100, 0, 10**7),  # 0: never stop early
 }
 
 
-def optimize_pso(objective: Objective, config: OptimizerConfig) -> OptimizerReport:
-    p = resolve_params(config, DEFAULTS)
-    swarm_size = int(p["swarm_size"])
-    window = int(p["stagnation_window"])
-    if swarm_size < 1:
-        raise ParameterError("swarm_size must be >= 1")
+def optimize_pso(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
+    swarm_size = p["swarm_size"]
+    window = p["stagnation_window"]
 
     rng = np.random.default_rng(config.seed)
     lo, hi, m = config.lower_bound, config.upper_bound, config.dimension

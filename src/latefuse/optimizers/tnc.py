@@ -12,6 +12,7 @@ import numpy as np
 
 from ..fusion import Objective
 from .common import (
+    LINE_SEARCH_SETTINGS,
     CountingObjective,
     Incumbent,
     OptimizerConfig,
@@ -20,13 +21,9 @@ from .common import (
     make_report,
     projected_backtracking,
     projected_gradient_norm,
-    resolve_params,
 )
 
-DEFAULTS = {
-    "armijo_c": 1e-4,
-    "max_backtracks": 60,
-}
+SETTINGS = LINE_SEARCH_SETTINGS
 
 _SQRT_EPS = math.sqrt(np.finfo(np.float64).eps)
 
@@ -57,10 +54,9 @@ def _truncated_cg(hessvec, b: np.ndarray, max_inner: int) -> np.ndarray:
     return d
 
 
-def optimize_tnc(objective: Objective, config: OptimizerConfig) -> OptimizerReport:
-    p = resolve_params(config, DEFAULTS)
+def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
     c = float(p["armijo_c"])
-    max_backtracks = int(p["max_backtracks"])
+    max_backtracks = p["max_backtracks"]
     lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
     max_inner = min(2 * m, 50)
 

@@ -12,16 +12,16 @@ from .common import (
     Incumbent,
     OptimizerConfig,
     OptimizerReport,
+    Setting,
     equal_start,
     make_report,
     projected_gradient_norm,
-    resolve_params,
 )
 
-DEFAULTS = {
-    "initial_radius": 1.0,
-    "max_radius": None,  # defaults to sqrt(dimension) * span
-    "acceptance_threshold": 1e-4,
+SETTINGS = {
+    "initial_radius": Setting(float, 1.0, 0, math.inf, "()"),
+    "max_radius": Setting(float, None, 0, math.inf, "()"),  # None: sqrt(dimension) * span
+    "acceptance_threshold": Setting(float, 1e-4, 0, 0.25, "[)"),
 }
 
 _MIN_RADIUS = 1e-14
@@ -58,8 +58,7 @@ def _dogleg(g: np.ndarray, hessian: np.ndarray, radius: float) -> np.ndarray:
     return cauchy + min(max(t, 0.0), 1.0) * leg
 
 
-def optimize_trust_region(objective: Objective, config: OptimizerConfig) -> OptimizerReport:
-    p = resolve_params(config, DEFAULTS)
+def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
     lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
     radius = float(p["initial_radius"])
     max_radius = p["max_radius"]

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from latefuse import cli
 from latefuse.cli import (
@@ -24,8 +30,9 @@ from latefuse.ingestion import (
     load_normalization,
     read_inducer_csv,
 )
-from latefuse.optimizers import NonFiniteObjectiveError
-from latefuse.synth import generate_perfect_inducer
+from latefuse.optimizers import METHODS, NonFiniteObjectiveError, optimize
+from latefuse.optimizers.common import CONFIG_SETTINGS
+from latefuse.synth import SynthSpec, generate, generate_perfect_inducer
 
 ARTIFACTS = [
     "manifest.json",
@@ -182,17 +189,37 @@ def test_usage_error_unknown_set_key(dataset_pair, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize(
-    "setting",
+    "setting",  # `method.key=value`; an unscoped key is a pso setting
     [
         "max_iterations=1e3", "swarm_size=2.5", "tolerance=-1", "swarm_size=0",
         "inertia=nan", "tolerance=inf", "cognitive=-inf",
+        pytest.param("swarm_size=" + "9" * 401, id="swarm_size=401-digits"),
+        "ga.mutation_sigma=-1", "lbfgsb.max_backtracks=0", "tnc.max_backtracks=-1",
+        "trust-region.initial_radius=0", "trust-region.acceptance_threshold=5",
+        "lbfgsb.history=0", "ga.crossover_rate=5", "ga.mutation_rate=-3",
+        "nelder-mead.initial_step=-1", "nelder-mead.shrink=0",
+        "ga.tournament_size=101", "ga.elite_count=100",
     ],
 )
 def test_usage_error_bad_numeric_setting(dataset_pair, tmp_path, capsys, command, setting):
-    method = ["--method", "pso"] if command == "run" else ["--methods", "pso"]
-    code = main([command, *method, "--set", setting, *data_flags(dataset_pair, tmp_path / "o")])
+    scoped, value = setting.split("=")
+    method, _, key = scoped.rpartition(".")
+    method = method or "pso"
+    if command == "run":
+        flags = ["--method", method, "--set", f"{key}={value}"]
+    else:
+        flags = ["--methods", method, "--set", setting]
+    code = main([command, *flags, *data_flags(dataset_pair, tmp_path / "o")])
     assert code == EXIT_USAGE
-    assert setting.split("=")[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err
+    spec = {**CONFIG_SETTINGS, **METHODS[method].settings}[key]
+    if value.lstrip("-") in ("nan", "inf"):
+        assert "must be finite" in err
+    elif spec.type is int and not value.lstrip("-").isdigit():
+        assert "must be an integer" in err
+    else:
+        assert f"must be in {spec.describe()}" in err
 
 
 def test_compare_bad_method_parameter_writes_nothing(dataset_pair, tmp_path, capsys):
@@ -204,6 +231,28 @@ def test_compare_bad_method_parameter_writes_nothing(dataset_pair, tmp_path, cap
     assert code == EXIT_USAGE
     assert "swarm_size" in capsys.readouterr().err
     assert not out.exists() or not any(out.rglob("*"))
+
+
+def test_compare_bad_setting_parses_and_fits_nothing(dataset_pair, tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_optimize(method, objective, config):
+        calls.append(method)
+        return optimize(method, objective, config)
+
+    def counting_read(path):
+        calls.append(path)
+        return read_inducer_csv(path)
+
+    monkeypatch.setattr(cli, "optimize", counting_optimize)
+    monkeypatch.setattr(cli, "read_inducer_csv", counting_read)
+    code = main(
+        ["compare", "--methods", "all", "--set", "ga.elite_count=-1",
+         *data_flags(dataset_pair, tmp_path / "o")]
+    )
+    assert code == EXIT_USAGE
+    assert "elite_count must be in [0, population_size)" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_data_error_missing_file(dataset_pair, tmp_path, capsys):
@@ -286,7 +335,7 @@ def test_manifest_round_trip():
         out_dir="/o",
         k=5,
         seed=11,
-        overrides={"swarm_size": 40.0},
+        overrides={"swarm_size": 40},
         trace=True,
     )
     assert RunManifest.from_dict(manifest.to_dict()) == manifest
@@ -311,6 +360,38 @@ def test_manifest_rejects_bad_k():
 def test_manifest_from_dict_missing_field():
     with pytest.raises(UsageError, match="missing field"):
         RunManifest.from_dict({"method": "equal"})
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        pytest.param(lambda doc: [1, 2], "must be a JSON object", id="top-level-array"),
+        pytest.param(lambda doc: {**doc, "overrides": [1, 2]}, "'overrides' must be dict", id="overrides-list"),
+        pytest.param(lambda doc: {**doc, "dev_paths": 5}, "'dev_paths' must be list[str]", id="dev_paths-number"),
+        pytest.param(lambda doc: {**doc, "trace": "no"}, "'trace' must be bool", id="trace-string"),
+        pytest.param(lambda doc: {**doc, "k": "x"}, "'k' must be int", id="k-string"),
+        pytest.param(lambda doc: {**doc, "seed": -1}, "seed must be >= 0", id="seed-negative"),
+        pytest.param(
+            lambda doc: {**doc, "overrides": {"swarm_size": "40"}}, "swarm_size must be an integer",
+            id="override-string",
+        ),
+    ],
+)
+def test_run_rejects_malformed_manifest(dataset_pair, tmp_path, capsys, monkeypatch, change, message):
+    monkeypatch.setattr(cli, "read_inducer_csv", None)  # a parse would raise TypeError
+    dev, test = dataset_pair
+    doc = RunManifest(
+        method="pso",
+        dev_paths=[str(dev.inducer_paths[0].parent)],
+        test_paths=[str(test.inducer_paths[0].parent)],
+        truth_paths=[str(dev.truth_path), str(test.truth_path)],
+        out_dir=str(tmp_path / "a"),
+    ).to_dict()
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(change(doc)))
+    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "b")])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_parse_set_values():
@@ -487,3 +568,52 @@ def test_compare_rejects_override_scoped_to_unselected_method(dataset_pair, tmp_
     )
     assert code == EXIT_USAGE
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- any --set value
+
+REGISTRY_KEYS = sorted({*CONFIG_SETTINGS, *(k for m in METHODS.values() for k in m.settings)})
+
+
+@pytest.fixture(scope="module")
+def small_pair(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small")
+    w_star = [0.7, 0.2, 0.5]
+    dev = generate(SynthSpec(30, 3, 5, seed=1, planted_weights=w_star, key_prefix="d"), root / "dev")
+    test = generate(SynthSpec(20, 3, 4, seed=2, planted_weights=w_star, key_prefix="t"), root / "test")
+    return dev, test
+
+
+@st.composite
+def any_setting(draw):
+    """A method, a key (its own, another method's or unknown) and a value of any kind."""
+    method = draw(st.sampled_from(sorted(METHODS)))
+    own = sorted({*CONFIG_SETTINGS, *METHODS[method].settings})
+    others = [*REGISTRY_KEYS, "swarm", "pso.swarm_size", "dimension", "seed"]
+    key = draw(st.sampled_from(own) if own and draw(st.booleans()) else st.sampled_from(others))
+    value = draw(
+        st.one_of(
+            st.integers(),
+            st.integers(-2, 1001),
+            st.sampled_from([10**400, -(10**400), 10**5, 10**7 + 1]),
+            st.floats(),
+            st.floats(0, 1),
+            st.text(max_size=8),
+        )
+    )
+    return method, key, value
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=any_setting())
+def test_any_set_value_exits_0_or_2(small_pair, drawn):
+    method, key, value = drawn
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        code = main(
+            ["run", "--method", method, "--set", "max_iterations=5", "--set", f"{key}={value}",
+             *data_flags(small_pair, Path(out) / "o")]
+        )
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_USAGE), stderr.getvalue()

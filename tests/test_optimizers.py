@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from latefuse.optimizers import (
     ParameterError,
     optimize,
 )
-from latefuse.optimizers.common import CountingObjective, Incumbent
+from latefuse.optimizers.common import CONFIG_SETTINGS, CountingObjective, Incumbent
 from latefuse.synth import planted_score_matrix, random_score_matrix
 
 SEARCH_METHODS = [m for m in METHODS if m != "equal"]
@@ -74,6 +75,9 @@ def test_config_defaults():
         {"dimension": 3, "tolerance": math.inf},
         {"dimension": 3, "upper_bound": math.nan},
         {"dimension": 3, "lower_bound": -math.inf},
+        {"dimension": 3, "seed": -1},
+        {"dimension": 2.5},
+        {"dimension": 3, "max_iterations": 10**7 + 1},
     ],
 )
 def test_config_validation(kwargs):
@@ -104,6 +108,22 @@ def test_unknown_method_param_rejected():
     config = OptimizerConfig(dimension=1, method_params={"swarm": 10})
     with pytest.raises(ValueError, match="unknown method parameter"):
         optimize("pso", obj, config)
+
+
+def test_readme_table_lists_every_setting():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5:
+            rows[cells[0].strip("`"), cells[1].strip("`")] = cells[2:]
+    registry = [("all", k, spec) for k, spec in CONFIG_SETTINGS.items()]
+    registry += [(m, k, spec) for m, method in METHODS.items() for k, spec in method.settings.items()]
+    for owner, key, spec in registry:
+        kind, default, interval = rows[owner, key]
+        assert kind == spec.type.__name__, key
+        assert default.startswith(f"`{spec.default!r}`"), key
+        assert interval == f"`{spec.describe()}`", key
 
 
 # ---------------------------------------------------------------- equal baseline
