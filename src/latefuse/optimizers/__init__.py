@@ -67,7 +67,9 @@ def optimize(method: str, objective: Objective, config: OptimizerConfig) -> Opti
     if spec.gradient and objective.gradient is None:
         raise ValueError(f"{method} needs the objective's gradient")
     params = check_settings(spec.settings, config.method_params, f"method {method!r}")
-    return spec.run(objective, config, params)
+    report = spec.run(objective, config, params)
+    report.method = method
+    return report
 
 
 __all__ = [

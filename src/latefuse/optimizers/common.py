@@ -233,6 +233,15 @@ def projected_gradient_norm(x: np.ndarray, g: np.ndarray, lo: float, hi: float) 
     return float(np.max(np.abs(x - np.clip(x - g, lo, hi))))
 
 
+def free_set(x: np.ndarray, g: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Mask of the variables a descent step may move.
+
+    Interior variables are free; a variable on a bound stays fixed unless the
+    gradient pulls it back into the box.
+    """
+    return ((x > lo) & (x < hi)) | ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0))
+
+
 # The Armijo line search's settings, shared by the methods that use it.
 LINE_SEARCH_SETTINGS = {
     "armijo_c": Setting(float, 1e-4, 0, 1, "()"),
@@ -272,7 +281,6 @@ def projected_backtracking(
 
 
 def make_report(
-    method: str,
     config: OptimizerConfig,
     incumbent: Incumbent,
     counting: CountingObjective,
@@ -285,7 +293,7 @@ def make_report(
         "incumbent escaped the bounds"
     )
     return OptimizerReport(
-        method=method,
+        method="",  # optimize() stamps the registry key
         best_weights=w.copy(),
         best_objective=incumbent.best_f,
         function_evaluations=counting.function_evaluations,

@@ -10,4 +10,4 @@ def optimize_equal(objective: Objective, config: OptimizerConfig, p: dict) -> Op
     counting = CountingObjective(objective)
     incumbent = Incumbent(counting)
     incumbent.consider(equal_start(config), 0)
-    return make_report("equal", config, incumbent, counting, iterations=0, converged=True)
+    return make_report(config, incumbent, counting, iterations=0, converged=True)

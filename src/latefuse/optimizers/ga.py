@@ -97,4 +97,4 @@ def optimize_ga(objective: Objective, config: OptimizerConfig, p: dict) -> Optim
                 converged = True
                 break
 
-    return make_report("ga", config, incumbent, counting, iterations, converged)
+    return make_report(config, incumbent, counting, iterations, converged)

@@ -1,4 +1,4 @@
-"""Limited-memory BFGS with box projection and Armijo backtracking."""
+"""Limited-memory BFGS on the free variables, with box projection and Armijo backtracking."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from .common import (
     OptimizerReport,
     Setting,
     equal_start,
+    free_set,
     make_report,
     projected_backtracking,
     projected_gradient_norm,
@@ -23,20 +24,34 @@ from .common import (
 SETTINGS = {"history": Setting(int, 10, 1, 1000), **LINE_SEARCH_SETTINGS}
 
 
-def _two_loop(g: np.ndarray, pairs: deque) -> np.ndarray:
-    """Implicit product of the inverse-Hessian approximation with g."""
-    q = g.copy()
+def _two_loop(g: np.ndarray, pairs: deque, free: np.ndarray) -> np.ndarray:
+    """Implicit product of the inverse-Hessian approximation with g, on the free variables.
+
+    The stored pairs are restricted to the free coordinates; a pair whose
+    restricted curvature s_F.y_F is not positive is skipped.  Fixed
+    coordinates get a zero entry.
+    """
+    q = g[free]
+    used = []  # newest first
+    for s, y in reversed(pairs):
+        s_f, y_f = s[free], y[free]
+        sy = float(s_f @ y_f)
+        if sy > 0.0:
+            used.append((s_f, y_f, sy))
     alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
-        q -= a * y
+    for s_f, y_f, sy in used:
+        a = float(s_f @ q) / sy
+        q -= a * y_f
         alphas.append(a)
-    s_last, y_last, _ = pairs[-1]
-    q *= float(s_last @ y_last) / float(y_last @ y_last)
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(y @ q)
-        q += (a - b) * s
-    return q
+    if used:
+        s_f, y_f, sy = used[0]
+        q *= sy / float(y_f @ y_f)
+    for (s_f, y_f, sy), a in zip(reversed(used), reversed(alphas)):
+        b = float(y_f @ q) / sy
+        q += (a - b) * s_f
+    product = np.zeros_like(g)
+    product[free] = q
+    return product
 
 
 def optimize_lbfgsb(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
@@ -62,13 +77,14 @@ def optimize_lbfgsb(objective: Objective, config: OptimizerConfig, p: dict) -> O
             iterations = it - 1
             break
 
-        if pairs:
-            direction = -_two_loop(g, pairs)
-            if float(g @ direction) >= 0.0:
-                pairs.clear()
-                direction = -g
-        else:
-            direction = -g
+        # Kim, Sra & Dhillon's projected quasi-Newton step: variables held on a
+        # bound by the gradient do not move, the rest take the two-loop step.
+        free = free_set(x, g, lo, hi)
+        steepest = np.where(free, -g, 0.0)
+        direction = -_two_loop(g, pairs, free)
+        if float(g @ direction) >= 0.0:
+            pairs.clear()
+            direction = steepest
 
         result = projected_backtracking(
             counting, x, f, g, direction, lo, hi, c=c, max_backtracks=max_backtracks
@@ -76,7 +92,7 @@ def optimize_lbfgsb(objective: Objective, config: OptimizerConfig, p: dict) -> O
         if result is None and pairs:
             pairs.clear()
             result = projected_backtracking(
-                counting, x, f, g, -g, lo, hi, c=c, max_backtracks=max_backtracks
+                counting, x, f, g, steepest, lo, hi, c=c, max_backtracks=max_backtracks
             )
         if result is None:
             break
@@ -87,8 +103,8 @@ def optimize_lbfgsb(objective: Objective, config: OptimizerConfig, p: dict) -> O
         y = g_trial - g
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            pairs.append((s, y, 1.0 / sy))
+            pairs.append((s, y))
         x, f, g = trial, f_trial, g_trial
         incumbent.consider(x, it, value=f)
 
-    return make_report("lbfgsb", config, incumbent, counting, iterations, converged)
+    return make_report(config, incumbent, counting, iterations, converged)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from ..fusion import Objective
@@ -35,66 +37,73 @@ def _initial_simplex(x0: np.ndarray, step: float, lo: float, hi: float) -> np.nd
     return simplex
 
 
+def _sort(simplex: np.ndarray, values: list[float]) -> tuple[np.ndarray, list[float]]:
+    order = np.argsort(values, kind="stable")
+    return simplex[order], [values[i] for i in order]
+
+
 def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
     alpha = float(p["reflection"])
     gamma = float(p["expansion"])
     beta = float(p["contraction"])
     delta = float(p["shrink"])
-    lo, hi = config.lower_bound, config.upper_bound
+    lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
     counting = CountingObjective(objective)
     incumbent = Incumbent(counting)
 
     x0 = equal_start(config)
     step = float(p["initial_step"]) * config.span
+    # Rows stay sorted by value, ties in the order a stable sort would keep:
+    # a new vertex goes after the vertices it ties with, and only a shrink
+    # re-sorts the whole simplex.
     simplex = _initial_simplex(x0, step, lo, hi)
-    values = np.array([counting.value(v) for v in simplex])
-    b = int(np.argmin(values))
-    incumbent.consider(simplex[b], 0, value=values[b])
+    simplex, values = _sort(simplex, [counting.value(v) for v in simplex])
+    incumbent.consider(simplex[0], 0, value=values[0])
 
     converged = False
     iterations = 0
     for it in range(1, config.max_iterations + 1):
         iterations = it
-        order = np.argsort(values, kind="stable")
-        simplex = simplex[order]
-        values = values[order]
+        if values[-1] - values[0] <= config.tolerance:
+            if float(np.max(np.abs(simplex[1:] - simplex[0]))) <= config.tolerance:
+                converged = True
+                iterations = it - 1
+                break
 
-        f_spread = float(np.max(np.abs(values[1:] - values[0])))
-        x_spread = float(np.max(np.abs(simplex[1:] - simplex[0])))
-        if f_spread <= config.tolerance and x_spread <= config.tolerance:
-            converged = True
-            iterations = it - 1
-            break
-
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        reflected = np.clip(centroid + alpha * (centroid - worst), lo, hi)
+        centroid = np.add.reduce(simplex[:-1], axis=0) / m  # bit-equal to .mean(axis=0)
+        toward = centroid - simplex[-1]
+        reflected = np.clip(centroid + alpha * toward, lo, hi)
         f_reflected = counting.value(reflected)
 
         if f_reflected < values[0]:
-            expanded = np.clip(centroid + gamma * (centroid - worst), lo, hi)
+            expanded = np.clip(centroid + gamma * toward, lo, hi)
             f_expanded = counting.value(expanded)
             if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
+                vertex, f_vertex = expanded, f_expanded
             else:
-                simplex[-1], values[-1] = reflected, f_reflected
+                vertex, f_vertex = reflected, f_reflected
         elif f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
+            vertex, f_vertex = reflected, f_reflected
         else:
             if f_reflected < values[-1]:
-                contracted = np.clip(centroid + beta * (centroid - worst), lo, hi)
+                vertex = np.clip(centroid + beta * toward, lo, hi)
             else:
-                contracted = np.clip(centroid - beta * (centroid - worst), lo, hi)
-            f_contracted = counting.value(contracted)
-            if f_contracted < min(f_reflected, values[-1]):
-                simplex[-1], values[-1] = contracted, f_contracted
-            else:
-                for i in range(1, simplex.shape[0]):
+                vertex = np.clip(centroid - beta * toward, lo, hi)
+            f_vertex = counting.value(vertex)
+            if not f_vertex < min(f_reflected, values[-1]):
+                vertex = None
+                for i in range(1, m + 1):
                     simplex[i] = np.clip(simplex[0] + delta * (simplex[i] - simplex[0]), lo, hi)
                     values[i] = counting.value(simplex[i])
+                simplex, values = _sort(simplex, values)
 
-        b = int(np.argmin(values))
-        if values[b] < incumbent.best_f:
-            incumbent.consider(simplex[b], it, value=values[b])
+        if vertex is not None:  # replace the worst vertex, keeping the rows sorted
+            values.pop()
+            k = bisect.bisect_right(values, f_vertex)
+            values.insert(k, f_vertex)
+            simplex[k + 1 :] = simplex[k:-1]
+            simplex[k] = vertex
+        if values[0] < incumbent.best_f:
+            incumbent.consider(simplex[0], it, value=values[0])
 
-    return make_report("nelder-mead", config, incumbent, counting, iterations, converged)
+    return make_report(config, incumbent, counting, iterations, converged)

@@ -80,4 +80,4 @@ def optimize_pso(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
                 converged = True
                 break
 
-    return make_report("pso", config, incumbent, counting, iterations, converged)
+    return make_report(config, incumbent, counting, iterations, converged)

@@ -18,6 +18,7 @@ from .common import (
     OptimizerConfig,
     OptimizerReport,
     equal_start,
+    free_set,
     make_report,
     projected_backtracking,
     projected_gradient_norm,
@@ -76,10 +77,7 @@ def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
             iterations = it - 1
             break
 
-        # a bound stays frozen unless the gradient pulls back into the box
-        free = (x > lo) & (x < hi)
-        free |= (x <= lo) & (g < 0)
-        free |= (x >= hi) & (g > 0)
+        free = free_set(x, g, lo, hi)
         if not free.any():
             converged = True
             iterations = it - 1
@@ -118,4 +116,4 @@ def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
         g = counting.gradient(x)
         incumbent.consider(x, it, value=f)
 
-    return make_report("tnc", config, incumbent, counting, iterations, converged)
+    return make_report(config, incumbent, counting, iterations, converged)

@@ -1,4 +1,4 @@
-"""Dogleg trust-region method on a BFGS quadratic model, projected to the box."""
+"""Dogleg trust-region method on a BFGS quadratic model of the free variables, projected to the box."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from .common import (
     OptimizerReport,
     Setting,
     equal_start,
+    free_set,
     make_report,
     projected_gradient_norm,
 )
@@ -83,7 +84,11 @@ def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict
             iterations = it - 1
             break
 
-        step = _dogleg(g, hessian, radius)
+        # Coleman & Li's restriction: the dogleg runs on the free variables,
+        # and variables held on a bound by the gradient take a zero step.
+        free = free_set(x, g, lo, hi)
+        step = np.zeros(m)
+        step[free] = _dogleg(g[free], hessian[np.ix_(free, free)], radius)
         trial = np.clip(x + step, lo, hi)
         realized = trial - x
         if not np.any(realized):
@@ -120,4 +125,4 @@ def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict
         if radius < _MIN_RADIUS:
             break
 
-    return make_report("trust-region", config, incumbent, counting, iterations, converged)
+    return make_report(config, incumbent, counting, iterations, converged)

@@ -1,0 +1,205 @@
+"""The local searches: Nelder-Mead's sorted simplex and the free-variable gradient steps."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latefuse.fusion import Objective, make_mse_objective
+from latefuse.ingestion import apply_minmax, assemble, fit_minmax
+from latefuse.optimizers import METHODS, OptimizerConfig, optimize
+from latefuse.optimizers.common import (
+    CountingObjective,
+    Incumbent,
+    equal_start,
+    free_set,
+    make_report,
+)
+from latefuse.optimizers.nelder_mead import _initial_simplex
+from latefuse.synth import SynthSpec, build_tables
+
+
+def _reference_nelder_mead(objective, config, p):
+    """Nelder-Mead as it was before the simplex was kept sorted: a stable argsort every iteration."""
+    alpha, gamma = float(p["reflection"]), float(p["expansion"])
+    beta, delta = float(p["contraction"]), float(p["shrink"])
+    lo, hi = config.lower_bound, config.upper_bound
+    counting = CountingObjective(objective)
+    incumbent = Incumbent(counting)
+
+    simplex = _initial_simplex(equal_start(config), float(p["initial_step"]) * config.span, lo, hi)
+    values = np.array([counting.value(v) for v in simplex])
+    b = int(np.argmin(values))
+    incumbent.consider(simplex[b], 0, value=values[b])
+
+    converged = False
+    iterations = 0
+    for it in range(1, config.max_iterations + 1):
+        iterations = it
+        order = np.argsort(values, kind="stable")
+        simplex = simplex[order]
+        values = values[order]
+
+        f_spread = float(np.max(np.abs(values[1:] - values[0])))
+        x_spread = float(np.max(np.abs(simplex[1:] - simplex[0])))
+        if f_spread <= config.tolerance and x_spread <= config.tolerance:
+            converged = True
+            iterations = it - 1
+            break
+
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+        reflected = np.clip(centroid + alpha * (centroid - worst), lo, hi)
+        f_reflected = counting.value(reflected)
+
+        if f_reflected < values[0]:
+            expanded = np.clip(centroid + gamma * (centroid - worst), lo, hi)
+            f_expanded = counting.value(expanded)
+            if f_expanded < f_reflected:
+                simplex[-1], values[-1] = expanded, f_expanded
+            else:
+                simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+        else:
+            if f_reflected < values[-1]:
+                contracted = np.clip(centroid + beta * (centroid - worst), lo, hi)
+            else:
+                contracted = np.clip(centroid - beta * (centroid - worst), lo, hi)
+            f_contracted = counting.value(contracted)
+            if f_contracted < min(f_reflected, values[-1]):
+                simplex[-1], values[-1] = contracted, f_contracted
+            else:
+                for i in range(1, simplex.shape[0]):
+                    simplex[i] = np.clip(simplex[0] + delta * (simplex[i] - simplex[0]), lo, hi)
+                    values[i] = counting.value(simplex[i])
+
+        b = int(np.argmin(values))
+        if values[b] < incumbent.best_f:
+            incumbent.consider(simplex[b], it, value=values[b])
+
+    return make_report(config, incumbent, counting, iterations, converged)
+
+
+def _setting_value(spec):
+    """Any value in a setting's declared interval."""
+    return st.floats(
+        min_value=spec.low,
+        max_value=spec.high,
+        exclude_min=spec.interval[0] == "(",
+        exclude_max=spec.interval[1] == ")",
+        allow_nan=False,
+    )
+
+
+def _quantised_quadratic(center, scales, step):
+    """A separable quadratic rounded to multiples of ``step``, so vertex values tie."""
+
+    def value(x):
+        d = np.asarray(x) - center
+        return math.floor(float(scales @ (d * d)) / step + 0.5) * step
+
+    return Objective(value=value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    data=st.data(),
+    step=st.sampled_from([1e-2, 1e-4]),
+    max_iterations=st.integers(1, 400),
+    tolerance=st.sampled_from([1e-12, 1e-8, 1e-4, 1e-2]),
+    lower=st.sampled_from([0.0, -0.5]),
+    span=st.sampled_from([1.0, 0.3, 2.0]),
+)
+def test_nelder_mead_matches_argsort_every_iteration(m, data, step, max_iterations, tolerance, lower, span):
+    params = {key: data.draw(_setting_value(spec), label=key) for key, spec in METHODS["nelder-mead"].settings.items()}
+    center = np.array(data.draw(st.lists(st.floats(-0.5, 1.5), min_size=m, max_size=m), label="center"))
+    scales = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m), label="scales"))
+    objective = _quantised_quadratic(center, scales, step)
+    config = OptimizerConfig(
+        dimension=m,
+        lower_bound=lower,
+        upper_bound=lower + span,
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+        method_params=params,
+    )
+
+    expected = _reference_nelder_mead(objective, config, params)
+    got = optimize("nelder-mead", objective, config)
+    assert got.best_weights.tobytes() == expected.best_weights.tobytes()
+    assert got.best_objective == expected.best_objective
+    assert got.trace == expected.trace
+    assert got.function_evaluations == expected.function_evaluations
+    assert got.iterations == expected.iterations
+    assert got.converged == expected.converged
+
+
+def test_free_set_at_the_bounds():
+    lo, hi = 0.0, 1.0
+    x = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+    g = np.array([1.0, -1.0, 0.0, -1.0, 1.0, 0.0, 1.0, -1.0, 0.0])
+    # at the lower bound: fixed when the gradient pushes out (g > 0), free when it pulls in;
+    # the mirror image at the upper bound; interior variables are always free
+    expected = [False, True, False, False, True, False, True, True, True]
+    assert free_set(x, g, lo, hi).tolist() == expected
+
+
+def _coupled_quadratic(m, seed):
+    """(x - c)' A (x - c) with a dense SPD A and a centre partly outside [0, 1]^m."""
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(m, m))
+    a = root @ root.T + 0.1 * np.eye(m)
+    c = rng.uniform(-1.0, 2.0, size=m)
+
+    def value(x):
+        d = np.asarray(x) - c
+        return float(d @ a @ d)
+
+    def gradient(x):
+        return 2.0 * (a @ (np.asarray(x) - c))
+
+    return Objective(value=value, gradient=gradient)
+
+
+@pytest.mark.parametrize("method", ["lbfgsb", "trust-region"])
+@pytest.mark.parametrize("m", [4, 12])
+def test_step_leaves_fixed_variables_unchanged(method, m):
+    """Each step keeps the variables that the gradient holds on a bound where they are."""
+    pinned = 0
+    for seed in range(10):
+        objective = _coupled_quadratic(m, seed)
+        states = [
+            optimize(method, objective, OptimizerConfig(dimension=m, max_iterations=k)).best_weights
+            for k in range(1, 25)
+        ]
+        for before, after in zip(states, states[1:]):
+            fixed = ~free_set(before, objective.gradient(before), 0.0, 1.0)
+            assert np.array_equal(after[fixed], before[fixed]), seed
+            pinned += int(fixed.sum())
+    assert pinned > 0  # some variable sat on a bound with the gradient pushing out
+
+
+def _paper_shaped_dev(seed):
+    """1877 x 29 dev split as ``scripts/make_synth_data.py --noise 0.05`` draws it, min-max normalised."""
+    w_star = np.random.default_rng(seed).uniform(0.05, 1.0, size=29)
+    spec = SynthSpec(1877, 29, 30, seed, planted_weights=w_star.tolist(), noise_sigma=0.05, key_prefix="d")
+    dev = assemble(*build_tables(spec))
+    return apply_minmax(fit_minmax(dev), dev)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gradient_methods_terminate_at_the_optimum_full_dimension(seed):
+    optimize_ = pytest.importorskip("scipy.optimize")
+    dev = _paper_shaped_dev(seed)
+    exact = optimize_.lsq_linear(dev.scores, dev.labels, bounds=(0.0, 1.0), method="bvls", tol=1e-15)
+    objective = make_mse_objective(dev)
+    optimum = objective.value(exact.x)
+    for method in ("lbfgsb", "trust-region", "tnc"):
+        report = optimize(method, objective, OptimizerConfig(dimension=29))
+        assert report.converged, method
+        assert report.function_evaluations <= 100, method
+        assert abs(report.best_objective - optimum) <= 1e-12 * optimum, method
