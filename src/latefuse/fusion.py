@@ -2,14 +2,17 @@
 
 The combined score of a sample is the weighted sum of its m inducer scores;
 the fitness of a weight vector is the mean squared error between the fused
-scores and the ground-truth labels.  Both the objective and its closed-form
-gradient are exposed, plus an `Objective` bundle consumed by the optimizers.
+scores and the ground-truth labels.  `mse` and `mse_gradient` are the
+residual forms; `make_mse_objective` builds the `Objective` the optimizers
+consume, a quadratic in the m x m sufficient statistics with `mse` as its
+exact score.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -22,17 +25,20 @@ from .ingestion import ScoreMatrix
 class Objective:
     """A scalar objective over weight vectors.
 
-    `value` must be pure.  `gradient` is optional and, when present, must be
-    consistent with `value` under finite differences.  `value_batch` is an
-    optional fast path evaluating a (p, m) stack of weight vectors at once;
-    population methods fall back to row-by-row `value` calls without it.
-    It may round differently from `value`, so it only ranks candidates:
-    a reported objective always comes from `value`.
+    `value` must be pure; it is what a search compares.  `gradient` is
+    optional and, when present, must be consistent with `value` under finite
+    differences.  `value_batch` is an optional fast path evaluating a (p, m)
+    stack of weight vectors at once; population methods fall back to
+    row-by-row `value` calls without it.  `exact` is the reference form that
+    scores a point for the report (`value` when absent): every reported
+    objective comes from it.  `value`, `gradient` and `value_batch` may round
+    differently from `exact`, so they only rank candidates.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     value_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    exact: Callable[[np.ndarray], float] | None = None
 
 
 def _as_weights(weights: Sequence[float] | np.ndarray, m: int) -> np.ndarray:
@@ -72,37 +78,35 @@ def mse_gradient(weights: Sequence[float] | np.ndarray, matrix: ScoreMatrix) -> 
 
 
 def make_mse_objective(matrix: ScoreMatrix) -> Objective:
-    """Bundle MSE value, gradient, and a batched evaluator for one matrix.
+    """The MSE of one matrix as the quadratic f(w) = w'Gw - 2b'w + c.
 
-    `value` and `gradient` use the residual form.  `value_batch` uses the
-    sufficient statistics of the quadratic f(w) = w'Gw - 2b'w + c, with
-    G = S'S/n, b = S'y/n and c = y'y/n, computed once here, so a batch of
-    p points costs O(p*m^2) instead of O(p*n*m).  Its rounding error is a
-    few ulps of w'Gw, not of f: the last digits where f is far from 0,
-    but more than f itself near an exact fit, where `value` stays exact.
+    G = S'S/n, b = S'y/n and c = y'y/n are computed once here.  `value`
+    (w.(Gw - 2b) + c), `gradient` (2(Gw - b)) and `value_batch` read only
+    them, so a point costs O(m^2) instead of O(n*m).  Their rounding error is
+    a few ulps of w'Gw, not of f: the last digits where f is far from 0, but
+    more than f itself near an exact fit.  `exact` is `mse` bound to the
+    matrix, the residual form, and the only callable that reads its rows.
     """
     if matrix.n_samples == 0:
         raise ValueError("MSE undefined on an empty dataset")
     scores = matrix.scores
     labels = matrix.labels
     n = matrix.n_samples
-
-    def value(w: np.ndarray) -> float:
-        err = scores @ w - labels
-        return float(err @ err) / n
-
-    def gradient(w: np.ndarray) -> np.ndarray:
-        err = scores @ w - labels
-        return (2.0 / n) * (scores.T @ err)
-
     gram = (scores.T @ scores) / n
     moment = (scores.T @ labels) / n
+    twice_moment = 2.0 * moment
     offset = float(labels @ labels) / n
+
+    def value(w: np.ndarray) -> float:
+        return float(w @ (gram @ w - twice_moment)) + offset
+
+    def gradient(w: np.ndarray) -> np.ndarray:
+        return 2.0 * (gram @ w - moment)
 
     def value_batch(ws: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", ws @ gram, ws) - 2.0 * (ws @ moment) + offset
 
-    return Objective(value=value, gradient=gradient, value_batch=value_batch)
+    return Objective(value=value, gradient=gradient, value_batch=value_batch, exact=partial(mse, matrix=matrix))
 
 
 def save_weights(path: str | Path, inducer_names: Sequence[str], weights: Sequence[float] | np.ndarray) -> None:

@@ -1,9 +1,9 @@
 """Shared machinery for the weight-search methods: config, report, counting.
 
 Every optimizer works on the closed box [lower_bound, upper_bound]^dimension,
-tracks a canonical incumbent (best weights re-evaluated through the scalar
-objective path, so the reported objective is bit-reproducible), and returns
-an OptimizerReport with a non-increasing best-so-far trace.
+tracks a canonical incumbent (best weights re-scored through the objective's
+exact form, so the reported objective is bit-reproducible), and returns an
+OptimizerReport with a non-increasing best-so-far trace.
 """
 
 from __future__ import annotations
@@ -162,16 +162,29 @@ class OptimizerReport:
 
 
 class CountingObjective:
-    """Wraps an Objective with evaluation counters and finiteness checks."""
+    """Wraps an Objective with evaluation counters and finiteness checks.
+
+    `function_evaluations` counts search evaluations: `value` calls plus the
+    points of `value_batch` calls.  `exact` re-scores, made only for the
+    incumbent, are not counted.
+    """
 
     def __init__(self, objective: Objective):
         self._objective = objective
+        self._exact = objective.value if objective.exact is None else objective.exact
         self.function_evaluations = 0
         self.gradient_evaluations = 0
 
     def value(self, x: np.ndarray) -> float:
         self.function_evaluations += 1
         v = float(self._objective.value(x))
+        if not math.isfinite(v):
+            raise NonFiniteObjectiveError(x, v)
+        return v
+
+    def exact(self, x: np.ndarray) -> float:
+        """The reference score of x, through the objective's `exact` (`value` without one)."""
+        v = float(self._exact(x))
         if not math.isfinite(v):
             raise NonFiniteObjectiveError(x, v)
         return v
@@ -197,11 +210,12 @@ class CountingObjective:
 
 
 class Incumbent:
-    """Best-so-far tracker; the stored objective always comes from the scalar path.
+    """Best-so-far tracker; every stored objective is an exact score.
 
-    Population methods evaluate candidates in batch, which may round
-    differently from the scalar path; re-evaluating on improvement keeps the
-    reported best_objective bit-equal to a fresh evaluation of best_weights.
+    A search passes a point that its own (search) values say beats the
+    incumbent.  `consider` re-scores it through `CountingObjective.exact` and
+    accepts it only on an exact improvement, so the reported best_objective
+    and trace are bit-equal to a fresh exact evaluation of best_weights.
     """
 
     def __init__(self, counting: CountingObjective):
@@ -210,10 +224,10 @@ class Incumbent:
         self.best_f = math.inf
         self.trace: list[tuple[int, float]] = []
 
-    def consider(self, x: np.ndarray, iteration: int, value: float | None = None) -> bool:
-        if value is None and self.best_x is not None and np.array_equal(x, self.best_x):
+    def consider(self, x: np.ndarray, iteration: int) -> bool:
+        if self.best_x is not None and np.array_equal(x, self.best_x):
             return False  # the incumbent itself: a re-score could not improve on it
-        f = self._counting.value(x) if value is None else float(value)
+        f = self._counting.exact(x)
         if f < self.best_f:
             self.best_f = f
             self.best_x = np.array(x, dtype=np.float64, copy=True)

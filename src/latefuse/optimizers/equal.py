@@ -9,5 +9,7 @@ from .common import CountingObjective, Incumbent, OptimizerConfig, OptimizerRepo
 def optimize_equal(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
     counting = CountingObjective(objective)
     incumbent = Incumbent(counting)
-    incumbent.consider(equal_start(config), 0)
+    x = equal_start(config)
+    counting.value(x)  # the one search evaluation the report counts
+    incumbent.consider(x, 0)
     return make_report(config, incumbent, counting, iterations=0, converged=True)

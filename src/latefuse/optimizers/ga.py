@@ -45,7 +45,7 @@ def optimize_ga(objective: Objective, config: OptimizerConfig, p: dict) -> Optim
     population = rng.uniform(lo, hi, size=(pop_size, m))
     population[0] = equal_start(config)
     fitness = counting.value_batch(population)
-    # scalar-path score for the seeded baseline, then the population best
+    # exact score for the seeded baseline, then the population best
     incumbent.consider(population[0], 0)
     incumbent.consider(population[int(np.argmin(fitness))], 0)
 

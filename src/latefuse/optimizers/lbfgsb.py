@@ -65,7 +65,7 @@ def optimize_lbfgsb(objective: Objective, config: OptimizerConfig, p: dict) -> O
     x = equal_start(config)
     f = counting.value(x)
     g = counting.gradient(x)
-    incumbent.consider(x, 0, value=f)
+    incumbent.consider(x, 0)
     pairs: deque = deque(maxlen=history)
 
     converged = False
@@ -105,6 +105,6 @@ def optimize_lbfgsb(objective: Objective, config: OptimizerConfig, p: dict) -> O
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             pairs.append((s, y))
         x, f, g = trial, f_trial, g_trial
-        incumbent.consider(x, it, value=f)
+        incumbent.consider(x, it)
 
     return make_report(config, incumbent, counting, iterations, converged)

@@ -58,7 +58,9 @@ def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict)
     # re-sorts the whole simplex.
     simplex = _initial_simplex(x0, step, lo, hi)
     simplex, values = _sort(simplex, [counting.value(v) for v in simplex])
-    incumbent.consider(simplex[0], 0, value=values[0])
+    incumbent.consider(x0, 0)  # the equal start first, so the result never falls behind it
+    incumbent.consider(simplex[0], 0)
+    offered = values[0]  # the search value of the last vertex offered to the incumbent
 
     converged = False
     iterations = 0
@@ -103,7 +105,8 @@ def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict)
             values.insert(k, f_vertex)
             simplex[k + 1 :] = simplex[k:-1]
             simplex[k] = vertex
-        if values[0] < incumbent.best_f:
-            incumbent.consider(simplex[0], it, value=values[0])
+        if values[0] < offered:  # the best vertex is new: only a lower value displaces it
+            offered = values[0]
+            incumbent.consider(simplex[0], it)
 
     return make_report(config, incumbent, counting, iterations, converged)

@@ -41,8 +41,8 @@ def optimize_pso(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
     values = counting.value_batch(positions)
     pbest = positions.copy()
     pbest_values = values.copy()
-    # score the seeded equal-weights particle through the scalar path first,
-    # so the final best can never fall behind the baseline by a rounding ulp
+    # score the seeded equal-weights particle exactly first, so the final
+    # best can never fall behind the baseline by a rounding ulp
     incumbent.consider(positions[0], 0)
     incumbent.consider(pbest[int(np.argmin(pbest_values))], 0)
 

@@ -66,7 +66,7 @@ def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
     x = equal_start(config)
     f = counting.value(x)
     g = counting.gradient(x)
-    incumbent.consider(x, 0, value=f)
+    incumbent.consider(x, 0)
 
     converged = False
     iterations = 0
@@ -114,6 +114,6 @@ def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
         trial, f_trial = result
         x, f = trial, f_trial
         g = counting.gradient(x)
-        incumbent.consider(x, it, value=f)
+        incumbent.consider(x, it)
 
     return make_report(config, incumbent, counting, iterations, converged)

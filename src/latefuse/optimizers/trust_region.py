@@ -73,7 +73,7 @@ def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict
     f = counting.value(x)
     g = counting.gradient(x)
     hessian = np.eye(m)
-    incumbent.consider(x, 0, value=f)
+    incumbent.consider(x, 0)
 
     converged = False
     iterations = 0
@@ -120,7 +120,7 @@ def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict
                     - np.outer(hs, hs) / float(s @ hs)
                 )
             x, f, g = trial, f_trial, g_trial
-            incumbent.consider(x, it, value=f)
+            incumbent.consider(x, it)
 
         if radius < _MIN_RADIUS:
             break

@@ -185,12 +185,27 @@ def test_objective_closures_agree_with_functions():
     matrix = random_score_matrix(30, 4, seed=40)
     obj = make_mse_objective(matrix)
     w = np.array([0.2, 0.4, 0.6, 0.8])
-    assert obj.value(w) == mse(w, matrix)
-    assert np.array_equal(obj.gradient(w), mse_gradient(w, matrix))
+    assert obj.exact(w) == mse(w, matrix)
+    assert obj.value(w) == pytest.approx(mse(w, matrix), rel=1e-12)
+    np.testing.assert_allclose(obj.gradient(w), mse_gradient(w, matrix), rtol=1e-12, atol=0)
     batch = np.vstack([w, equal_weights(4)])
     vals = obj.value_batch(batch)
     assert vals.shape == (2,)
     assert vals[0] == pytest.approx(mse(w, matrix), rel=1e-12)
+
+
+def test_search_callables_do_not_read_the_matrix():
+    matrix = random_score_matrix(40, 3, seed=2)
+    obj = make_mse_objective(matrix)
+    w = np.array([0.3, 0.1, 0.7])
+    ws = np.vstack([w, equal_weights(3)])
+    before = obj.value(w), obj.gradient(w), obj.value_batch(ws)
+    matrix.scores[:] = np.nan
+    matrix.labels[:] = np.nan
+    after = obj.value(w), obj.gradient(w), obj.value_batch(ws)
+    assert all(np.all(np.isfinite(x)) for x in after)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert math.isnan(obj.exact(w))  # the residual form is the one reader of the rows
 
 
 @st.composite
@@ -218,36 +233,52 @@ def test_value_batch_agrees_with_residual_form(shape):
         ]
     )
     obj = make_mse_objective(matrix)
-    batch = obj.value_batch(points)
-    residual = np.array([obj.value(w) for w in points])
-    np.testing.assert_allclose(batch, residual, rtol=1e-12, atol=0)
+    residual = np.array([obj.exact(w) for w in points])
+    np.testing.assert_allclose(obj.value_batch(points), residual, rtol=1e-12, atol=0)
+    np.testing.assert_allclose([obj.value(w) for w in points], residual, rtol=1e-12, atol=0)
+    # The gradient is 0 at the optimum, so no relative bound holds there; bound
+    # each component by the magnitude of the terms the residual form sums.
+    abs_scores = np.abs(matrix.scores)
+    for w in points:
+        scale = (2.0 / n) * (abs_scores.T @ (abs_scores @ np.abs(w) + np.abs(matrix.labels)))
+        error = np.abs(obj.gradient(w) - mse_gradient(w, matrix))
+        assert np.all(error <= 1e-12 * scale)
 
 
-BATCH_BYTES_SCRIPT = """
+OBJECTIVE_BYTES_SCRIPT = """
 import hashlib, sys
 import numpy as np
 from latefuse.fusion import make_mse_objective
 from latefuse.synth import random_score_matrix
 obj = make_mse_objective(random_score_matrix(1877, 29, seed=3))
 points = np.random.default_rng(4).uniform(0, 1, (300, 29))
-sys.stdout.write(hashlib.sha256(obj.value_batch(points).tobytes()).hexdigest())
+if sys.argv[1] == "batch":
+    out = obj.value_batch(points)
+else:
+    out = np.array([[obj.value(w), obj.exact(w), *obj.gradient(w)] for w in points])
+sys.stdout.write(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
-def test_value_batch_bytes_do_not_depend_on_blas_threads():
-    def digest(threads):
-        env = os.environ | {
-            "OMP_NUM_THREADS": threads,
-            "OPENBLAS_NUM_THREADS": threads,
-            "MKL_NUM_THREADS": threads,
-        }
-        proc = subprocess.run(
-            [sys.executable, "-c", BATCH_BYTES_SCRIPT],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        return proc.stdout
+def objective_digest(path, threads):
+    env = os.environ | {
+        "OMP_NUM_THREADS": threads,
+        "OPENBLAS_NUM_THREADS": threads,
+        "MKL_NUM_THREADS": threads,
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", OBJECTIVE_BYTES_SCRIPT, path],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return proc.stdout
 
-    assert digest("1") == digest("4")
+
+def test_value_batch_bytes_do_not_depend_on_blas_threads():
+    assert objective_digest("batch", "1") == objective_digest("batch", "4")
+
+
+def test_scalar_value_and_gradient_bytes_do_not_depend_on_blas_threads():
+    assert objective_digest("scalar", "1") == objective_digest("scalar", "4")
 
 
 def test_weights_json_round_trip(tmp_path):

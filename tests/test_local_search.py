@@ -22,17 +22,22 @@ from latefuse.synth import SynthSpec, build_tables
 
 
 def _reference_nelder_mead(objective, config, p):
-    """Nelder-Mead as it was before the simplex was kept sorted: a stable argsort every iteration."""
+    """Nelder-Mead as it was before the simplex was kept sorted: a stable argsort every iteration.
+
+    Like the method, it offers the incumbent the equal start first.
+    """
     alpha, gamma = float(p["reflection"]), float(p["expansion"])
     beta, delta = float(p["contraction"]), float(p["shrink"])
     lo, hi = config.lower_bound, config.upper_bound
     counting = CountingObjective(objective)
     incumbent = Incumbent(counting)
 
-    simplex = _initial_simplex(equal_start(config), float(p["initial_step"]) * config.span, lo, hi)
+    x0 = equal_start(config)
+    simplex = _initial_simplex(x0, float(p["initial_step"]) * config.span, lo, hi)
     values = np.array([counting.value(v) for v in simplex])
     b = int(np.argmin(values))
-    incumbent.consider(simplex[b], 0, value=values[b])
+    incumbent.consider(x0, 0)
+    incumbent.consider(simplex[b], 0)
 
     converged = False
     iterations = 0
@@ -78,7 +83,7 @@ def _reference_nelder_mead(objective, config, p):
 
         b = int(np.argmin(values))
         if values[b] < incumbent.best_f:
-            incumbent.consider(simplex[b], it, value=values[b])
+            incumbent.consider(simplex[b], it)
 
     return make_report(config, incumbent, counting, iterations, converged)
 

@@ -197,6 +197,18 @@ def test_baseline_dominance(method):
     assert report.best_objective <= mse(equal_weights(5), matrix)
 
 
+def test_nelder_mead_dominates_equal_under_adversarial_search_value():
+    # The search value is -MSE: the simplex climbs, and the best vertex of the
+    # initial simplex by search value is the exactly-worst one.  Only the equal
+    # start, offered to the incumbent first, keeps the result at equal weights.
+    matrix = random_score_matrix(80, 5, seed=14)
+    exact = make_mse_objective(matrix).exact
+    obj = Objective(value=lambda w: -exact(w), exact=exact)
+    config = OptimizerConfig(dimension=5, max_iterations=200)
+    report = optimize("nelder-mead", obj, config)
+    assert report.best_objective <= mse(equal_weights(5), matrix)
+
+
 @pytest.mark.parametrize("method", ["pso", "ga"])
 def test_stochastic_determinism_seed_42(method):
     matrix = random_score_matrix(50, 4, seed=1)
@@ -236,35 +248,46 @@ def test_budget_exhaustion_reports_not_converged():
 # ---------------------------------------------------------------- incumbent
 
 def one_ulp_low(objective):
-    """The same objective, but its batch path reads exactly one ulp below `value`."""
+    """The same objective, but its batch path reads exactly one ulp below `exact`,
+    and `exact` records every point it scores (returned as the second item)."""
+    scored = []
+
+    def exact(x):
+        scored.append(x)
+        return objective.exact(x)
 
     def value_batch(xs):
-        return np.nextafter([objective.value(x) for x in xs], -np.inf)
+        return np.nextafter([objective.exact(x) for x in xs], -np.inf)
 
-    return Objective(value=objective.value, gradient=objective.gradient, value_batch=value_batch)
+    return Objective(objective.value, objective.gradient, value_batch, exact), scored
 
 
 def test_incumbent_does_not_rescore_itself():
-    counting = CountingObjective(quadratic_objective([0.5, 0.5]))
+    scored = []
+    base = quadratic_objective([0.5, 0.5])
+    counting = CountingObjective(Objective(base.value, exact=lambda x: scored.append(x) or base.value(x)))
     incumbent = Incumbent(counting)
     x = np.array([0.2, 0.7])
     assert incumbent.consider(x, 0)
     assert not incumbent.consider(x.copy(), 1)
-    assert counting.function_evaluations == 1
+    assert len(scored) == 1
+    assert counting.function_evaluations == 0  # exact re-scores are not search evaluations
     assert incumbent.trace == [(0, incumbent.best_f)]
 
 
 @pytest.mark.parametrize("method,size_key", [("pso", "swarm_size"), ("ga", "population_size")])
 def test_population_methods_rescore_only_new_points(method, size_key):
     # Read one ulp low, the batch value of the incumbent always seems to beat
-    # it; only a new point may cost a scalar evaluation, and each one is an
+    # it; only a new point may cost an exact re-score, and each one is an
     # accepted improvement (the start re-scores included), so it is traced.
+    # The search evaluations are the batch points alone.
     size = 30
-    obj = one_ulp_low(make_mse_objective(random_score_matrix(60, 4, seed=5)))
+    obj, scored = one_ulp_low(make_mse_objective(random_score_matrix(60, 4, seed=5)))
     params = {size_key: size, "stagnation_window": 20}
     report = optimize(method, obj, OptimizerConfig(dimension=4, seed=1, method_params=params))
     assert report.iterations > 20
-    assert report.function_evaluations == size * (report.iterations + 1) + len(report.trace)
+    assert report.function_evaluations == size * (report.iterations + 1)
+    assert len(scored) == len(report.trace)
 
 
 # ---------------------------------------------------------------- method specifics
