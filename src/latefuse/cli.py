@@ -8,6 +8,7 @@ removes whatever it had already written to the output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -195,21 +196,29 @@ def _atomic(write_fn, final: Path, created: list[Path]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write_all(out: Path, writers: dict) -> None:
-    """Write each named file into ``out`` atomically; on failure remove those already written."""
-    out.mkdir(parents=True, exist_ok=True)
+def _write_all(writers: dict) -> None:
+    """Write each file atomically, every directory made first; on failure remove what was made."""
+    made: list[Path] = []
     created: list[Path] = []
     try:
-        for name, write_fn in writers.items():
-            _atomic(write_fn, out / name, created)
+        for directory in dict.fromkeys(path.parent for path in writers):
+            for d in [*reversed(directory.parents), directory]:
+                if not d.is_dir():
+                    d.mkdir()  # a file in the way raises here, before any artifact is written
+                    made.append(d)
+        for path, write_fn in writers.items():
+            _atomic(write_fn, path, created)
     except BaseException:
         for path in created:
             path.unlink(missing_ok=True)
+        for d in reversed(made):
+            with contextlib.suppress(OSError):
+                d.rmdir()
         raise
 
 
-def write_run_artifacts(result: RunResult) -> Path:
-    """Persist one run's artifact set; on failure remove everything written."""
+def _artifact_writers(result: RunResult) -> dict:
+    """One run's artifact files, by path, each with the function that writes it."""
     out = Path(result.manifest.out_dir)
     manifest_text = json.dumps(result.manifest.to_dict(), indent=2) + "\n"
     writers = {
@@ -222,13 +231,12 @@ def write_run_artifacts(result: RunResult) -> Path:
     }
     if result.manifest.trace:
         writers["trace.csv"] = result.report.save_trace_csv
-    _write_all(out, writers)
-    return out
+    return {out / name: write_fn for name, write_fn in writers.items()}
 
 
 def run(manifest: RunManifest) -> RunResult:
     result = fit(prepare(manifest), manifest)
-    write_run_artifacts(result)
+    _write_all(_artifact_writers(result))
     return result
 
 
@@ -249,8 +257,6 @@ def compare(manifests: list[RunManifest], out_dir: str | Path) -> list[RunResult
 
     data = prepare(first)
     results = [fit(data, m) for m in manifests]  # every fit succeeds before any write
-    for r in results:
-        write_run_artifacts(r)
 
     header = ["method", "dev_mse", f"test_map_at_{first.k}", "evaluations", "wall_time"]
     rows = [
@@ -261,10 +267,11 @@ def compare(manifests: list[RunManifest], out_dir: str | Path) -> list[RunResult
     lines = [header, *(row.values() for row in rows)]
     csv_text = "".join(",".join(map(str, line)) + "\n" for line in lines)
     json_text = json.dumps(rows, indent=2) + "\n"
-    _write_all(Path(out_dir), {
-        "summary.csv": lambda p: p.write_text(csv_text, encoding="utf-8", newline="\n"),
-        "summary.json": lambda p: p.write_text(json_text, encoding="utf-8"),
-    })
+    writers = {path: fn for r in results for path, fn in _artifact_writers(r).items()}
+    out = Path(out_dir)
+    writers[out / "summary.csv"] = lambda p: p.write_text(csv_text, encoding="utf-8", newline="\n")
+    writers[out / "summary.json"] = lambda p: p.write_text(json_text, encoding="utf-8")
+    _write_all(writers)  # one transaction: a failed write removes every method's files
     return results
 
 
@@ -289,7 +296,7 @@ def parse_set_values(pairs: list[str]) -> dict:
 
 
 def _scoped_overrides(method: str, overrides: dict) -> dict:
-    """Resolve `method.key` scoping: keep plain keys plus this method's own."""
+    """Resolve `method.key` scoping: keep plain keys plus this method's own, which win."""
     resolved: dict = {}
     for key, value in overrides.items():
         head, sep, rest = key.partition(".")
@@ -297,7 +304,7 @@ def _scoped_overrides(method: str, overrides: dict) -> dict:
             if head == method:
                 resolved[rest] = value
         else:
-            resolved[key] = value
+            resolved.setdefault(key, value)  # a key scoped to this method wins, in any flag order
     return resolved
 
 

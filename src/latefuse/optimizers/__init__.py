@@ -12,12 +12,11 @@ from ..fusion import Objective
 from . import equal, ga, lbfgsb, nelder_mead, pso, tnc, trust_region
 from .common import (
     CONFIG_SETTINGS,
-    CountingObjective,
-    Incumbent,
     NonFiniteObjectiveError,
     OptimizerConfig,
     OptimizerReport,
     ParameterError,
+    Search,
     Setting,
     check_settings,
     equal_start,
@@ -73,15 +72,14 @@ def optimize(method: str, objective: Objective, config: OptimizerConfig) -> Opti
 
 
 __all__ = [
-    "CountingObjective",
     "GRADIENT_METHODS",
-    "Incumbent",
     "METHODS",
     "Method",
     "NonFiniteObjectiveError",
     "OptimizerConfig",
     "OptimizerReport",
     "ParameterError",
+    "Search",
     "Setting",
     "equal_start",
     "optimize",

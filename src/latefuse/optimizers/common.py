@@ -1,9 +1,10 @@
-"""Shared machinery for the weight-search methods: config, report, counting.
+"""Shared machinery for the weight-search methods: config, settings, search state.
 
-Every optimizer works on the closed box [lower_bound, upper_bound]^dimension,
-tracks a canonical incumbent (best weights re-scored through the objective's
-exact form, so the reported objective is bit-reproducible), and returns an
-OptimizerReport with a non-increasing best-so-far trace.
+Every optimizer works on the closed box [lower_bound, upper_bound]^dimension
+through one `Search`: it counts the search's evaluations, keeps a canonical
+incumbent (best weights re-scored through the objective's exact form, so the
+reported objective is bit-reproducible) that starts at the equal weights, and
+builds the OptimizerReport with its non-increasing best-so-far trace.
 """
 
 from __future__ import annotations
@@ -161,19 +162,36 @@ class OptimizerReport:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-class CountingObjective:
-    """Wraps an Objective with evaluation counters and finiteness checks.
+def equal_start(config: OptimizerConfig) -> np.ndarray:
+    """The uniform 1/m starting point, projected into the box."""
+    w = np.full(config.dimension, 1.0 / config.dimension)
+    return np.clip(w, config.lower_bound, config.upper_bound)
 
-    `function_evaluations` counts search evaluations: `value` calls plus the
-    points of `value_batch` calls.  `exact` re-scores, made only for the
-    incumbent, are not counted.
+
+class Search:
+    """One run's search state: counted evaluations, the exact incumbent and its report.
+
+    `value`, `gradient` and `value_batch` are the search's evaluations,
+    counted and checked finite; `function_evaluations` counts `value` calls
+    plus the points of `value_batch` calls.  `exact` re-scores, made only
+    for the incumbent, are not counted.
+
+    `consider` re-scores a point that the search's own values say beats the
+    incumbent and keeps it only on an exact improvement, so the reported
+    best_objective and trace are bit-equal to a fresh exact evaluation of
+    best_weights.  The equal start is considered at iteration 0, on
+    construction, so no method reports worse than the equal weights.
     """
 
-    def __init__(self, objective: Objective):
+    def __init__(self, objective: Objective, config: OptimizerConfig):
         self._objective = objective
         self._exact = objective.value if objective.exact is None else objective.exact
+        self.config = config
         self.function_evaluations = 0
         self.gradient_evaluations = 0
+        self.best_x = equal_start(config)
+        self.best_f = self.exact(self.best_x)
+        self.trace: list[tuple[int, float]] = [(0, self.best_f)]
 
     def value(self, x: np.ndarray) -> float:
         self.function_evaluations += 1
@@ -208,26 +226,10 @@ class CountingObjective:
             raise NonFiniteObjectiveError(xs[bad], vals[bad])
         return vals
 
-
-class Incumbent:
-    """Best-so-far tracker; every stored objective is an exact score.
-
-    A search passes a point that its own (search) values say beats the
-    incumbent.  `consider` re-scores it through `CountingObjective.exact` and
-    accepts it only on an exact improvement, so the reported best_objective
-    and trace are bit-equal to a fresh exact evaluation of best_weights.
-    """
-
-    def __init__(self, counting: CountingObjective):
-        self._counting = counting
-        self.best_x: np.ndarray | None = None
-        self.best_f = math.inf
-        self.trace: list[tuple[int, float]] = []
-
     def consider(self, x: np.ndarray, iteration: int) -> bool:
-        if self.best_x is not None and np.array_equal(x, self.best_x):
+        if np.array_equal(x, self.best_x):
             return False  # the incumbent itself: a re-score could not improve on it
-        f = self._counting.exact(x)
+        f = self.exact(x)
         if f < self.best_f:
             self.best_f = f
             self.best_x = np.array(x, dtype=np.float64, copy=True)
@@ -235,11 +237,24 @@ class Incumbent:
             return True
         return False
 
-
-def equal_start(config: OptimizerConfig) -> np.ndarray:
-    """The uniform 1/m starting point, projected into the box."""
-    w = np.full(config.dimension, 1.0 / config.dimension)
-    return np.clip(w, config.lower_bound, config.upper_bound)
+    def report(self, iterations: int, converged: bool) -> OptimizerReport:
+        config = self.config
+        w = self.best_x
+        assert np.all(w >= config.lower_bound) and np.all(w <= config.upper_bound), (
+            "incumbent escaped the bounds"
+        )
+        return OptimizerReport(
+            method="",  # optimize() stamps the registry key
+            best_weights=w.copy(),
+            best_objective=self.best_f,
+            function_evaluations=self.function_evaluations,
+            gradient_evaluations=self.gradient_evaluations,
+            iterations=iterations,
+            converged=converged,
+            trace=list(self.trace),
+            seed=config.seed,
+            config=config,
+        )
 
 
 def projected_gradient_norm(x: np.ndarray, g: np.ndarray, lo: float, hi: float) -> float:
@@ -264,7 +279,7 @@ LINE_SEARCH_SETTINGS = {
 
 
 def projected_backtracking(
-    counting: CountingObjective,
+    search: Search,
     x: np.ndarray,
     f: float,
     g: np.ndarray,
@@ -287,34 +302,9 @@ def projected_backtracking(
             return None  # direction points entirely out of the box
         slope = float(g @ step)
         if slope < 0.0:
-            f_trial = counting.value(trial)
+            f_trial = search.value(trial)
             if f_trial <= f + c * slope:
                 return trial, f_trial
         alpha *= 0.5
     return None
 
-
-def make_report(
-    config: OptimizerConfig,
-    incumbent: Incumbent,
-    counting: CountingObjective,
-    iterations: int,
-    converged: bool,
-) -> OptimizerReport:
-    assert incumbent.best_x is not None, "optimizer finished without evaluating any point"
-    w = incumbent.best_x
-    assert np.all(w >= config.lower_bound) and np.all(w <= config.upper_bound), (
-        "incumbent escaped the bounds"
-    )
-    return OptimizerReport(
-        method="",  # optimize() stamps the registry key
-        best_weights=w.copy(),
-        best_objective=incumbent.best_f,
-        function_evaluations=counting.function_evaluations,
-        gradient_evaluations=counting.gradient_evaluations,
-        iterations=iterations,
-        converged=converged,
-        trace=list(incumbent.trace),
-        seed=config.seed,
-        config=config,
-    )

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 from ..fusion import Objective
-from .common import CountingObjective, Incumbent, OptimizerConfig, OptimizerReport, equal_start, make_report
+from .common import OptimizerConfig, OptimizerReport, Search
 
 
 def optimize_equal(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
-    counting = CountingObjective(objective)
-    incumbent = Incumbent(counting)
-    x = equal_start(config)
-    counting.value(x)  # the one search evaluation the report counts
-    incumbent.consider(x, 0)
-    return make_report(config, incumbent, counting, iterations=0, converged=True)
+    search = Search(objective, config)
+    search.value(search.best_x)  # the one search evaluation the report counts
+    return search.report(iterations=0, converged=True)

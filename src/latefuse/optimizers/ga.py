@@ -5,15 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..fusion import Objective
-from .common import (
-    CountingObjective,
-    Incumbent,
-    OptimizerConfig,
-    OptimizerReport,
-    Setting,
-    equal_start,
-    make_report,
-)
+from .common import OptimizerConfig, OptimizerReport, Search, Setting, equal_start
 
 SETTINGS = {
     "population_size": Setting(int, 100, 2, 10**5),
@@ -39,18 +31,15 @@ def optimize_ga(objective: Objective, config: OptimizerConfig, p: dict) -> Optim
     rng = np.random.default_rng(config.seed)
     lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
     sigma = float(p["mutation_sigma"]) * (hi - lo)
-    counting = CountingObjective(objective)
-    incumbent = Incumbent(counting)
+    search = Search(objective, config)
 
     population = rng.uniform(lo, hi, size=(pop_size, m))
     population[0] = equal_start(config)
-    fitness = counting.value_batch(population)
-    # exact score for the seeded baseline, then the population best
-    incumbent.consider(population[0], 0)
-    incumbent.consider(population[int(np.argmin(fitness))], 0)
+    fitness = search.value_batch(population)
+    search.consider(population[int(np.argmin(fitness))], 0)
 
     generations = min(p["max_generations"], config.max_iterations)
-    anchor = incumbent.best_f
+    anchor = search.best_f
     since_improvement = 0
     converged = False
     iterations = 0
@@ -83,13 +72,13 @@ def optimize_ga(objective: Objective, config: OptimizerConfig, p: dict) -> Optim
         next_pop[elite:] = children
 
         population = next_pop
-        fitness = counting.value_batch(population)
+        fitness = search.value_batch(population)
         b = int(np.argmin(fitness))
-        if fitness[b] < incumbent.best_f:
-            incumbent.consider(population[b], gen)
+        if fitness[b] < search.best_f:
+            search.consider(population[b], gen)
 
-        if anchor - incumbent.best_f >= config.tolerance:
-            anchor = incumbent.best_f
+        if anchor - search.best_f >= config.tolerance:
+            anchor = search.best_f
             since_improvement = 0
         else:
             since_improvement += 1
@@ -97,4 +86,4 @@ def optimize_ga(objective: Objective, config: OptimizerConfig, p: dict) -> Optim
                 converged = True
                 break
 
-    return make_report(config, incumbent, counting, iterations, converged)
+    return search.report(iterations, converged)

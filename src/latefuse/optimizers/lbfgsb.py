@@ -9,14 +9,12 @@ import numpy as np
 from ..fusion import Objective
 from .common import (
     LINE_SEARCH_SETTINGS,
-    CountingObjective,
-    Incumbent,
     OptimizerConfig,
     OptimizerReport,
+    Search,
     Setting,
     equal_start,
     free_set,
-    make_report,
     projected_backtracking,
     projected_gradient_norm,
 )
@@ -60,12 +58,10 @@ def optimize_lbfgsb(objective: Objective, config: OptimizerConfig, p: dict) -> O
     max_backtracks = p["max_backtracks"]
     lo, hi = config.lower_bound, config.upper_bound
 
-    counting = CountingObjective(objective)
-    incumbent = Incumbent(counting)
+    search = Search(objective, config)
     x = equal_start(config)
-    f = counting.value(x)
-    g = counting.gradient(x)
-    incumbent.consider(x, 0)
+    f = search.value(x)
+    g = search.gradient(x)
     pairs: deque = deque(maxlen=history)
 
     converged = False
@@ -87,24 +83,24 @@ def optimize_lbfgsb(objective: Objective, config: OptimizerConfig, p: dict) -> O
             direction = steepest
 
         result = projected_backtracking(
-            counting, x, f, g, direction, lo, hi, c=c, max_backtracks=max_backtracks
+            search, x, f, g, direction, lo, hi, c=c, max_backtracks=max_backtracks
         )
         if result is None and pairs:
             pairs.clear()
             result = projected_backtracking(
-                counting, x, f, g, steepest, lo, hi, c=c, max_backtracks=max_backtracks
+                search, x, f, g, steepest, lo, hi, c=c, max_backtracks=max_backtracks
             )
         if result is None:
             break
 
         trial, f_trial = result
-        g_trial = counting.gradient(trial)
+        g_trial = search.gradient(trial)
         s = trial - x
         y = g_trial - g
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             pairs.append((s, y))
         x, f, g = trial, f_trial, g_trial
-        incumbent.consider(x, it)
+        search.consider(x, it)
 
-    return make_report(config, incumbent, counting, iterations, converged)
+    return search.report(iterations, converged)

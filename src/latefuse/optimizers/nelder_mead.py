@@ -7,15 +7,7 @@ import bisect
 import numpy as np
 
 from ..fusion import Objective
-from .common import (
-    CountingObjective,
-    Incumbent,
-    OptimizerConfig,
-    OptimizerReport,
-    Setting,
-    equal_start,
-    make_report,
-)
+from .common import OptimizerConfig, OptimizerReport, Search, Setting, equal_start
 
 SETTINGS = {
     "initial_step": Setting(float, 0.05, 0, 1, "(]"),  # a share of the box span
@@ -48,8 +40,7 @@ def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict)
     beta = float(p["contraction"])
     delta = float(p["shrink"])
     lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
-    counting = CountingObjective(objective)
-    incumbent = Incumbent(counting)
+    search = Search(objective, config)
 
     x0 = equal_start(config)
     step = float(p["initial_step"]) * config.span
@@ -57,9 +48,8 @@ def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict)
     # a new vertex goes after the vertices it ties with, and only a shrink
     # re-sorts the whole simplex.
     simplex = _initial_simplex(x0, step, lo, hi)
-    simplex, values = _sort(simplex, [counting.value(v) for v in simplex])
-    incumbent.consider(x0, 0)  # the equal start first, so the result never falls behind it
-    incumbent.consider(simplex[0], 0)
+    simplex, values = _sort(simplex, [search.value(v) for v in simplex])
+    search.consider(simplex[0], 0)
     offered = values[0]  # the search value of the last vertex offered to the incumbent
 
     converged = False
@@ -75,11 +65,11 @@ def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict)
         centroid = np.add.reduce(simplex[:-1], axis=0) / m  # bit-equal to .mean(axis=0)
         toward = centroid - simplex[-1]
         reflected = np.clip(centroid + alpha * toward, lo, hi)
-        f_reflected = counting.value(reflected)
+        f_reflected = search.value(reflected)
 
         if f_reflected < values[0]:
             expanded = np.clip(centroid + gamma * toward, lo, hi)
-            f_expanded = counting.value(expanded)
+            f_expanded = search.value(expanded)
             if f_expanded < f_reflected:
                 vertex, f_vertex = expanded, f_expanded
             else:
@@ -91,12 +81,12 @@ def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict)
                 vertex = np.clip(centroid + beta * toward, lo, hi)
             else:
                 vertex = np.clip(centroid - beta * toward, lo, hi)
-            f_vertex = counting.value(vertex)
+            f_vertex = search.value(vertex)
             if not f_vertex < min(f_reflected, values[-1]):
                 vertex = None
                 for i in range(1, m + 1):
                     simplex[i] = np.clip(simplex[0] + delta * (simplex[i] - simplex[0]), lo, hi)
-                    values[i] = counting.value(simplex[i])
+                    values[i] = search.value(simplex[i])
                 simplex, values = _sort(simplex, values)
 
         if vertex is not None:  # replace the worst vertex, keeping the rows sorted
@@ -107,6 +97,6 @@ def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict)
             simplex[k] = vertex
         if values[0] < offered:  # the best vertex is new: only a lower value displaces it
             offered = values[0]
-            incumbent.consider(simplex[0], it)
+            search.consider(simplex[0], it)
 
-    return make_report(config, incumbent, counting, iterations, converged)
+    return search.report(iterations, converged)

@@ -5,15 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..fusion import Objective
-from .common import (
-    CountingObjective,
-    Incumbent,
-    OptimizerConfig,
-    OptimizerReport,
-    Setting,
-    equal_start,
-    make_report,
-)
+from .common import OptimizerConfig, OptimizerReport, Search, Setting, equal_start
 
 SETTINGS = {
     "swarm_size": Setting(int, 300, 1, 10**5),
@@ -30,23 +22,19 @@ def optimize_pso(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
 
     rng = np.random.default_rng(config.seed)
     lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
-    counting = CountingObjective(objective)
-    incumbent = Incumbent(counting)
+    search = Search(objective, config)
 
     positions = rng.uniform(lo, hi, size=(swarm_size, m))
     positions[0] = equal_start(config)  # the uniform baseline always participates
     velocities = np.zeros((swarm_size, m))
     vmax = hi - lo
 
-    values = counting.value_batch(positions)
+    values = search.value_batch(positions)
     pbest = positions.copy()
     pbest_values = values.copy()
-    # score the seeded equal-weights particle exactly first, so the final
-    # best can never fall behind the baseline by a rounding ulp
-    incumbent.consider(positions[0], 0)
-    incumbent.consider(pbest[int(np.argmin(pbest_values))], 0)
+    search.consider(pbest[int(np.argmin(pbest_values))], 0)
 
-    anchor = incumbent.best_f
+    anchor = search.best_f
     since_improvement = 0
     converged = False
     iterations = 0
@@ -57,22 +45,22 @@ def optimize_pso(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
         velocities = (
             p["inertia"] * velocities
             + p["cognitive"] * r1 * (pbest - positions)
-            + p["social"] * r2 * (incumbent.best_x - positions)
+            + p["social"] * r2 * (search.best_x - positions)
         )
         np.clip(velocities, -vmax, vmax, out=velocities)
         positions = np.clip(positions + velocities, lo, hi)
 
-        values = counting.value_batch(positions)
+        values = search.value_batch(positions)
         better = values < pbest_values
         pbest[better] = positions[better]
         pbest_values[better] = values[better]
 
         b = int(np.argmin(pbest_values))
-        if pbest_values[b] < incumbent.best_f:
-            incumbent.consider(pbest[b], it)
+        if pbest_values[b] < search.best_f:
+            search.consider(pbest[b], it)
 
-        if anchor - incumbent.best_f >= config.tolerance:
-            anchor = incumbent.best_f
+        if anchor - search.best_f >= config.tolerance:
+            anchor = search.best_f
             since_improvement = 0
         else:
             since_improvement += 1
@@ -80,4 +68,4 @@ def optimize_pso(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
                 converged = True
                 break
 
-    return make_report(config, incumbent, counting, iterations, converged)
+    return search.report(iterations, converged)

@@ -13,13 +13,11 @@ import numpy as np
 from ..fusion import Objective
 from .common import (
     LINE_SEARCH_SETTINGS,
-    CountingObjective,
-    Incumbent,
     OptimizerConfig,
     OptimizerReport,
+    Search,
     equal_start,
     free_set,
-    make_report,
     projected_backtracking,
     projected_gradient_norm,
 )
@@ -61,12 +59,10 @@ def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
     lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
     max_inner = min(2 * m, 50)
 
-    counting = CountingObjective(objective)
-    incumbent = Incumbent(counting)
+    search = Search(objective, config)
     x = equal_start(config)
-    f = counting.value(x)
-    g = counting.gradient(x)
-    incumbent.consider(x, 0)
+    f = search.value(x)
+    g = search.gradient(x)
 
     converged = False
     iterations = 0
@@ -77,12 +73,7 @@ def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
             iterations = it - 1
             break
 
-        free = free_set(x, g, lo, hi)
-        if not free.any():
-            converged = True
-            iterations = it - 1
-            break
-
+        free = free_set(x, g, lo, hi)  # not empty: with no free variable the norm above is 0
         fd_step = _SQRT_EPS * (1.0 + float(np.linalg.norm(x)))
 
         def hessvec(v_free: np.ndarray) -> np.ndarray:
@@ -91,7 +82,7 @@ def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
             norm = float(np.linalg.norm(full))
             if norm == 0.0:
                 return np.zeros_like(v_free)
-            g_shift = counting.gradient(x + fd_step * (full / norm))
+            g_shift = search.gradient(x + fd_step * (full / norm))
             return ((g_shift - g) * (norm / fd_step))[free]
 
         steepest = np.zeros(m)
@@ -102,18 +93,18 @@ def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
             direction = steepest
 
         result = projected_backtracking(
-            counting, x, f, g, direction, lo, hi, c=c, max_backtracks=max_backtracks
+            search, x, f, g, direction, lo, hi, c=c, max_backtracks=max_backtracks
         )
         if result is None and direction is not steepest:
             result = projected_backtracking(
-                counting, x, f, g, steepest, lo, hi, c=c, max_backtracks=max_backtracks
+                search, x, f, g, steepest, lo, hi, c=c, max_backtracks=max_backtracks
             )
         if result is None:
             break
 
         trial, f_trial = result
         x, f = trial, f_trial
-        g = counting.gradient(x)
-        incumbent.consider(x, it)
+        g = search.gradient(x)
+        search.consider(x, it)
 
-    return make_report(config, incumbent, counting, iterations, converged)
+    return search.report(iterations, converged)

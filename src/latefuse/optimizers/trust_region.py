@@ -8,14 +8,12 @@ import numpy as np
 
 from ..fusion import Objective
 from .common import (
-    CountingObjective,
-    Incumbent,
     OptimizerConfig,
     OptimizerReport,
+    Search,
     Setting,
     equal_start,
     free_set,
-    make_report,
     projected_gradient_norm,
 )
 
@@ -67,13 +65,11 @@ def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict
         max_radius = math.sqrt(m) * config.span
     eta = float(p["acceptance_threshold"])
 
-    counting = CountingObjective(objective)
-    incumbent = Incumbent(counting)
+    search = Search(objective, config)
     x = equal_start(config)
-    f = counting.value(x)
-    g = counting.gradient(x)
+    f = search.value(x)
+    g = search.gradient(x)
     hessian = np.eye(m)
-    incumbent.consider(x, 0)
 
     converged = False
     iterations = 0
@@ -98,7 +94,7 @@ def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict
             continue
 
         predicted = -(float(g @ realized) + 0.5 * float(realized @ hessian @ realized))
-        f_trial = counting.value(trial)
+        f_trial = search.value(trial)
         actual = f - f_trial
         rho = actual / predicted if predicted > 0 else -math.inf
 
@@ -108,7 +104,7 @@ def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict
             radius = min(2.0 * radius, max_radius)
 
         if rho > eta and actual > 0:
-            g_trial = counting.gradient(trial)
+            g_trial = search.gradient(trial)
             s = realized
             y = g_trial - g
             sy = float(s @ y)
@@ -120,9 +116,9 @@ def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict
                     - np.outer(hs, hs) / float(s @ hs)
                 )
             x, f, g = trial, f_trial, g_trial
-            incumbent.consider(x, it)
+            search.consider(x, it)
 
         if radius < _MIN_RADIUS:
             break
 
-    return make_report(config, incumbent, counting, iterations, converged)
+    return search.report(iterations, converged)

@@ -561,6 +561,30 @@ def test_compare_scoped_override_reaches_only_named_method(dataset_pair, tmp_pat
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("order", ["scoped first", "plain first"])
+def test_compare_scoped_override_beats_plain_key_in_any_order(dataset_pair, tmp_path, capsys, order):
+    flags = [["--set", "tnc.tolerance=1e-3"], ["--set", "tolerance=1e-9"]]
+    if order == "plain first":
+        flags.reverse()
+    out = tmp_path / "o"
+    code = main(["compare", "--methods", "tnc,lbfgsb", *flags[0], *flags[1], *data_flags(dataset_pair, out)])
+    assert code == EXIT_OK
+    assert json.loads((out / "tnc" / "manifest.json").read_text())["overrides"] == {"tolerance": 1e-3}
+    assert json.loads((out / "lbfgsb" / "manifest.json").read_text())["overrides"] == {"tolerance": 1e-9}
+    capsys.readouterr()
+
+
+def test_compare_failed_write_removes_every_method_artifact(dataset_pair, tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "tnc").write_text("in the way\n")  # tnc's directory cannot be made
+    code = main(["compare", "--methods", "all", *data_flags(dataset_pair, out)])
+    assert code == EXIT_DATA
+    assert sorted(out.rglob("*")) == [out / "tnc"]
+    assert (out / "tnc").read_text() == "in the way\n"
+    capsys.readouterr()
+
+
 def test_compare_rejects_override_scoped_to_unselected_method(dataset_pair, tmp_path, capsys):
     code = main(
         ["compare", "--methods", "equal", "--set", "pso.swarm_size=10",

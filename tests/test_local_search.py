@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 from latefuse.fusion import Objective, make_mse_objective
 from latefuse.ingestion import apply_minmax, assemble, fit_minmax
 from latefuse.optimizers import METHODS, OptimizerConfig, optimize
-from latefuse.optimizers.common import (
-    CountingObjective,
-    Incumbent,
-    equal_start,
-    free_set,
-    make_report,
-)
+from latefuse.optimizers.common import Search, equal_start, free_set, projected_gradient_norm
 from latefuse.optimizers.nelder_mead import _initial_simplex
 from latefuse.synth import SynthSpec, build_tables
 
@@ -24,20 +18,18 @@ from latefuse.synth import SynthSpec, build_tables
 def _reference_nelder_mead(objective, config, p):
     """Nelder-Mead as it was before the simplex was kept sorted: a stable argsort every iteration.
 
-    Like the method, it offers the incumbent the equal start first.
+    Like the method, its search state starts from the equal weights.
     """
     alpha, gamma = float(p["reflection"]), float(p["expansion"])
     beta, delta = float(p["contraction"]), float(p["shrink"])
     lo, hi = config.lower_bound, config.upper_bound
-    counting = CountingObjective(objective)
-    incumbent = Incumbent(counting)
+    search = Search(objective, config)
 
     x0 = equal_start(config)
     simplex = _initial_simplex(x0, float(p["initial_step"]) * config.span, lo, hi)
-    values = np.array([counting.value(v) for v in simplex])
+    values = np.array([search.value(v) for v in simplex])
     b = int(np.argmin(values))
-    incumbent.consider(x0, 0)
-    incumbent.consider(simplex[b], 0)
+    search.consider(simplex[b], 0)
 
     converged = False
     iterations = 0
@@ -57,11 +49,11 @@ def _reference_nelder_mead(objective, config, p):
         centroid = simplex[:-1].mean(axis=0)
         worst = simplex[-1]
         reflected = np.clip(centroid + alpha * (centroid - worst), lo, hi)
-        f_reflected = counting.value(reflected)
+        f_reflected = search.value(reflected)
 
         if f_reflected < values[0]:
             expanded = np.clip(centroid + gamma * (centroid - worst), lo, hi)
-            f_expanded = counting.value(expanded)
+            f_expanded = search.value(expanded)
             if f_expanded < f_reflected:
                 simplex[-1], values[-1] = expanded, f_expanded
             else:
@@ -73,19 +65,19 @@ def _reference_nelder_mead(objective, config, p):
                 contracted = np.clip(centroid + beta * (centroid - worst), lo, hi)
             else:
                 contracted = np.clip(centroid - beta * (centroid - worst), lo, hi)
-            f_contracted = counting.value(contracted)
+            f_contracted = search.value(contracted)
             if f_contracted < min(f_reflected, values[-1]):
                 simplex[-1], values[-1] = contracted, f_contracted
             else:
                 for i in range(1, simplex.shape[0]):
                     simplex[i] = np.clip(simplex[0] + delta * (simplex[i] - simplex[0]), lo, hi)
-                    values[i] = counting.value(simplex[i])
+                    values[i] = search.value(simplex[i])
 
         b = int(np.argmin(values))
-        if values[b] < incumbent.best_f:
-            incumbent.consider(simplex[b], it)
+        if values[b] < search.best_f:
+            search.consider(simplex[b], it)
 
-    return make_report(config, incumbent, counting, iterations, converged)
+    return search.report(iterations, converged)
 
 
 def _setting_value(spec):
@@ -151,6 +143,24 @@ def test_free_set_at_the_bounds():
     # the mirror image at the upper bound; interior variables are always free
     expected = [False, True, False, False, True, False, True, True, True]
     assert free_set(x, g, lo, hi).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 8),
+    lower=st.sampled_from([0.0, -0.5, 2.0]),
+    span=st.sampled_from([1.0, 1e-3]),
+)
+def test_no_free_variable_means_zero_projected_gradient(data, m, lower, span):
+    """With every variable held on a bound, the KKT residual is exactly 0, so no search step is tried."""
+    lo, hi = lower, lower + span
+    coordinate = st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+    x = np.array(data.draw(st.lists(coordinate, min_size=m, max_size=m), label="x"))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    g = np.array(data.draw(st.lists(finite, min_size=m, max_size=m), label="g"))
+    if not free_set(x, g, lo, hi).any():
+        assert projected_gradient_norm(x, g, lo, hi) == 0.0
 
 
 def _coupled_quadratic(m, seed):

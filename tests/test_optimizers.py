@@ -15,7 +15,7 @@ from latefuse.optimizers import (
     ParameterError,
     optimize,
 )
-from latefuse.optimizers.common import CONFIG_SETTINGS, CountingObjective, Incumbent
+from latefuse.optimizers.common import CONFIG_SETTINGS, Search
 from latefuse.synth import planted_score_matrix, random_score_matrix
 
 SEARCH_METHODS = [m for m in METHODS if m != "equal"]
@@ -189,6 +189,16 @@ def test_report_invariants(method):
     assert report.seed == 2
 
 
+@pytest.mark.parametrize("method", list(METHODS))
+def test_search_starts_from_the_exact_equal_weights(method):
+    matrix = random_score_matrix(70, 4, seed=3)
+    equal_mse = mse(equal_weights(4), matrix)
+    params = cheap_params(method) if method != "equal" else {}
+    report = optimize(method, make_mse_objective(matrix), OptimizerConfig(dimension=4, seed=4, method_params=params))
+    assert report.trace[0] == (0, equal_mse)
+    assert report.best_objective <= equal_mse
+
+
 @pytest.mark.parametrize("method", SEARCH_METHODS)
 def test_baseline_dominance(method):
     matrix = random_score_matrix(80, 5, seed=14)
@@ -200,7 +210,7 @@ def test_baseline_dominance(method):
 def test_nelder_mead_dominates_equal_under_adversarial_search_value():
     # The search value is -MSE: the simplex climbs, and the best vertex of the
     # initial simplex by search value is the exactly-worst one.  Only the equal
-    # start, offered to the incumbent first, keeps the result at equal weights.
+    # start, where the search state begins, keeps the result at equal weights.
     matrix = random_score_matrix(80, 5, seed=14)
     exact = make_mse_objective(matrix).exact
     obj = Objective(value=lambda w: -exact(w), exact=exact)
@@ -264,15 +274,17 @@ def one_ulp_low(objective):
 
 def test_incumbent_does_not_rescore_itself():
     scored = []
-    base = quadratic_objective([0.5, 0.5])
-    counting = CountingObjective(Objective(base.value, exact=lambda x: scored.append(x) or base.value(x)))
-    incumbent = Incumbent(counting)
+    base = quadratic_objective([0.2, 0.7])  # away from the equal start [0.5, 0.5]
+    objective = Objective(base.value, exact=lambda x: scored.append(x) or base.value(x))
+    search = Search(objective, OptimizerConfig(dimension=2))
+    start_f = search.best_f
+    del scored[:]  # the equal start's score, made on construction
     x = np.array([0.2, 0.7])
-    assert incumbent.consider(x, 0)
-    assert not incumbent.consider(x.copy(), 1)
+    assert search.consider(x, 0)
+    assert not search.consider(x.copy(), 1)
     assert len(scored) == 1
-    assert counting.function_evaluations == 0  # exact re-scores are not search evaluations
-    assert incumbent.trace == [(0, incumbent.best_f)]
+    assert search.function_evaluations == 0  # exact re-scores are not search evaluations
+    assert search.trace == [(0, start_f), (0, search.best_f)]
 
 
 @pytest.mark.parametrize("method,size_key", [("pso", "swarm_size"), ("ga", "population_size")])
