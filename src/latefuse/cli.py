@@ -367,7 +367,11 @@ def _manifest_from_args(
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.manifest:
-        doc = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+        text = Path(args.manifest).read_text(encoding="utf-8")  # an unreadable file is a data error
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:  # the manifest stands in for the flags
+            raise UsageError(f"manifest {args.manifest} is not valid JSON: {exc}") from None
         manifest = RunManifest.from_dict(doc)
         if args.out:
             manifest.out_dir = str(Path(args.out).resolve())

@@ -1,10 +1,14 @@
-"""Shared machinery for the weight-search methods: config, settings, search state.
+"""Shared machinery for the weight-search methods: config, settings, search state, descent loop.
 
 Every optimizer works on the closed box [lower_bound, upper_bound]^dimension
 through one `Search`: it counts the search's evaluations, keeps a canonical
 incumbent (best weights re-scored through the objective's exact form, so the
 reported objective is bit-reproducible) that starts at the equal weights, and
 builds the OptimizerReport with its non-increasing best-so-far trace.
+
+The gradient methods run in `descend`, the one projected-descent loop: it
+stops at a box-stationary point, and each method supplies only its step on
+the `free_set` variables; lbfgsb and tnc search along it with `line_search`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -278,33 +282,63 @@ LINE_SEARCH_SETTINGS = {
 }
 
 
-def projected_backtracking(
+def line_search(
     search: Search,
     x: np.ndarray,
     f: float,
     g: np.ndarray,
     direction: np.ndarray,
-    lo: float,
-    hi: float,
-    c: float,
-    max_backtracks: int,
-) -> tuple[np.ndarray, float] | None:
-    """Armijo backtracking along the projected arc P(x + alpha * direction).
+    steepest: np.ndarray,
+    p: Mapping,
+) -> tuple[np.ndarray, float, bool] | None:
+    """Armijo backtracking along the projected arc P(x + alpha * d).
 
+    d is `direction` when it descends, then `steepest` when `direction` does
+    not descend or finds no step; `direction is steepest` is tried once.
     Sufficient decrease is measured against the realized (projected) step.
-    Returns None when no feasible decreasing step exists at any tried scale.
+    Returns (trial, f_trial, fell_back), or None when neither finds a step.
     """
-    alpha = 1.0
-    for _ in range(max_backtracks):
-        trial = np.clip(x + alpha * direction, lo, hi)
-        step = trial - x
-        if not np.any(step):
-            return None  # direction points entirely out of the box
-        slope = float(g @ step)
-        if slope < 0.0:
-            f_trial = search.value(trial)
-            if f_trial <= f + c * slope:
-                return trial, f_trial
-        alpha *= 0.5
+    lo, hi = search.config.lower_bound, search.config.upper_bound
+    c = float(p["armijo_c"])
+    descends = direction is not steepest and float(g @ direction) < 0.0
+    for d in (direction, steepest) if descends else (steepest,):
+        alpha = 1.0
+        for _ in range(p["max_backtracks"]):
+            trial = np.clip(x + alpha * d, lo, hi)
+            step = trial - x
+            if not np.any(step):
+                break  # d points entirely out of the box
+            slope = float(g @ step)
+            if slope < 0.0:
+                f_trial = search.value(trial)
+                if f_trial <= f + c * slope:
+                    return trial, f_trial, d is not direction
+            alpha *= 0.5
     return None
 
+
+def descend(objective: Objective, config: OptimizerConfig, step: Callable) -> OptimizerReport:
+    """The gradient methods' projected-descent loop, from the equal weights.
+
+    Each iteration calls step(search, x, f, g, free) with the `free_set` mask;
+    it returns the next (x, f, g), the same x for a rejected trial, or None
+    when it can make no progress.  The loop stops converged at a box-stationary
+    point (projected-gradient infinity norm <= tolerance), and unconverged when
+    `step` returns None or the iteration budget runs out.  Only a point that
+    moved is offered to the incumbent.
+    """
+    lo, hi = config.lower_bound, config.upper_bound
+    search = Search(objective, config)
+    x = equal_start(config)
+    f = search.value(x)
+    g = search.gradient(x)
+    for it in range(1, config.max_iterations + 1):
+        if projected_gradient_norm(x, g, lo, hi) <= config.tolerance:
+            return search.report(it - 1, converged=True)
+        taken = step(search, x, f, g, free_set(x, g, lo, hi))
+        if taken is None:
+            return search.report(it, converged=False)
+        if taken[0] is not x:
+            x, f, g = taken
+            search.consider(x, it)
+    return search.report(config.max_iterations, converged=False)

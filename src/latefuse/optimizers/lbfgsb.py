@@ -7,17 +7,7 @@ from collections import deque
 import numpy as np
 
 from ..fusion import Objective
-from .common import (
-    LINE_SEARCH_SETTINGS,
-    OptimizerConfig,
-    OptimizerReport,
-    Search,
-    Setting,
-    equal_start,
-    free_set,
-    projected_backtracking,
-    projected_gradient_norm,
-)
+from .common import LINE_SEARCH_SETTINGS, OptimizerConfig, OptimizerReport, Setting, descend, line_search
 
 SETTINGS = {"history": Setting(int, 10, 1, 1000), **LINE_SEARCH_SETTINGS}
 
@@ -53,54 +43,24 @@ def _two_loop(g: np.ndarray, pairs: deque, free: np.ndarray) -> np.ndarray:
 
 
 def optimize_lbfgsb(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
-    history = p["history"]
-    c = float(p["armijo_c"])
-    max_backtracks = p["max_backtracks"]
-    lo, hi = config.lower_bound, config.upper_bound
+    pairs: deque = deque(maxlen=p["history"])
 
-    search = Search(objective, config)
-    x = equal_start(config)
-    f = search.value(x)
-    g = search.gradient(x)
-    pairs: deque = deque(maxlen=history)
-
-    converged = False
-    iterations = 0
-    for it in range(1, config.max_iterations + 1):
-        iterations = it
-        if projected_gradient_norm(x, g, lo, hi) <= config.tolerance:
-            converged = True
-            iterations = it - 1
-            break
-
+    def step(search, x, f, g, free):
         # Kim, Sra & Dhillon's projected quasi-Newton step: variables held on a
         # bound by the gradient do not move, the rest take the two-loop step.
-        free = free_set(x, g, lo, hi)
         steepest = np.where(free, -g, 0.0)
-        direction = -_two_loop(g, pairs, free)
-        if float(g @ direction) >= 0.0:
+        direction = -_two_loop(g, pairs, free) if pairs else steepest
+        found = line_search(search, x, f, g, direction, steepest, p)
+        if found is None:
+            return None
+        trial, f_trial, fell_back = found
+        if fell_back:
             pairs.clear()
-            direction = steepest
-
-        result = projected_backtracking(
-            search, x, f, g, direction, lo, hi, c=c, max_backtracks=max_backtracks
-        )
-        if result is None and pairs:
-            pairs.clear()
-            result = projected_backtracking(
-                search, x, f, g, steepest, lo, hi, c=c, max_backtracks=max_backtracks
-            )
-        if result is None:
-            break
-
-        trial, f_trial = result
         g_trial = search.gradient(trial)
         s = trial - x
         y = g_trial - g
-        sy = float(s @ y)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if float(s @ y) > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             pairs.append((s, y))
-        x, f, g = trial, f_trial, g_trial
-        search.consider(x, it)
+        return trial, f_trial, g_trial
 
-    return search.report(iterations, converged)
+    return descend(objective, config, step)

@@ -11,16 +11,7 @@ import math
 import numpy as np
 
 from ..fusion import Objective
-from .common import (
-    LINE_SEARCH_SETTINGS,
-    OptimizerConfig,
-    OptimizerReport,
-    Search,
-    equal_start,
-    free_set,
-    projected_backtracking,
-    projected_gradient_norm,
-)
+from .common import LINE_SEARCH_SETTINGS, OptimizerConfig, OptimizerReport, descend, line_search
 
 SETTINGS = LINE_SEARCH_SETTINGS
 
@@ -54,26 +45,11 @@ def _truncated_cg(hessvec, b: np.ndarray, max_inner: int) -> np.ndarray:
 
 
 def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
-    c = float(p["armijo_c"])
-    max_backtracks = p["max_backtracks"]
-    lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
+    m = config.dimension
     max_inner = min(2 * m, 50)
 
-    search = Search(objective, config)
-    x = equal_start(config)
-    f = search.value(x)
-    g = search.gradient(x)
-
-    converged = False
-    iterations = 0
-    for it in range(1, config.max_iterations + 1):
-        iterations = it
-        if projected_gradient_norm(x, g, lo, hi) <= config.tolerance:
-            converged = True
-            iterations = it - 1
-            break
-
-        free = free_set(x, g, lo, hi)  # not empty: with no free variable the norm above is 0
+    def step(search, x, f, g, free):
+        # free is not empty: with no free variable the projected gradient is 0
         fd_step = _SQRT_EPS * (1.0 + float(np.linalg.norm(x)))
 
         def hessvec(v_free: np.ndarray) -> np.ndarray:
@@ -85,26 +61,12 @@ def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
             g_shift = search.gradient(x + fd_step * (full / norm))
             return ((g_shift - g) * (norm / fd_step))[free]
 
-        steepest = np.zeros(m)
-        steepest[free] = -g[free]
         direction = np.zeros(m)
         direction[free] = _truncated_cg(hessvec, -g[free], max_inner)
-        if float(g @ direction) >= 0.0:
-            direction = steepest
+        found = line_search(search, x, f, g, direction, np.where(free, -g, 0.0), p)
+        if found is None:
+            return None
+        trial, f_trial, _ = found
+        return trial, f_trial, search.gradient(trial)
 
-        result = projected_backtracking(
-            search, x, f, g, direction, lo, hi, c=c, max_backtracks=max_backtracks
-        )
-        if result is None and direction is not steepest:
-            result = projected_backtracking(
-                search, x, f, g, steepest, lo, hi, c=c, max_backtracks=max_backtracks
-            )
-        if result is None:
-            break
-
-        trial, f_trial = result
-        x, f = trial, f_trial
-        g = search.gradient(x)
-        search.consider(x, it)
-
-    return search.report(iterations, converged)
+    return descend(objective, config, step)

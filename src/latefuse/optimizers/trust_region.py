@@ -7,15 +7,7 @@ import math
 import numpy as np
 
 from ..fusion import Objective
-from .common import (
-    OptimizerConfig,
-    OptimizerReport,
-    Search,
-    Setting,
-    equal_start,
-    free_set,
-    projected_gradient_norm,
-)
+from .common import OptimizerConfig, OptimizerReport, Setting, descend
 
 SETTINGS = {
     "initial_radius": Setting(float, 1.0, 0, math.inf, "()"),
@@ -64,34 +56,19 @@ def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict
     if max_radius is None:
         max_radius = math.sqrt(m) * config.span
     eta = float(p["acceptance_threshold"])
-
-    search = Search(objective, config)
-    x = equal_start(config)
-    f = search.value(x)
-    g = search.gradient(x)
     hessian = np.eye(m)
 
-    converged = False
-    iterations = 0
-    for it in range(1, config.max_iterations + 1):
-        iterations = it
-        if projected_gradient_norm(x, g, lo, hi) <= config.tolerance:
-            converged = True
-            iterations = it - 1
-            break
-
+    def step(search, x, f, g, free):
+        nonlocal radius, hessian
         # Coleman & Li's restriction: the dogleg runs on the free variables,
         # and variables held on a bound by the gradient take a zero step.
-        free = free_set(x, g, lo, hi)
-        step = np.zeros(m)
-        step[free] = _dogleg(g[free], hessian[np.ix_(free, free)], radius)
-        trial = np.clip(x + step, lo, hi)
+        s = np.zeros(m)
+        s[free] = _dogleg(g[free], hessian[np.ix_(free, free)], radius)
+        trial = np.clip(x + s, lo, hi)
         realized = trial - x
         if not np.any(realized):
             radius *= 0.25
-            if radius < _MIN_RADIUS:
-                break
-            continue
+            return None if radius < _MIN_RADIUS else (x, f, g)
 
         predicted = -(float(g @ realized) + 0.5 * float(realized @ hessian @ realized))
         f_trial = search.value(trial)
@@ -103,22 +80,14 @@ def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict
         elif rho > 0.75 and float(np.linalg.norm(realized)) >= 0.99 * radius:
             radius = min(2.0 * radius, max_radius)
 
-        if rho > eta and actual > 0:
-            g_trial = search.gradient(trial)
-            s = realized
-            y = g_trial - g
-            sy = float(s @ y)
-            if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-                hs = hessian @ s
-                hessian = (
-                    hessian
-                    + np.outer(y, y) / sy
-                    - np.outer(hs, hs) / float(s @ hs)
-                )
-            x, f, g = trial, f_trial, g_trial
-            search.consider(x, it)
+        if not (rho > eta and actual > 0):
+            return None if radius < _MIN_RADIUS else (x, f, g)
+        g_trial = search.gradient(trial)
+        y = g_trial - g
+        sy = float(realized @ y)
+        if sy > 1e-10 * float(np.linalg.norm(realized)) * float(np.linalg.norm(y)):
+            hs = hessian @ realized
+            hessian = hessian + np.outer(y, y) / sy - np.outer(hs, hs) / float(realized @ hs)
+        return trial, f_trial, g_trial
 
-        if radius < _MIN_RADIUS:
-            break
-
-    return search.report(iterations, converged)
+    return descend(objective, config, step)

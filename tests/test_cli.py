@@ -394,6 +394,22 @@ def test_run_rejects_malformed_manifest(dataset_pair, tmp_path, capsys, monkeypa
     assert message in capsys.readouterr().err
 
 
+def test_run_manifest_that_is_not_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text("{method: pso}")
+    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "b")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(path) in err and "not valid JSON" in err
+    assert not (tmp_path / "b").exists()
+
+
+def test_run_manifest_that_cannot_be_read_is_a_data_error(tmp_path, capsys):
+    code = main(["run", "--manifest", str(tmp_path / "missing.json"), "--out", str(tmp_path / "b")])
+    assert code == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
 def test_parse_set_values():
     parsed = parse_set_values(["swarm_size=40", "tolerance=1e-6", "pso.inertia=0.5"])
     assert parsed == {"swarm_size": 40.0, "tolerance": 1e-6, "pso.inertia": 0.5}

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from latefuse.fusion import Objective, make_mse_objective
 from latefuse.ingestion import apply_minmax, assemble, fit_minmax
 from latefuse.optimizers import METHODS, OptimizerConfig, optimize
-from latefuse.optimizers.common import Search, equal_start, free_set, projected_gradient_norm
+from latefuse.optimizers.common import (
+    Search,
+    equal_start,
+    free_set,
+    line_search,
+    projected_gradient_norm,
+)
 from latefuse.optimizers.nelder_mead import _initial_simplex
 from latefuse.synth import SynthSpec, build_tables
 
@@ -218,3 +224,63 @@ def test_gradient_methods_terminate_at_the_optimum_full_dimension(seed):
         assert report.converged, method
         assert report.function_evaluations <= 100, method
         assert abs(report.best_objective - optimum) <= 1e-12 * optimum, method
+
+
+# ---------------------------------------------------------------- unconverged stops
+
+def _lying_objective():
+    """|x - 0.3|^2 with its gradient's sign flipped: every descent direction climbs."""
+    return Objective(value=lambda x: float(np.sum((x - 0.3) ** 2)), gradient=lambda x: -2.0 * (x - 0.3))
+
+
+@pytest.mark.parametrize(
+    "method, max_iterations, expected",
+    [
+        ("lbfgsb", 10000, (1, False, 54, 1)),  # both line searches fail
+        ("tnc", 10000, (1, False, 107, 2)),  # both line searches fail
+        ("trust-region", 10000, (24, False, 25, 1)),  # the radius falls below 1e-14
+        ("trust-region", 3, (3, False, 4, 1)),  # the budget runs out first
+    ],
+)
+def test_gradient_methods_stop_unconverged_without_a_step(method, max_iterations, expected):
+    config = OptimizerConfig(dimension=4, max_iterations=max_iterations)
+    report = optimize(method, _lying_objective(), config)
+    got = (report.iterations, report.converged, report.function_evaluations, report.gradient_evaluations)
+    assert got == expected
+    assert report.best_weights.tolist() == equal_start(config).tolist()
+
+
+# ---------------------------------------------------------------- line search
+
+_ARMIJO = {"armijo_c": 1e-4, "max_backtracks": 5}
+
+
+def _line_search_state(g_sign=1.0):
+    """A Search on |x - (0.2, 0.4)|^2 in [0, 1]^2 at x = (0.5, 0.5), with f and g_sign times the gradient."""
+    c = np.array([0.2, 0.4])
+    search = Search(Objective(value=lambda x: float(np.sum((x - c) ** 2))), OptimizerConfig(dimension=2))
+    x = np.array([0.5, 0.5])
+    return search, x, float(np.sum((x - c) ** 2)), g_sign * 2.0 * (x - c)
+
+
+def test_line_search_falls_back_when_the_direction_climbs():
+    search, x, f, g = _line_search_state()
+    trial, f_trial, fell_back = line_search(search, x, f, g, g.copy(), -g, _ARMIJO)
+    assert fell_back
+    assert trial.tolist() == np.clip(x - g, 0.0, 1.0).tolist()  # the full steepest step
+    assert f_trial < f
+    assert search.function_evaluations == 1  # the climbing direction cost no evaluation
+
+
+def test_line_search_tries_steepest_once():
+    search, x, f, g = _line_search_state(g_sign=-1.0)  # every trial climbs
+    steepest = -g
+    assert line_search(search, x, f, g, steepest, steepest, _ARMIJO) is None
+    assert search.function_evaluations == _ARMIJO["max_backtracks"]
+
+
+def test_line_search_without_a_step_in_either_direction():
+    search, x, f, g = _line_search_state(g_sign=-1.0)
+    steepest = -g
+    assert line_search(search, x, f, g, steepest.copy(), steepest, _ARMIJO) is None
+    assert search.function_evaluations == 2 * _ARMIJO["max_backtracks"]  # equal values, two directions

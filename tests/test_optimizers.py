@@ -250,9 +250,10 @@ def test_non_finite_objective_aborts_with_point(method):
 def test_budget_exhaustion_reports_not_converged():
     matrix = random_score_matrix(60, 6, seed=9)
     config = OptimizerConfig(dimension=6, seed=0, max_iterations=2, tolerance=1e-14)
-    report = optimize("lbfgsb", make_mse_objective(matrix), config)
-    assert not report.converged
-    assert report.iterations == 2
+    for method in GRADIENT_METHODS:
+        report = optimize(method, make_mse_objective(matrix), config)
+        assert not report.converged, method
+        assert report.iterations == 2, method
 
 
 # ---------------------------------------------------------------- incumbent
