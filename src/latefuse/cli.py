@@ -316,21 +316,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_data_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dev", nargs="+", metavar="PATH", help="dev inducer csv files or directories")
-        p.add_argument("--test", nargs="+", metavar="PATH", help="test inducer csv files or directories")
-        p.add_argument("--truth", nargs="+", metavar="PATH", help="ground truth csv file(s), merged")
-        p.add_argument("--k", type=int, default=10, help="ranking cutoff (default 10)")
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+        # a None default marks a flag as not given; _manifest_from_args applies the real defaults
+        paths = {"nargs": "+", "action": "extend", "metavar": "PATH"}  # repeats add up
+        p.add_argument("--dev", **paths, help="dev inducer csv files or directories")
+        p.add_argument("--test", **paths, help="test inducer csv files or directories")
+        p.add_argument("--truth", **paths, help="ground truth csv file(s), merged")
+        p.add_argument("--k", type=int, help="ranking cutoff (default 10)")
+        p.add_argument("--seed", type=int, help="random seed (default 0)")
         p.add_argument("--out", required=True, metavar="DIR", help="output directory")
         p.add_argument(
             "--set",
             action="append",
-            default=[],
             metavar="KEY=VALUE",
-            dest="set_values",
             help="optimizer override; repeatable (compare also accepts method.key=value)",
         )
-        p.add_argument("--trace", action="store_true", help="also write per-iteration trace.csv")
+        p.add_argument("--trace", action="store_true", default=None, help="also write per-iteration trace.csv")
 
     run_p = sub.add_parser("run", help="run one method end to end")
     run_p.add_argument("--method", choices=sorted(METHODS), help="weight-search method")
@@ -358,15 +358,22 @@ def _manifest_from_args(
         test_paths=[str(Path(p).resolve()) for p in args.test],
         truth_paths=[str(Path(p).resolve()) for p in args.truth],
         out_dir=str(Path(out_dir).resolve()),
-        k=args.k,
-        seed=args.seed,
+        k=10 if args.k is None else args.k,
+        seed=0 if args.seed is None else args.seed,
         overrides=overrides,
-        trace=args.trace,
+        trace=bool(args.trace),
     )
+
+
+# The run flags a manifest stands in for; --out may still redirect its output.
+_MANIFEST_FLAGS = ("method", "dev", "test", "truth", "k", "seed", "set", "trace")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.manifest:
+        given = [f"--{flag}" for flag in _MANIFEST_FLAGS if getattr(args, flag) is not None]
+        if given:
+            raise UsageError(f"--manifest cannot be combined with {', '.join(given)}; only --out may be")
         text = Path(args.manifest).read_text(encoding="utf-8")  # an unreadable file is a data error
         try:
             doc = json.loads(text)
@@ -378,7 +385,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         if not args.method:
             raise UsageError("either --method or --manifest is required")
-        manifest = _manifest_from_args(args, args.method, args.out, parse_set_values(args.set_values))
+        manifest = _manifest_from_args(args, args.method, args.out, parse_set_values(args.set or []))
     result = run(manifest)
     k = manifest.k
     print(
@@ -397,7 +404,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise UsageError("no methods selected")
     methods = list(dict.fromkeys(methods))  # drop repeats, keep the order
 
-    overrides = parse_set_values(args.set_values)
+    overrides = parse_set_values(args.set or [])
     for key in overrides:
         head, sep, _ = key.partition(".")
         if sep and head in METHODS and head not in methods:

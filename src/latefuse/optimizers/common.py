@@ -1,4 +1,4 @@
-"""Shared machinery for the weight-search methods: config, settings, search state, descent loop.
+"""Shared machinery for the weight-search methods: config, settings, search state, search loops.
 
 Every optimizer works on the closed box [lower_bound, upper_bound]^dimension
 through one `Search`: it counts the search's evaluations, keeps a canonical
@@ -9,6 +9,9 @@ builds the OptimizerReport with its non-increasing best-so-far trace.
 The gradient methods run in `descend`, the one projected-descent loop: it
 stops at a box-stationary point, and each method supplies only its step on
 the `free_set` variables; lbfgsb and tnc search along it with `line_search`.
+The population methods, pso and ga, run in `evolve`, the one generation loop:
+it seeds the population, offers each generation's best point to the incumbent
+and stops after a stagnation window, and each method supplies only its step.
 """
 
 from __future__ import annotations
@@ -342,3 +345,39 @@ def descend(objective: Objective, config: OptimizerConfig, step: Callable) -> Op
             x, f, g = taken
             search.consider(x, it)
     return search.report(config.max_iterations, converged=False)
+
+
+def evolve(
+    objective: Objective, config: OptimizerConfig, size: int, generations: int, window: int,
+    step: Callable,
+) -> OptimizerReport:
+    """The population methods' generation loop, from a seeded uniform population.
+
+    Row 0 of the first population is the equal weights.  Each generation calls
+    step(search, rng, population, values) and keeps the (population, values) it
+    returns; their best point is offered to the incumbent when it beats it.  The
+    loop stops converged after `window` generations without a `tolerance`
+    improvement (0: never), and unconverged after `generations`.
+    """
+    search = Search(objective, config)
+    rng = np.random.default_rng(config.seed)
+    population = rng.uniform(config.lower_bound, config.upper_bound, size=(size, config.dimension))
+    population[0] = equal_start(config)
+    values = search.value_batch(population)
+    search.consider(population[int(np.argmin(values))], 0)
+
+    anchor = search.best_f
+    since_improvement = 0
+    for it in range(1, generations + 1):
+        population, values = step(search, rng, population, values)
+        b = int(np.argmin(values))
+        if values[b] < search.best_f:
+            search.consider(population[b], it)
+        if anchor - search.best_f >= config.tolerance:
+            anchor = search.best_f
+            since_improvement = 0
+        else:
+            since_improvement += 1
+            if since_improvement == window:  # never, for a window of 0
+                return search.report(it, converged=True)
+    return search.report(generations, converged=False)

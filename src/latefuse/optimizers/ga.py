@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..fusion import Objective
-from .common import OptimizerConfig, OptimizerReport, Search, Setting, equal_start
+from .common import OptimizerConfig, OptimizerReport, Setting, evolve
 
 SETTINGS = {
     "population_size": Setting(int, 100, 2, 10**5),
@@ -23,33 +23,19 @@ def optimize_ga(objective: Objective, config: OptimizerConfig, p: dict) -> Optim
     pop_size = p["population_size"]
     tournament = p["tournament_size"]
     elite = p["elite_count"]
-    window = p["stagnation_window"]
     mutation_rate = p["mutation_rate"]
     if mutation_rate is None:
         mutation_rate = 1.0 / config.dimension
-
-    rng = np.random.default_rng(config.seed)
     lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
     sigma = float(p["mutation_sigma"]) * (hi - lo)
-    search = Search(objective, config)
+    n_children = pop_size - elite
 
-    population = rng.uniform(lo, hi, size=(pop_size, m))
-    population[0] = equal_start(config)
-    fitness = search.value_batch(population)
-    search.consider(population[int(np.argmin(fitness))], 0)
-
-    generations = min(p["max_generations"], config.max_iterations)
-    anchor = search.best_f
-    since_improvement = 0
-    converged = False
-    iterations = 0
-    for gen in range(1, generations + 1):
-        iterations = gen
+    def step(search, rng, population, fitness):
+        """Breed the next generation: elites, then tournament-selected, crossed and mutated children."""
         order = np.argsort(fitness, kind="stable")
         next_pop = np.empty_like(population)
         next_pop[:elite] = population[order[:elite]]
 
-        n_children = pop_size - elite
         # tournament selection for both parent slates at once
         contenders = rng.integers(0, pop_size, size=(2, n_children, tournament))
         winners = contenders[
@@ -68,22 +54,8 @@ def optimize_ga(objective: Objective, config: OptimizerConfig, p: dict) -> Optim
 
         mutate = rng.random((n_children, m)) < mutation_rate
         noise = rng.normal(0.0, sigma, size=(n_children, m))
-        children = np.clip(children + mutate * noise, lo, hi)
-        next_pop[elite:] = children
+        next_pop[elite:] = np.clip(children + mutate * noise, lo, hi)
+        return next_pop, search.value_batch(next_pop)
 
-        population = next_pop
-        fitness = search.value_batch(population)
-        b = int(np.argmin(fitness))
-        if fitness[b] < search.best_f:
-            search.consider(population[b], gen)
-
-        if anchor - search.best_f >= config.tolerance:
-            anchor = search.best_f
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if window > 0 and since_improvement >= window:
-                converged = True
-                break
-
-    return search.report(iterations, converged)
+    generations = min(p["max_generations"], config.max_iterations)
+    return evolve(objective, config, pop_size, generations, p["stagnation_window"], step)

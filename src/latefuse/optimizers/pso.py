@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..fusion import Objective
-from .common import OptimizerConfig, OptimizerReport, Search, Setting, equal_start
+from .common import OptimizerConfig, OptimizerReport, Setting, evolve
 
 SETTINGS = {
     "swarm_size": Setting(int, 300, 1, 10**5),
@@ -17,31 +17,17 @@ SETTINGS = {
 
 
 def optimize_pso(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
-    swarm_size = p["swarm_size"]
-    window = p["stagnation_window"]
-
-    rng = np.random.default_rng(config.seed)
-    lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
-    search = Search(objective, config)
-
-    positions = rng.uniform(lo, hi, size=(swarm_size, m))
-    positions[0] = equal_start(config)  # the uniform baseline always participates
-    velocities = np.zeros((swarm_size, m))
+    lo, hi = config.lower_bound, config.upper_bound
     vmax = hi - lo
+    positions = velocities = None
 
-    values = search.value_batch(positions)
-    pbest = positions.copy()
-    pbest_values = values.copy()
-    search.consider(pbest[int(np.argmin(pbest_values))], 0)
-
-    anchor = search.best_f
-    since_improvement = 0
-    converged = False
-    iterations = 0
-    for it in range(1, config.max_iterations + 1):
-        iterations = it
-        r1 = rng.random((swarm_size, m))
-        r2 = rng.random((swarm_size, m))
+    def step(search, rng, pbest, pbest_values):
+        """Move the swarm once; the loop keeps the personal bests."""
+        nonlocal positions, velocities
+        if positions is None:  # the swarm starts at the first population, at rest
+            positions, velocities = pbest.copy(), np.zeros_like(pbest)
+        r1 = rng.random(pbest.shape)
+        r2 = rng.random(pbest.shape)
         velocities = (
             p["inertia"] * velocities
             + p["cognitive"] * r1 * (pbest - positions)
@@ -54,18 +40,8 @@ def optimize_pso(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
         better = values < pbest_values
         pbest[better] = positions[better]
         pbest_values[better] = values[better]
+        return pbest, pbest_values
 
-        b = int(np.argmin(pbest_values))
-        if pbest_values[b] < search.best_f:
-            search.consider(pbest[b], it)
-
-        if anchor - search.best_f >= config.tolerance:
-            anchor = search.best_f
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if window > 0 and since_improvement >= window:
-                converged = True
-                break
-
-    return search.report(iterations, converged)
+    return evolve(
+        objective, config, p["swarm_size"], config.max_iterations, p["stagnation_window"], step
+    )

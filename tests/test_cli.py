@@ -121,6 +121,53 @@ def test_run_manifest_rerun_reproduces_artifacts(dataset_pair, tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--method", "pso"], ["--dev", "d.csv"], ["--test", "t.csv"], ["--truth", "g.csv"],
+     ["--k", "10"], ["--seed", "0"], ["--set", "max_iterations=5"], ["--trace"],
+     ["--method", "pso", "--seed", "9", "--k", "3", "--trace"]],
+    ids=" ".join,
+)
+def test_run_manifest_rejects_the_flags_it_replaces(dataset_pair, tmp_path, capsys, flags):
+    dev, test = dataset_pair
+    manifest = RunManifest(
+        method="tnc",
+        dev_paths=[str(dev.inducer_paths[0].parent)],
+        test_paths=[str(test.inducer_paths[0].parent)],
+        truth_paths=[str(dev.truth_path), str(test.truth_path)],
+        out_dir=str(tmp_path / "a"),
+    )
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest.to_dict()))
+    out = tmp_path / "b"
+    code = main(["run", "--manifest", str(path), *flags, "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    for flag in flags:
+        if flag.startswith("--"):
+            assert flag in err
+    assert not out.exists()
+
+
+def test_run_repeated_path_flags_add_up(dataset_pair, tmp_path):
+    dev, test = dataset_pair
+    whole, split = tmp_path / "whole", tmp_path / "split"
+    assert main(["run", "--method", "tnc", *data_flags(dataset_pair, whole)]) == EXIT_OK
+    dev_files = [str(p) for p in dev.inducer_paths]
+    code = main(
+        ["run", "--method", "tnc",
+         "--dev", *dev_files[:1], "--dev", *dev_files[1:],
+         "--test", str(test.inducer_paths[0].parent),
+         "--truth", str(dev.truth_path), "--truth", str(test.truth_path),
+         "--out", str(split)]
+    )
+    assert code == EXIT_OK
+    names = [n for n in ARTIFACTS if n != "manifest.json"]  # the manifests list different paths
+    assert read_bytes(whole, names) == read_bytes(split, names)
+    resolved = [str(Path(p).resolve()) for p in dev_files]
+    assert json.loads((split / "manifest.json").read_text())["dev_paths"] == resolved
+
+
 def test_run_trace_flag_controls_trace_csv(dataset_pair, tmp_path):
     out = tmp_path / "out"
     code = main(["run", "--method", "lbfgsb", *data_flags(dataset_pair, out, ["--trace"])])

@@ -247,6 +247,14 @@ def test_non_finite_objective_aborts_with_point(method):
     assert excinfo.value.point.shape == (2,)
 
 
+POPULATION_SIZE = {"pso": "swarm_size", "ga": "population_size"}
+
+
+def population_config(method, size, params, **fields):
+    """A pso or ga config with the given population size and method settings."""
+    return OptimizerConfig(method_params={POPULATION_SIZE[method]: size, **params}, **fields)
+
+
 def test_budget_exhaustion_reports_not_converged():
     matrix = random_score_matrix(60, 6, seed=9)
     config = OptimizerConfig(dimension=6, seed=0, max_iterations=2, tolerance=1e-14)
@@ -254,6 +262,30 @@ def test_budget_exhaustion_reports_not_converged():
         report = optimize(method, make_mse_objective(matrix), config)
         assert not report.converged, method
         assert report.iterations == 2, method
+
+    # a stagnation window of 0 runs the whole budget: size x (iterations + 1) evaluations
+    objective = make_mse_objective(random_score_matrix(60, 4, seed=9))
+    for method in POPULATION_SIZE:
+        config = population_config(method, 8, {"stagnation_window": 0}, dimension=4, max_iterations=7)
+        report = optimize(method, objective, config)
+        assert (report.iterations, report.converged, report.function_evaluations) == (7, False, 64), method
+
+
+@pytest.mark.parametrize("method", POPULATION_SIZE)
+def test_population_stagnation_stops_converged_after_window(method):
+    flat = Objective(value=lambda x: 1.0, value_batch=lambda xs: np.ones(len(xs)))
+    config = population_config(method, 8, {"stagnation_window": 5}, dimension=3)
+    report = optimize(method, flat, config)
+    assert (report.iterations, report.converged, report.function_evaluations) == (5, True, 48)
+    assert report.trace == [(0, 1.0)]
+
+
+def test_ga_budget_is_the_smaller_of_generations_and_iterations():
+    objective = make_mse_objective(random_score_matrix(60, 4, seed=9))
+    params = {"stagnation_window": 0, "max_generations": 6}
+    config = population_config("ga", 8, params, dimension=4, max_iterations=50)
+    report = optimize("ga", objective, config)
+    assert (report.iterations, report.converged, report.function_evaluations) == (6, False, 56)
 
 
 # ---------------------------------------------------------------- incumbent
