@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -28,6 +28,7 @@ INDUCER_HEADER = "video_id,image_id,class,score"
 TRUTH_HEADER = "video_id,image_id,label"
 
 Key = tuple[str, str]
+T = TypeVar("T")
 
 
 class IngestionError(Exception):
@@ -100,18 +101,40 @@ class NormalizationParams:
                 raise ValueError(f"normalization range for {name!r} has min > max")
 
 
-def _decode_lines(source: IO[bytes] | IO[str]) -> Iterator[str]:
+def _read_rows(
+    source: IO[bytes] | IO[str], header: str, where: str, parse: Callable[[int, list[str], int], T]
+) -> dict[Key, T]:
+    """Each row's key and `parse(0/1 third column, later fields, lineno)`, in file order.
+
+    Blank lines are skipped.  Raises ParseError naming the offending line, or
+    DuplicateKeyError when a (video_id, image_id) pair repeats.
+    """
     data = source.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    yield from data.splitlines()
+    lines = data.splitlines()
+    if not lines:
+        raise ParseError(f"{where}: empty file, expected header {header!r}")
+    if lines[0].strip() != header:
+        raise ParseError(f"{where}: bad header at line 1: {lines[0]!r}")
 
-
-def _parse_binary(token: str, field: str, lineno: int, where: str) -> int:
-    token = token.strip()
-    if token not in ("0", "1"):
-        raise ParseError(f"{where}: {field} out of {{0,1}} at line {lineno}: {token!r}")
-    return int(token)
+    columns = header.split(",")
+    rows: dict[Key, T] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            raise ParseError(f"{where}: expected {len(columns)} fields, got {len(fields)} at line {lineno}")
+        vid, iid, flag, *rest = (f.strip() for f in fields)
+        if flag not in ("0", "1"):
+            raise ParseError(f"{where}: {columns[2]} out of {{0,1}} at line {lineno}: {flag!r}")
+        value = parse(int(flag), rest, lineno)
+        key = (vid, iid)
+        if key in rows:
+            raise DuplicateKeyError(f"{where}: duplicate key {key} at line {lineno}")
+        rows[key] = value
+    return rows
 
 
 def parse_inducer_file(source: IO[bytes] | IO[str], inducer_name: str) -> InducerTable:
@@ -121,61 +144,24 @@ def parse_inducer_file(source: IO[bytes] | IO[str], inducer_name: str) -> Induce
     reads it.  Raises ParseError (naming the offending line), or
     DuplicateKeyError when a (video_id, image_id) pair repeats.
     """
-    lines = list(_decode_lines(source))
     where = f"inducer {inducer_name!r}"
-    if not lines:
-        raise ParseError(f"{where}: empty file, expected header {INDUCER_HEADER!r}")
-    if lines[0].strip() != INDUCER_HEADER:
-        raise ParseError(f"{where}: bad header at line 1: {lines[0]!r}")
 
-    keys: list[Key] = []
-    scores: list[float] = []
-    seen: set[Key] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(f"{where}: expected 4 fields, got {len(fields)} at line {lineno}")
-        vid, iid, cls_tok, score_tok = (f.strip() for f in fields)
-        _parse_binary(cls_tok, "class", lineno, where)
+    def score(_: int, rest: list[str], lineno: int) -> float:
         try:
-            score = float(score_tok)
+            value = float(rest[0])
         except ValueError:
-            raise ParseError(f"{where}: non-numeric score at line {lineno}: {score_tok!r}") from None
-        if not math.isfinite(score):
-            raise ParseError(f"{where}: non-finite score at line {lineno}: {score_tok!r}")
-        key = (vid, iid)
-        if key in seen:
-            raise DuplicateKeyError(f"{where}: duplicate key {key} at line {lineno}")
-        seen.add(key)
-        keys.append(key)
-        scores.append(score)
-    return InducerTable(inducer_name, keys, np.array(scores, dtype=np.float64))
+            raise ParseError(f"{where}: non-numeric score at line {lineno}: {rest[0]!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"{where}: non-finite score at line {lineno}: {rest[0]!r}")
+        return value
+
+    rows = _read_rows(source, INDUCER_HEADER, where, score)
+    return InducerTable(inducer_name, list(rows), np.array(list(rows.values()), dtype=np.float64))
 
 
 def parse_ground_truth(source: IO[bytes] | IO[str], name: str = "ground truth") -> GroundTruth:
     """Parse a ground-truth CSV; every key must be unique."""
-    lines = list(_decode_lines(source))
-    if not lines:
-        raise ParseError(f"{name}: empty file, expected header {TRUTH_HEADER!r}")
-    if lines[0].strip() != TRUTH_HEADER:
-        raise ParseError(f"{name}: bad header at line 1: {lines[0]!r}")
-
-    labels: dict[Key, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(f"{name}: expected 3 fields, got {len(fields)} at line {lineno}")
-        vid, iid, label_tok = (f.strip() for f in fields)
-        label = _parse_binary(label_tok, "label", lineno, name)
-        key = (vid, iid)
-        if key in labels:
-            raise DuplicateKeyError(f"{name}: duplicate key {key} at line {lineno}")
-        labels[key] = label
-    return GroundTruth(labels)
+    return GroundTruth(_read_rows(source, TRUTH_HEADER, name, lambda label, rest, lineno: label))
 
 
 def read_inducer_csv(path: str | Path) -> InducerTable:

@@ -371,6 +371,20 @@ def test_undefined_metric_is_a_data_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_nan_fused_score_is_a_data_error(dataset_pair, tmp_path, capsys, monkeypatch):
+    def nan_first(weights, matrix):
+        fused = np.zeros(matrix.n_samples)
+        fused[0] = math.nan
+        return fused
+
+    monkeypatch.setattr(cli, "fuse", nan_first)
+    out = tmp_path / "o"
+    code = main(["run", "--method", "equal", *data_flags(dataset_pair, out)])
+    assert code == EXIT_DATA
+    assert "NaN at row 0" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 # ---------------------------------------------------------------- manifests
 
 def test_manifest_round_trip():

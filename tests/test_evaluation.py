@@ -1,13 +1,14 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latefuse.evaluation import (
-    RankedList,
+    EvalReport,
     UndefinedMetricError,
     average_precision_at_k,
     map_at_k,
@@ -26,6 +27,49 @@ def matrix_with(groups):
             labels.append(float(label))
     n = len(keys)
     return ScoreMatrix(keys, np.array(labels), ["c0"], np.zeros((n, 1)))
+
+
+def reference_map_at_k(fused, matrix, k=10):
+    """The per-row MAP@k that the array kernel replaced: a dict of tuples, a
+    Python sort per video and a scalar AP loop.  Kept as the kernel's
+    bit-exact reference."""
+    fused = np.asarray(fused, dtype=np.float64)
+    if fused.shape != (matrix.n_samples,):
+        raise ValueError(f"fused scores have shape {fused.shape}, expected ({matrix.n_samples},)")
+    if k < 1:
+        raise ValueError(f"cutoff must be >= 1, got {k}")
+
+    groups: dict[str, list[tuple[str, float, int]]] = {}
+    order: list[str] = []
+    for i, (vid, iid) in enumerate(matrix.sample_keys):
+        label = matrix.labels[i]
+        if label not in (0.0, 1.0):
+            raise ValueError(f"relevance must be binary, got {label!r} for {(vid, iid)}")
+        if vid not in groups:
+            groups[vid] = []
+            order.append(vid)
+        groups[vid].append((iid, float(fused[i]), int(label)))
+
+    per_group: list[tuple[str, float, int]] = []
+    included: list[float] = []
+    for vid in order:
+        items = sorted(groups[vid], key=lambda item: (-item[1], item[0]))
+        rel = sum(r for _, _, r in items)
+        ap = 0.0
+        if rel:
+            hits = 0
+            acc = 0.0
+            for r in range(1, min(k, len(items)) + 1):
+                if items[r - 1][2] == 1:
+                    hits += 1
+                    acc += hits / r
+            ap = acc / min(rel, k)
+        per_group.append((vid, ap, rel))
+        if rel >= 1:
+            included.append(ap)
+    if not included:
+        raise UndefinedMetricError("no group has a relevant item; MAP@k is undefined")
+    return EvalReport(sum(included) / len(included), k, per_group)
 
 
 def ranked(relevances, scores=None):
@@ -49,8 +93,7 @@ def test_rank_breaks_ties_by_image_id():
 
 def test_rank_single_item():
     out = rank([("only", 0.3, 1)])
-    assert [item[0] for item in out.items] == ["only"]
-    assert out.num_relevant == 1
+    assert out.items == [("only", 0.3, 1)]
 
 
 def test_rank_rejects_nonbinary_relevance():
@@ -72,9 +115,7 @@ def test_ap_all_relevant_is_one():
 
 
 def test_ap_no_relevant_is_zero():
-    r = ranked([0, 0, 0])
-    assert average_precision_at_k(r, 10) == 0.0
-    assert r.num_relevant == 0
+    assert average_precision_at_k(ranked([0, 0, 0]), 10) == 0.0
 
 
 def test_ap_cutoff_shorter_than_list():
@@ -96,6 +137,8 @@ def test_ap_k_past_group_size_equals_full_ap():
 def test_ap_requires_positive_k():
     with pytest.raises(ValueError):
         average_precision_at_k(ranked([1]), 0)
+    with pytest.raises(ValueError):
+        map_at_k(np.array([0.5]), matrix_with({"v1": [("i0", 1)]}), k=0)
 
 
 def test_ap_agrees_with_oracle_on_random_patterns():
@@ -206,6 +249,53 @@ def test_map_rank_invariance_under_increasing_transforms(seed, k):
     after = map_at_k(a * fused + b, matrix, k=k)
     assert after.map_at_k == before.map_at_k
     assert after.per_group == before.per_group
+
+
+@st.composite
+def shuffled_matrices(draw):
+    """Rows in any order, tied scores, ids like i2/i10 that sort differently as
+    strings and numbers, and videos that may hold no relevant item."""
+    rows = []
+    for v in range(draw(st.integers(1, 5))):
+        ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=9, unique=True))
+        rows += [((f"v{v}", f"i{i}"), draw(st.integers(0, 1))) for i in ids]
+    rows = draw(st.permutations(rows))
+    tied = st.integers(-10, 10).map(lambda x: x / 10)
+    fused = draw(st.lists(tied | st.floats(-1.0, 1.0), min_size=len(rows), max_size=len(rows)))
+    labels = np.array([label for _, label in rows], dtype=np.float64)
+    matrix = ScoreMatrix([key for key, _ in rows], labels, ["c0"], np.zeros((len(rows), 1)))
+    return np.array(fused), matrix
+
+
+@settings(max_examples=400)
+@given(shuffled_matrices(), st.integers(1, 14))
+def test_map_kernel_is_bit_equal_to_per_row_reference(case, k):
+    fused, matrix = case
+    try:
+        expected = reference_map_at_k(fused, matrix, k)
+    except UndefinedMetricError:
+        with pytest.raises(UndefinedMetricError):
+            map_at_k(fused, matrix, k)
+        return
+    got = map_at_k(fused, matrix, k)
+    assert got.to_dict() == expected.to_dict()
+    assert repr(got) == repr(expected)  # the same values and Python types, so the same bytes
+
+
+@pytest.mark.parametrize("rows", [("a", "b", "c"), ("b", "a", "c")])
+def test_map_rejects_nan_scores_in_any_row_order(rows):
+    # with NaN ranked by position, MAP@1 read 1.0 for rows (a, b, c) and 0.0 for (b, a, c)
+    score = {"a": math.nan, "b": 0.5, "c": 0.9}
+    matrix = ScoreMatrix(
+        [("v", iid) for iid in rows], np.array([float(iid == "a") for iid in rows]), ["c0"], np.zeros((3, 1))
+    )
+    with pytest.raises(ValueError, match=r"NaN at row %d \('v', 'a'\)" % rows.index("a")):
+        map_at_k(np.array([score[iid] for iid in rows]), matrix, k=1)
+
+
+def test_rank_rejects_nan_scores():
+    with pytest.raises(ValueError, match="NaN"):
+        rank([("b", 0.5, 0), ("a", math.nan, 1)])
 
 
 # ---------------------------------------------------------------- serialization

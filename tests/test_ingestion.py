@@ -125,6 +125,35 @@ def test_parse_ground_truth_duplicate():
         parse_ground_truth(truth_source("v1,i1,1", "v1,i1,0"))
 
 
+INDUCER_H = "video_id,image_id,class,score"
+TRUTH_H = "video_id,image_id,label"
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("", ParseError, f"inducer 'c': empty file, expected header {INDUCER_H!r}"),
+        ("a,b\n", ParseError, "inducer 'c': bad header at line 1: 'a,b'"),
+        (f"{INDUCER_H}\nv,i,1\n", ParseError, "inducer 'c': expected 4 fields, got 3 at line 2"),
+        (f"{INDUCER_H}\n\nv,i, 2 ,0.5\n", ParseError, "inducer 'c': class out of {0,1} at line 3: '2'"),
+        (f"{INDUCER_H}\nv,i,1,x\n", ParseError, "inducer 'c': non-numeric score at line 2: 'x'"),
+        (f"{INDUCER_H}\nv,i,1,nan\n", ParseError, "inducer 'c': non-finite score at line 2: 'nan'"),
+        (f"{INDUCER_H}\nv,i,1,0.5\n v , i ,0,0.1\n", DuplicateKeyError, "inducer 'c': duplicate key ('v', 'i') at line 3"),
+        # a repeated key with a bad value reports the value
+        (f"{INDUCER_H}\nv,i,1,0.5\nv,i,0,x\n", ParseError, "inducer 'c': non-numeric score at line 3: 'x'"),
+        ("", ParseError, f"ground truth: empty file, expected header {TRUTH_H!r}"),
+        (f"{TRUTH_H}\nv,i,1,0\n", ParseError, "ground truth: expected 3 fields, got 4 at line 2"),
+        (f"{TRUTH_H}\nv,i,5\n", ParseError, "ground truth: label out of {0,1} at line 2: '5'"),
+        (f"{TRUTH_H}\nv,i,1\n\nv,i,0\n", DuplicateKeyError, "ground truth: duplicate key ('v', 'i') at line 4"),
+    ],
+)
+def test_parse_errors_name_the_file_and_line(text, error, message):
+    parse = parse_ground_truth if message.startswith("ground truth") else lambda s: parse_inducer_file(s, "c")
+    with pytest.raises(error) as raised:
+        parse(io.BytesIO(text.encode()))
+    assert str(raised.value) == message
+
+
 def test_load_ground_truth_merges_and_rejects_cross_file_duplicates(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_text("video_id,image_id,label\nv1,i1,1\n")
