@@ -1,7 +1,8 @@
 """Command-line pipeline: ingest, normalize, search weights, evaluate, report.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 optimization abort.
-All artifacts are written atomically (temp file then rename) and a failed run
+Every artifact's text is rendered here, by one JSON and one CSV helper.  All
+artifacts are written atomically (temp file then rename) and a failed run
 removes whatever it had already written to the output directory.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .evaluation import EvalReport, map_at_k
-from .fusion import fuse, make_mse_objective, save_weights
+from .fusion import fuse, make_mse_objective
 from .ingestion import (
     IngestionError,
     InducerTable,
@@ -28,7 +29,6 @@ from .ingestion import (
     fit_minmax,
     load_ground_truth,
     read_inducer_csv,
-    save_normalization,
 )
 from .optimizers import (
     METHODS,
@@ -85,13 +85,15 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, doc) -> "RunManifest":
-        """Rebuild a manifest from its JSON echo; each field must have its JSON type."""
+        """Rebuild a manifest from its JSON echo; each field must be known and have its JSON type."""
         if not isinstance(doc, dict):
             raise UsageError(f"manifest must be a JSON object, got {type(doc).__name__}")
+        init = [f for f in fields(cls) if f.init]
+        unknown = [key for key in doc if key not in {f.name for f in init}]
+        if unknown:
+            raise UsageError(f"manifest has unknown field {unknown[0]!r}")
         values = {}
-        for f in fields(cls):
-            if not f.init:
-                continue
+        for f in init:
             if f.name in doc:
                 if not _is_json_type(doc[f.name], f.type):
                     raise UsageError(f"manifest field {f.name!r} must be {f.type}, got {doc[f.name]!r}")
@@ -186,28 +188,36 @@ def fit(data: Prepared, manifest: RunManifest) -> RunResult:
     return RunResult(manifest, report, eval_report, norm_params, list(dev.inducer_names), wall_time)
 
 
-def _atomic(write_fn, final: Path, created: list[Path]) -> None:
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv(header: list[str], rows) -> str:
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
+def _atomic(text: str, final: Path, created: list[Path]) -> None:
     tmp = final.with_name(final.name + ".tmp")
     try:
-        write_fn(tmp)
+        tmp.write_text(text, encoding="utf-8", newline="\n")
         os.replace(tmp, final)
         created.append(final)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _write_all(writers: dict) -> None:
+def _write_all(texts: dict[Path, str]) -> None:
     """Write each file atomically, every directory made first; on failure remove what was made."""
     made: list[Path] = []
     created: list[Path] = []
     try:
-        for directory in dict.fromkeys(path.parent for path in writers):
+        for directory in dict.fromkeys(path.parent for path in texts):
             for d in [*reversed(directory.parents), directory]:
                 if not d.is_dir():
                     d.mkdir()  # a file in the way raises here, before any artifact is written
                     made.append(d)
-        for path, write_fn in writers.items():
-            _atomic(write_fn, path, created)
+        for path, text in texts.items():
+            _atomic(text, path, created)
     except BaseException:
         for path in created:
             path.unlink(missing_ok=True)
@@ -217,26 +227,27 @@ def _write_all(writers: dict) -> None:
         raise
 
 
-def _artifact_writers(result: RunResult) -> dict:
-    """One run's artifact files, by path, each with the function that writes it."""
-    out = Path(result.manifest.out_dir)
-    manifest_text = json.dumps(result.manifest.to_dict(), indent=2) + "\n"
-    writers = {
-        "manifest.json": lambda p: p.write_text(manifest_text, encoding="utf-8"),
-        "norm_params.json": lambda p: save_normalization(result.norm_params, p),
-        "weights.json": lambda p: save_weights(p, result.inducer_names, result.report.best_weights),
-        "optimizer_report.json": result.report.save_json,
-        "eval_report.json": result.eval_report.save_json,
-        "eval_report.csv": result.eval_report.save_csv,
+def _artifacts(result: RunResult) -> dict[Path, str]:
+    """One run's artifact files, by path, each with its text."""
+    report, ev = result.report, result.eval_report
+    ranges = sorted(result.norm_params.ranges.items())  # names sorted, "max" before "min": sorted keys
+    texts = {
+        "manifest.json": _json(result.manifest.to_dict()),
+        "norm_params.json": _json({name: {"max": hi, "min": lo} for name, (lo, hi) in ranges}),
+        "weights.json": _json({"inducer_names": result.inducer_names, "weights": report.best_weights.tolist()}),
+        "optimizer_report.json": _json(report.to_dict()),
+        "eval_report.json": _json(ev.to_dict()),
+        "eval_report.csv": _csv(["video_id", f"ap_at_{ev.k}", "num_relevant"], ev.per_group),
     }
     if result.manifest.trace:
-        writers["trace.csv"] = result.report.save_trace_csv
-    return {out / name: write_fn for name, write_fn in writers.items()}
+        texts["trace.csv"] = _csv(["iteration", "best_objective"], report.trace)
+    out = Path(result.manifest.out_dir)
+    return {out / name: text for name, text in texts.items()}
 
 
 def run(manifest: RunManifest) -> RunResult:
     result = fit(prepare(manifest), manifest)
-    _write_all(_artifact_writers(result))
+    _write_all(_artifacts(result))
     return result
 
 
@@ -264,14 +275,11 @@ def compare(manifests: list[RunManifest], out_dir: str | Path) -> list[RunResult
                           r.report.function_evaluations, round(r.wall_time, 3))))
         for r in results
     ]
-    lines = [header, *(row.values() for row in rows)]
-    csv_text = "".join(",".join(map(str, line)) + "\n" for line in lines)
-    json_text = json.dumps(rows, indent=2) + "\n"
-    writers = {path: fn for r in results for path, fn in _artifact_writers(r).items()}
+    texts = {path: text for r in results for path, text in _artifacts(r).items()}
     out = Path(out_dir)
-    writers[out / "summary.csv"] = lambda p: p.write_text(csv_text, encoding="utf-8", newline="\n")
-    writers[out / "summary.json"] = lambda p: p.write_text(json_text, encoding="utf-8")
-    _write_all(writers)  # one transaction: a failed write removes every method's files
+    texts[out / "summary.csv"] = _csv(header, (row.values() for row in rows))
+    texts[out / "summary.json"] = _json(rows)
+    _write_all(texts)  # one transaction: a failed write removes every method's files
     return results
 
 

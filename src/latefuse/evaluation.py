@@ -8,9 +8,7 @@ videos with no relevant item cannot score and are excluded from the mean.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -45,15 +43,6 @@ class EvalReport:
                 for vid, ap, rel in self.per_group
             ],
         }
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
-
-    def save_csv(self, path: str | Path) -> None:
-        lines = [f"video_id,ap_at_{self.k},num_relevant"]
-        for vid, ap, rel in self.per_group:
-            lines.append(f"{vid},{ap!r},{rel}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _codes(values: Sequence, distinct: Sequence) -> np.ndarray:

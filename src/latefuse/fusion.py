@@ -10,10 +10,8 @@ exact score.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,7 +63,7 @@ def mse(weights: Sequence[float] | np.ndarray, matrix: ScoreMatrix) -> float:
     """Mean squared error between fused scores and labels."""
     if matrix.n_samples == 0:
         raise ValueError("MSE undefined on an empty dataset")
-    err = fuse(weights, matrix) - matrix.labels
+    err = matrix.scores @ _as_weights(weights, matrix.n_inducers) - matrix.labels
     return float(err @ err) / matrix.n_samples
 
 
@@ -73,7 +71,7 @@ def mse_gradient(weights: Sequence[float] | np.ndarray, matrix: ScoreMatrix) -> 
     """Gradient of `mse`: component j is (2/n) sum_i (fused_i - label_i) * scores_ij."""
     if matrix.n_samples == 0:
         raise ValueError("MSE gradient undefined on an empty dataset")
-    err = fuse(weights, matrix) - matrix.labels
+    err = matrix.scores @ _as_weights(weights, matrix.n_inducers) - matrix.labels
     return (2.0 / matrix.n_samples) * (matrix.scores.T @ err)
 
 
@@ -108,15 +106,3 @@ def make_mse_objective(matrix: ScoreMatrix) -> Objective:
 
     return Objective(value=value, gradient=gradient, value_batch=value_batch, exact=partial(mse, matrix=matrix))
 
-
-def save_weights(path: str | Path, inducer_names: Sequence[str], weights: Sequence[float] | np.ndarray) -> None:
-    """Persist a weight vector next to the inducer names it applies to."""
-    w = _as_weights(weights, len(inducer_names))
-    doc = {"inducer_names": list(inducer_names), "weights": [float(x) for x in w]}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
-def load_weights(path: str | Path) -> tuple[list[str], np.ndarray]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    names = list(doc["inducer_names"])
-    return names, _as_weights(doc["weights"], len(names))

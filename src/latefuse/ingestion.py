@@ -9,14 +9,10 @@ prediction and is validated but not used downstream; ``score`` is the raw
 
 Ground-truth file: UTF-8 CSV with header ``video_id,image_id,label`` where
 ``label`` is the binary relevance judgment.
-
-Normalization parameters persist as JSON ``{"<inducer>": {"min": x, "max": y}}``
-so test-time scoring reuses dev-fitted ranges bit-exactly.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,7 +107,11 @@ def _read_rows(
     """
     data = source.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(f"{where}: not valid UTF-8 at line {lineno}") from None
     lines = data.splitlines()
     if not lines:
         raise ParseError(f"{where}: empty file, expected header {header!r}")
@@ -260,16 +260,6 @@ def apply_minmax(params: NormalizationParams, matrix: ScoreMatrix) -> ScoreMatri
         list(matrix.inducer_names),
         out,
     )
-
-
-def save_normalization(params: NormalizationParams, path: str | Path) -> None:
-    doc = {name: {"min": lo, "max": hi} for name, (lo, hi) in params.ranges.items()}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def load_normalization(path: str | Path) -> NormalizationParams:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return NormalizationParams({name: (entry["min"], entry["max"]) for name, entry in doc.items()})
 
 
 def write_inducer_csv(path: str | Path, table: InducerTable, classes: Sequence[int]) -> None:

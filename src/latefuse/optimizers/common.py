@@ -16,11 +16,9 @@ and stops after a stagnation window, and each method supplies only its step.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -158,15 +156,6 @@ class OptimizerReport:
             "converged": self.converged,
             "trace": [[it, f] for it, f in self.trace],
         }
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
-
-    def save_trace_csv(self, path: str | Path) -> None:
-        lines = ["iteration,best_objective"]
-        for it, f in self.trace:
-            lines.append(f"{it},{f!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def equal_start(config: OptimizerConfig) -> np.ndarray:

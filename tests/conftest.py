@@ -30,3 +30,25 @@ def dataset_pair(tmp_path):
         tmp_path / "test",
     )
     return dev, test
+
+
+@pytest.fixture
+def run_on_pair(dataset_pair, tmp_path):
+    """Run one method end to end on `dataset_pair`: returns its RunResult and output directory."""
+    from latefuse.cli import RunManifest, run
+
+    dev, test = dataset_pair
+
+    def go(method, **fields):
+        out = tmp_path / "run"
+        manifest = RunManifest(
+            method=method,
+            dev_paths=[str(dev.inducer_paths[0].parent)],
+            test_paths=[str(test.inducer_paths[0].parent)],
+            truth_paths=[str(dev.truth_path), str(test.truth_path)],
+            out_dir=str(out),
+            **fields,
+        )
+        return run(manifest), out
+
+    return go

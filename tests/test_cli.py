@@ -22,12 +22,12 @@ from latefuse.cli import (
     main,
     parse_set_values,
 )
-from latefuse.fusion import load_weights, mse
+from latefuse.fusion import mse
 from latefuse.ingestion import (
+    NormalizationParams,
     apply_minmax,
     assemble,
     load_ground_truth,
-    load_normalization,
     read_inducer_csv,
 )
 from latefuse.optimizers import METHODS, NonFiniteObjectiveError, optimize
@@ -59,13 +59,23 @@ def read_bytes(out_dir, names):
     return {name: (out_dir / name).read_bytes() for name in names}
 
 
+def read_weights(out_dir):
+    doc = json.loads((out_dir / "weights.json").read_text())
+    return doc["inducer_names"], np.array(doc["weights"])
+
+
+def read_norm_params(out_dir):
+    doc = json.loads((out_dir / "norm_params.json").read_text())
+    return NormalizationParams({name: (entry["min"], entry["max"]) for name, entry in doc.items()})
+
+
 # ---------------------------------------------------------------- run
 
 def test_run_equal_writes_uniform_weights(dataset_pair, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "--method", "equal", *data_flags(dataset_pair, out)])
     assert code == EXIT_OK
-    names, weights = load_weights(out / "weights.json")
+    names, weights = read_weights(out)
     assert len(names) == 4
     assert np.all(weights == 0.25)
     for name in ARTIFACTS:
@@ -181,7 +191,7 @@ def test_run_weights_json_names_match_inducers(dataset_pair, tmp_path):
     dev, _ = dataset_pair
     out = tmp_path / "out"
     assert main(["run", "--method", "equal", *data_flags(dataset_pair, out)]) == EXIT_OK
-    names, _ = load_weights(out / "weights.json")
+    names, _ = read_weights(out)
     assert names == sorted(p.stem for p in dev.inducer_paths)
 
 
@@ -192,8 +202,8 @@ def test_run_report_mse_matches_recomputation(dataset_pair, tmp_path):
         ["run", "--method", "trust-region", *data_flags(dataset_pair, out)]
     ) == EXIT_OK
     report = json.loads((out / "optimizer_report.json").read_text())
-    params = load_normalization(out / "norm_params.json")
-    _, weights = load_weights(out / "weights.json")
+    params = read_norm_params(out)
+    _, weights = read_weights(out)
 
     tables = [read_inducer_csv(p) for p in dev.inducer_paths]
     truth = load_ground_truth([dev.truth_path])
@@ -315,6 +325,25 @@ def test_data_error_missing_file(dataset_pair, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_data_error_names_an_inducer_file_that_is_not_utf8(dataset_pair, tmp_path, capsys):
+    dev, _ = dataset_pair
+    path = dev.inducer_paths[1]
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())  # a UTF-16 byte-order mark
+    code = main(["run", "--method", "equal", *data_flags(dataset_pair, tmp_path / "o")])
+    assert code == EXIT_DATA
+    assert f"data error: inducer {path.stem!r}: not valid UTF-8 at line 1\n" in capsys.readouterr().err
+
+
+def test_data_error_names_a_truth_file_that_is_not_utf8(dataset_pair, tmp_path, capsys):
+    _, test = dataset_pair
+    lines = test.truth_path.read_bytes().split(b"\n")
+    lines[2] = b"\xe9" + lines[2]  # a Latin-1 byte on line 3
+    test.truth_path.write_bytes(b"\n".join(lines))
+    code = main(["run", "--method", "equal", *data_flags(dataset_pair, tmp_path / "o")])
+    assert code == EXIT_DATA
+    assert f"data error: {test.truth_path.resolve()}: not valid UTF-8 at line 3\n" in capsys.readouterr().err
+
+
 def test_data_error_mismatched_inducer_sets(dataset_pair, tmp_path, capsys):
     dev, test = dataset_pair
     code = main(
@@ -433,6 +462,9 @@ def test_manifest_from_dict_missing_field():
         pytest.param(lambda doc: {**doc, "k": "x"}, "'k' must be int", id="k-string"),
         pytest.param(lambda doc: {**doc, "seed": -1}, "seed must be >= 0", id="seed-negative"),
         pytest.param(
+            lambda doc: {**doc, "sed": 5, "trace_": True}, "unknown field 'sed'", id="unknown-fields",
+        ),
+        pytest.param(
             lambda doc: {**doc, "overrides": {"swarm_size": "40"}}, "swarm_size must be an integer",
             id="override-string",
         ),
@@ -520,9 +552,9 @@ def test_compare_summary_mse_is_bit_equal_to_recomputation(compare_out, dataset_
     lines = (compare_out / "summary.csv").read_text().splitlines()[1:]
     for line in lines:
         method, dev_mse = line.split(",")[0], float(line.split(",")[1])
-        params = load_normalization(compare_out / method / "norm_params.json")
+        params = read_norm_params(compare_out / method)
         matrix = apply_minmax(params, assemble(tables, truth))
-        _, weights = load_weights(compare_out / method / "weights.json")
+        _, weights = read_weights(compare_out / method)
         assert dev_mse == mse(weights, matrix), method
 
 
@@ -537,6 +569,41 @@ def test_compare_summary_json_mirrors_csv(compare_out):
         assert row["test_map_at_10"] == float(cells[2])
         assert row["evaluations"] == int(cells[3])
         assert math.isclose(row["wall_time"], float(cells[4]), abs_tol=1e-9)
+
+
+def float_cells(rows):
+    """The cells that parse as a float but not as an int."""
+    for cell in (cell for row in rows for cell in row):
+        with contextlib.suppress(ValueError):
+            int(cell)
+            continue
+        with contextlib.suppress(ValueError):
+            float(cell)
+            yield cell
+
+
+def test_every_artifact_is_canonical_utf8_text(dataset_pair, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    code = main(
+        ["compare", "--methods", "all", "--trace", "--seed", "3",
+         "--set", "pso.swarm_size=30", "--set", "pso.stagnation_window=15",
+         "--set", "ga.population_size=30", "--set", "ga.stagnation_window=15",
+         *data_flags(dataset_pair, out)]
+    )
+    assert code == EXIT_OK
+    capsys.readouterr()
+    files = sorted(path for path in out.rglob("*") if path.is_file())
+    assert len(files) == 2 + len(METHODS) * (len(ARTIFACTS) + 1)  # the summaries, then each method's and its trace
+    for path in files:
+        text = path.read_bytes().decode("utf-8")
+        assert "\r" not in text and text.endswith("\n") and not text.endswith("\n\n"), path
+        if path.suffix == ".json":
+            sort_keys = path.name == "norm_params.json"
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=sort_keys) + "\n", path
+        else:
+            rows = [line.split(",") for line in text.splitlines()]
+            assert all(len(row) == len(rows[0]) for row in rows), path
+            assert all(repr(float(cell)) == cell for cell in float_cells(rows[1:])), path
 
 
 def test_compare_parses_each_inducer_file_once(dataset_pair, tmp_path, capsys, monkeypatch):

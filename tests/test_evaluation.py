@@ -300,18 +300,15 @@ def test_rank_rejects_nan_scores():
 
 # ---------------------------------------------------------------- serialization
 
-def test_eval_report_json_and_csv(tmp_path):
-    matrix = matrix_with({"v1": [("i0", 1), ("i1", 0)], "v2": [("i2", 1)]})
-    report = map_at_k(np.array([0.9, 0.1, 0.5]), matrix, k=10)
-    jpath, cpath = tmp_path / "eval.json", tmp_path / "eval.csv"
-    report.save_json(jpath)
-    report.save_csv(cpath)
-    doc = json.loads(jpath.read_text())
+def test_eval_report_json_and_csv(run_on_pair):
+    result, out = run_on_pair("equal")
+    report = result.eval_report
+    doc = json.loads((out / "eval_report.json").read_text())
     assert doc["map_at_k"] == report.map_at_k
     assert doc["k"] == 10
-    lines = cpath.read_text().splitlines()
+    lines = (out / "eval_report.csv").read_text().splitlines()
     assert lines[0] == "video_id,ap_at_10,num_relevant"
-    assert len(lines) == 3
+    assert len(lines) == 5  # the header and the test split's 4 videos
 
 
 def test_exhaustive_small_patterns_match_oracle():

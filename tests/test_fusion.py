@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from latefuse.fusion import (
     equal_weights,
     fuse,
-    load_weights,
     make_mse_objective,
     mse,
     mse_gradient,
-    save_weights,
 )
 from latefuse.ingestion import ScoreMatrix
 from latefuse.synth import planted_score_matrix, random_score_matrix
@@ -281,20 +279,11 @@ def test_scalar_value_and_gradient_bytes_do_not_depend_on_blas_threads():
     assert objective_digest("scalar", "1") == objective_digest("scalar", "4")
 
 
-def test_weights_json_round_trip(tmp_path):
-    path = tmp_path / "weights.json"
-    names = ["a", "b", "c"]
-    w = np.array([0.1, 1 / 3, 0.9999999999999999])
-    save_weights(path, names, w)
-    loaded_names, loaded = load_weights(path)
+def test_weights_json_round_trip(run_on_pair):
+    result, out = run_on_pair("trust-region")
+    names, w = result.inducer_names, result.report.best_weights
+    doc = json.loads((out / "weights.json").read_text())
+    loaded_names, loaded = doc["inducer_names"], np.array(doc["weights"])
     assert loaded_names == names
     assert np.array_equal(loaded, w)
-    doc = json.loads(path.read_text())
     assert set(doc) == {"inducer_names", "weights"}
-
-
-def test_weights_file_rejects_length_mismatch(tmp_path):
-    path = tmp_path / "weights.json"
-    path.write_text(json.dumps({"inducer_names": ["a"], "weights": [0.1, 0.2]}))
-    with pytest.raises(ValueError):
-        load_weights(path)

@@ -21,11 +21,9 @@ from latefuse.ingestion import (
     assemble,
     fit_minmax,
     load_ground_truth,
-    load_normalization,
     parse_ground_truth,
     parse_inducer_file,
     read_inducer_csv,
-    save_normalization,
     write_ground_truth_csv,
     write_inducer_csv,
 )
@@ -285,14 +283,14 @@ def test_identity_on_already_unit_data():
     assert normalized.scores[:, 0].tolist() == col
 
 
-def test_normalization_json_round_trip(tmp_path):
-    params = NormalizationParams({"a": (-1.5, 2.25), "b": (0.1, 0.1)})
-    path = tmp_path / "norm.json"
-    save_normalization(params, path)
-    loaded = load_normalization(path)
+def test_normalization_json_round_trip(run_on_pair):
+    result, out = run_on_pair("equal")
+    params = result.norm_params
+    doc = json.loads((out / "norm_params.json").read_text())
+    loaded = NormalizationParams({name: (entry["min"], entry["max"]) for name, entry in doc.items()})
     assert loaded.ranges == params.ranges
-    doc = json.loads(path.read_text())
-    assert doc["a"] == {"min": -1.5, "max": 2.25}
+    name, (lo, hi) = next(iter(params.ranges.items()))
+    assert doc[name] == {"min": lo, "max": hi}
 
 
 # ---------------------------------------------------------------- file round trips

@@ -418,13 +418,10 @@ def test_gradient_method_requires_gradient():
 
 # ---------------------------------------------------------------- report serialization
 
-def test_report_json_round_trip(tmp_path):
-    matrix = random_score_matrix(40, 3, seed=20)
-    config = OptimizerConfig(dimension=3, seed=7, method_params={"stagnation_window": 10})
-    report = optimize("pso", make_mse_objective(matrix), config)
-    path = tmp_path / "report.json"
-    report.save_json(path)
-    doc = json.loads(path.read_text())
+def test_report_json_round_trip(run_on_pair):
+    result, out = run_on_pair("pso", seed=7, overrides={"stagnation_window": 10})
+    report = result.report
+    doc = json.loads((out / "optimizer_report.json").read_text())
     assert doc["method"] == "pso"
     assert doc["seed"] == 7
     assert doc["best_weights"] == [float(x) for x in report.best_weights]
@@ -433,12 +430,10 @@ def test_report_json_round_trip(tmp_path):
     assert doc["trace"][0][0] == 0
 
 
-def test_trace_csv_format(tmp_path):
-    matrix = random_score_matrix(40, 3, seed=20)
-    report = optimize("tnc", make_mse_objective(matrix), OptimizerConfig(dimension=3))
-    path = tmp_path / "trace.csv"
-    report.save_trace_csv(path)
-    lines = path.read_text().splitlines()
+def test_trace_csv_format(run_on_pair):
+    result, out = run_on_pair("tnc", trace=True)
+    report = result.report
+    lines = (out / "trace.csv").read_text().splitlines()
     assert lines[0] == "iteration,best_objective"
     assert len(lines) == len(report.trace) + 1
     it, f = lines[1].split(",")
