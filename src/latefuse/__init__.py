@@ -5,11 +5,9 @@ from .fusion import Objective, equal_weights, fuse, make_mse_objective, mse, mse
 from .ingestion import (
     AlignmentError,
     DuplicateKeyError,
-    GroundTruth,
     IngestionError,
     InducerTable,
     MissingLabelError,
-    NormalizationParams,
     ParseError,
     ScoreMatrix,
     apply_minmax,
@@ -32,13 +30,11 @@ __all__ = [
     "DuplicateKeyError",
     "EvalReport",
     "GRADIENT_METHODS",
-    "GroundTruth",
     "IngestionError",
     "InducerTable",
     "METHODS",
     "MissingLabelError",
     "NonFiniteObjectiveError",
-    "NormalizationParams",
     "Objective",
     "OptimizerConfig",
     "OptimizerReport",

@@ -22,7 +22,6 @@ from .fusion import fuse, make_mse_objective
 from .ingestion import (
     IngestionError,
     InducerTable,
-    NormalizationParams,
     ScoreMatrix,
     apply_minmax,
     assemble,
@@ -115,7 +114,7 @@ class RunResult:
     manifest: RunManifest
     report: OptimizerReport
     eval_report: EvalReport
-    norm_params: NormalizationParams
+    norm_params: dict[str, tuple[float, float]]
     inducer_names: list[str]
     wall_time: float
 
@@ -147,7 +146,7 @@ def load_split(entries: list[str]) -> list[InducerTable]:
     return sorted(tables, key=lambda t: t.inducer_name)
 
 
-Prepared = tuple[ScoreMatrix, ScoreMatrix, NormalizationParams]
+Prepared = tuple[ScoreMatrix, ScoreMatrix, dict[str, tuple[float, float]]]
 
 
 def prepare(manifest: RunManifest) -> Prepared:
@@ -164,8 +163,8 @@ def prepare(manifest: RunManifest) -> Prepared:
     truth = load_ground_truth(manifest.truth_paths)
     dev = assemble(dev_tables, truth)
     test = assemble(test_tables, truth)
-    params = fit_minmax(dev)
-    return apply_minmax(params, dev), apply_minmax(params, test), params
+    ranges = fit_minmax(dev)
+    return apply_minmax(ranges, dev), apply_minmax(ranges, test), ranges
 
 
 def fit(data: Prepared, manifest: RunManifest) -> RunResult:
@@ -230,7 +229,7 @@ def _write_all(texts: dict[Path, str]) -> None:
 def _artifacts(result: RunResult) -> dict[Path, str]:
     """One run's artifact files, by path, each with its text."""
     report, ev = result.report, result.eval_report
-    ranges = sorted(result.norm_params.ranges.items())  # names sorted, "max" before "min": sorted keys
+    ranges = sorted(result.norm_params.items())  # names sorted, "max" before "min": sorted keys
     texts = {
         "manifest.json": _json(result.manifest.to_dict()),
         "norm_params.json": _json({name: {"max": hi, "min": lo} for name, (lo, hi) in ranges}),

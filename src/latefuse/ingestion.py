@@ -1,5 +1,11 @@
 """Parsing and alignment of inducer score files into a normalized score matrix.
 
+Between the files and the matrix everything is plain data: an inducer file
+parses into an ``InducerTable``, the truth files into one
+``{(video_id, image_id): label}`` dict, and ``fit_minmax`` returns each
+inducer's ``(min, max)`` by name, the dict that ``apply_minmax`` applies.
+A file read by path is named by that path in its parse errors.
+
 File formats
 ------------
 Inducer file: UTF-8 CSV with header ``video_id,image_id,class,score``, one
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence, TypeVar
+from typing import IO, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -60,14 +66,6 @@ class InducerTable:
 
 
 @dataclass
-class GroundTruth:
-    labels: dict[Key, int]
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
-@dataclass
 class ScoreMatrix:
     """n samples x m inducers, rows in lexicographic (video_id, image_id) order."""
 
@@ -83,18 +81,6 @@ class ScoreMatrix:
     @property
     def n_inducers(self) -> int:
         return len(self.inducer_names)
-
-
-@dataclass
-class NormalizationParams:
-    """Per-inducer (min, max) fitted on a reference split."""
-
-    ranges: dict[str, tuple[float, float]]
-
-    def __post_init__(self) -> None:
-        for name, (lo, hi) in self.ranges.items():
-            if lo > hi:
-                raise ValueError(f"normalization range for {name!r} has min > max")
 
 
 def _read_rows(
@@ -137,14 +123,17 @@ def _read_rows(
     return rows
 
 
-def parse_inducer_file(source: IO[bytes] | IO[str], inducer_name: str) -> InducerTable:
+def parse_inducer_file(
+    source: IO[bytes] | IO[str], inducer_name: str, where: str | None = None
+) -> InducerTable:
     """Parse one inducer CSV into an InducerTable, in file order.
 
     The ``class`` column is validated, then dropped: nothing downstream
-    reads it.  Raises ParseError (naming the offending line), or
-    DuplicateKeyError when a (video_id, image_id) pair repeats.
+    reads it.  Raises ParseError (naming `where`, by default the inducer,
+    and the offending line), or DuplicateKeyError when a (video_id,
+    image_id) pair repeats.
     """
-    where = f"inducer {inducer_name!r}"
+    where = where or f"inducer {inducer_name!r}"
 
     def score(_: int, rest: list[str], lineno: int) -> float:
         try:
@@ -159,38 +148,34 @@ def parse_inducer_file(source: IO[bytes] | IO[str], inducer_name: str) -> Induce
     return InducerTable(inducer_name, list(rows), np.array(list(rows.values()), dtype=np.float64))
 
 
-def parse_ground_truth(source: IO[bytes] | IO[str], name: str = "ground truth") -> GroundTruth:
-    """Parse a ground-truth CSV; every key must be unique."""
-    return GroundTruth(_read_rows(source, TRUTH_HEADER, name, lambda label, rest, lineno: label))
+def parse_ground_truth(source: IO[bytes] | IO[str], name: str = "ground truth") -> dict[Key, int]:
+    """Parse a ground-truth CSV into its labels by key; every key must be unique."""
+    return _read_rows(source, TRUTH_HEADER, name, lambda label, rest, lineno: label)
 
 
 def read_inducer_csv(path: str | Path) -> InducerTable:
-    """Read an inducer file; the file stem becomes the inducer name."""
+    """Read an inducer file; the file stem becomes the inducer name, and errors name the path."""
     path = Path(path)
     with path.open("rb") as fh:
-        return parse_inducer_file(fh, path.stem)
+        return parse_inducer_file(fh, path.stem, where=str(path))
 
 
-def read_ground_truth_csv(path: str | Path) -> GroundTruth:
-    path = Path(path)
-    with path.open("rb") as fh:
-        return parse_ground_truth(fh, name=str(path))
-
-
-def load_ground_truth(paths: Sequence[str | Path]) -> GroundTruth:
+def load_ground_truth(paths: Sequence[str | Path]) -> dict[Key, int]:
     """Merge one or more truth files; a key repeated across files is an error."""
     merged: dict[Key, int] = {}
     for path in paths:
-        truth = read_ground_truth_csv(path)
-        for key, label in truth.labels.items():
+        path = Path(path)
+        with path.open("rb") as fh:
+            labels = parse_ground_truth(fh, name=str(path))
+        for key, label in labels.items():
             if key in merged:
                 raise DuplicateKeyError(f"key {key} appears in more than one truth file")
             merged[key] = label
-    return GroundTruth(merged)
+    return merged
 
 
-def assemble(tables: Sequence[InducerTable], truth: GroundTruth) -> ScoreMatrix:
-    """Align m inducer tables and the truth into one matrix.
+def assemble(tables: Sequence[InducerTable], truth: dict[Key, int]) -> ScoreMatrix:
+    """Align m inducer tables and the truth labels into one matrix.
 
     Rows are sorted by (video_id, image_id) so two ingestions of the same
     files are identical regardless of record order in the sources.
@@ -208,7 +193,7 @@ def assemble(tables: Sequence[InducerTable], truth: GroundTruth) -> ScoreMatrix:
                 f"disagree on {len(diff)} keys, e.g. {offending}"
             )
 
-    missing = reference.difference(truth.labels)
+    missing = reference.difference(truth)
     if missing:
         offending = sorted(missing)[:10]
         raise MissingLabelError(f"{len(missing)} keys missing from ground truth, e.g. {offending}")
@@ -220,36 +205,33 @@ def assemble(tables: Sequence[InducerTable], truth: GroundTruth) -> ScoreMatrix:
     for col, table in enumerate(tables):
         rows = np.fromiter(map(index.__getitem__, table.keys), dtype=np.intp, count=len(table))
         scores[rows, col] = table.scores
-    labels = np.fromiter(map(truth.labels.__getitem__, keys), dtype=np.float64, count=n)
+    labels = np.fromiter(map(truth.__getitem__, keys), dtype=np.float64, count=n)
     return ScoreMatrix(keys, labels, [t.inducer_name for t in tables], scores)
 
 
-def fit_minmax(matrix: ScoreMatrix) -> NormalizationParams:
-    """Per-column min/max over all rows of the fitting split."""
+def fit_minmax(matrix: ScoreMatrix) -> dict[str, tuple[float, float]]:
+    """Per-column (min, max) over all rows of the fitting split, by inducer name."""
     if matrix.n_samples < 1:
         raise ValueError("cannot fit normalization on an empty matrix")
-    mins = matrix.scores.min(axis=0)
-    maxs = matrix.scores.max(axis=0)
-    ranges = {
-        name: (float(mins[j]), float(maxs[j]))
-        for j, name in enumerate(matrix.inducer_names)
-    }
-    return NormalizationParams(ranges)
+    mins = matrix.scores.min(axis=0).tolist()
+    maxs = matrix.scores.max(axis=0).tolist()
+    return dict(zip(matrix.inducer_names, zip(mins, maxs)))
 
 
-def apply_minmax(params: NormalizationParams, matrix: ScoreMatrix) -> ScoreMatrix:
-    """Rescale each column to [0,1] with the fitted range, clamping overshoot.
+def apply_minmax(ranges: dict[str, tuple[float, float]], matrix: ScoreMatrix) -> ScoreMatrix:
+    """Rescale each column to [0,1] with its inducer's fitted range, clamping overshoot.
 
     A degenerate column (min == max) maps to all zeros, neutralizing that
-    inducer instead of dividing by zero.
+    inducer instead of dividing by zero.  Raises ValueError when an inducer
+    has no range or its range has min > max.
     """
-    for name in matrix.inducer_names:
-        if name not in params.ranges:
-            raise ValueError(f"no normalization range for inducer {name!r}")
-
     out = np.empty_like(matrix.scores)
     for j, name in enumerate(matrix.inducer_names):
-        lo, hi = params.ranges[name]
+        if name not in ranges:
+            raise ValueError(f"no normalization range for inducer {name!r}")
+        lo, hi = ranges[name]
+        if lo > hi:
+            raise ValueError(f"normalization range for {name!r} has min > max")
         if hi == lo:
             out[:, j] = 0.0
         else:
@@ -260,26 +242,3 @@ def apply_minmax(params: NormalizationParams, matrix: ScoreMatrix) -> ScoreMatri
         list(matrix.inducer_names),
         out,
     )
-
-
-def write_inducer_csv(path: str | Path, table: InducerTable, classes: Sequence[int]) -> None:
-    """Write an inducer table in the exact on-disk format (full-precision scores).
-
-    The table carries no ``class`` column, so the caller supplies one 0/1
-    value per row.
-    """
-    if len(classes) != len(table):
-        raise ValueError(f"{len(classes)} class values for {len(table)} rows")
-    lines = [INDUCER_HEADER]
-    for (vid, iid), cls, score in zip(table.keys, classes, table.scores.tolist()):
-        lines.append(f"{vid},{iid},{int(cls)},{score!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def write_ground_truth_csv(path: str | Path, truth: GroundTruth, keys: Iterable[Key] | None = None) -> None:
-    """Write a truth file; rows follow `keys` when given, else sorted key order."""
-    ordered = list(keys) if keys is not None else sorted(truth.labels)
-    lines = [TRUTH_HEADER]
-    for key in ordered:
-        lines.append(f"{key[0]},{key[1]},{truth.labels[key]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

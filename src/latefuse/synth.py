@@ -5,6 +5,10 @@ acceptance gate run on generated data: either files in the exact ingestion
 formats, or in-memory matrices planted from a known weight vector so the
 optimal objective value is known a priori.  The grid and AP oracles are
 deliberately naive re-computations used to cross-check the fast paths.
+
+Every dataset starts as one raw ``ScoreMatrix``.  ``build_tables`` splits it
+into the types ``assemble`` takes, and ``generate`` writes its keys, scores
+and labels straight to the CSV formats, with ``asdict(spec)`` as the sidecar.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -20,13 +24,13 @@ import numpy as np
 
 from . import fusion
 from .ingestion import (
-    GroundTruth,
+    INDUCER_HEADER,
+    TRUTH_HEADER,
     InducerTable,
+    Key,
     ScoreMatrix,
     apply_minmax,
     fit_minmax,
-    write_ground_truth_csv,
-    write_inducer_csv,
 )
 
 LABEL_RULES = ("threshold_on_planted_fusion", "random_balanced")
@@ -66,23 +70,9 @@ class SynthSpec:
                 raise ValueError("planted_weights length must equal m_inducers")
             if np.any(w < 0) or np.any(w > 1):
                 raise ValueError("planted_weights must lie in [0, 1]")
+            self.planted_weights = w.tolist()  # plain floats, so asdict(spec) is the JSON sidecar
         if self.score_ranges is not None and len(self.score_ranges) != self.m_inducers:
             raise ValueError("score_ranges length must equal m_inducers")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "m_inducers": self.m_inducers,
-            "n_videos": self.n_videos,
-            "seed": self.seed,
-            "planted_weights": None
-            if self.planted_weights is None
-            else [float(x) for x in self.planted_weights],
-            "noise_sigma": self.noise_sigma,
-            "label_rule": self.label_rule,
-            "score_ranges": self.score_ranges,
-            "key_prefix": self.key_prefix,
-        }
 
 
 @dataclass
@@ -128,56 +118,54 @@ def _labels(spec: SynthSpec, normalized: np.ndarray, rng: np.random.Generator) -
     return (fused >= np.median(fused)).astype(np.float64)
 
 
-def _own_range(raw: np.ndarray) -> np.ndarray:
+def _normalized(matrix: ScoreMatrix) -> ScoreMatrix:
     """Each column rescaled by its own min-max; a constant column maps to 0."""
-    mins, maxs = raw.min(axis=0), raw.max(axis=0)
-    span = np.where(maxs > mins, maxs - mins, 1.0)
-    return (raw - mins) / span
+    return apply_minmax(fit_minmax(matrix), matrix)
 
 
 def _raw_matrix(spec: SynthSpec) -> ScoreMatrix:
     """The dataset as one raw (unnormalized) matrix, rows in key order."""
     rng = np.random.default_rng(spec.seed)
     keys = sample_keys(spec.n_samples, spec.n_videos, spec.key_prefix)
-    raw = _raw_scores(spec, rng)
-    # Normalize a private copy only to derive labels; files keep raw scores.
-    labels = _labels(spec, _own_range(raw), rng)
     width = len(str(spec.m_inducers))
     names = [f"inducer_{j + 1:0{width}d}" for j in range(spec.m_inducers)]
-    return ScoreMatrix(keys, labels, names, raw)
+    matrix = ScoreMatrix(keys, np.zeros(spec.n_samples), names, _raw_scores(spec, rng))
+    # Normalize a private copy only to derive labels; files keep raw scores.
+    matrix.labels = _labels(spec, _normalized(matrix).scores, rng)
+    return matrix
 
 
-def _tables(matrix: ScoreMatrix) -> tuple[list[InducerTable], GroundTruth]:
-    tables = [
-        InducerTable(name, matrix.sample_keys, matrix.scores[:, j].copy())
-        for j, name in enumerate(matrix.inducer_names)
-    ]
-    truth = GroundTruth({key: int(label) for key, label in zip(matrix.sample_keys, matrix.labels)})
-    return tables, truth
-
-
-def build_tables(spec: SynthSpec) -> tuple[list[InducerTable], GroundTruth]:
-    """Materialize the dataset in memory, in the ingestion module's types."""
-    return _tables(_raw_matrix(spec))
+def build_tables(spec: SynthSpec) -> tuple[list[InducerTable], dict[Key, int]]:
+    """Materialize the dataset in memory: the inducer tables and the truth labels `assemble` takes."""
+    matrix = _raw_matrix(spec)
+    keys = matrix.sample_keys
+    tables = [InducerTable(name, keys, matrix.scores[:, j].copy()) for j, name in enumerate(matrix.inducer_names)]
+    return tables, dict(zip(keys, matrix.labels.astype(int).tolist()))
 
 
 def _write_dataset(matrix: ScoreMatrix, sidecar: dict, out_dir: str | Path) -> GeneratedDataset:
     """Write the raw matrix as inducer CSVs, one truth CSV, and a JSON sidecar.
 
-    An inducer's own binary call (its ``class`` column) is whether its score
+    Rows follow the matrix's key order and scores keep full precision.  An
+    inducer's own binary call (its ``class`` column) is whether its score
     lies in the top half of its own range.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tables, truth = _tables(matrix)
-    calls = _own_range(matrix.scores) >= 0.5
-    inducer_paths = []
-    for j, table in enumerate(tables):
-        path = out / f"{table.inducer_name}.csv"
-        write_inducer_csv(path, table, calls[:, j])
-        inducer_paths.append(path)
-    truth_path = out / "ground_truth.csv"
-    write_ground_truth_csv(truth_path, truth, keys=matrix.sample_keys)
+
+    def write(name: str, header: str, *columns: list) -> Path:
+        rows = (",".join(map(str, row)) for row in zip(*columns))
+        path = out / name
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8", newline="\n")
+        return path
+
+    videos, images = zip(*matrix.sample_keys)
+    calls = (_normalized(matrix).scores >= 0.5).astype(int)
+    inducer_paths = [
+        write(f"{name}.csv", INDUCER_HEADER, videos, images, calls[:, j].tolist(), matrix.scores[:, j].tolist())
+        for j, name in enumerate(matrix.inducer_names)
+    ]
+    truth_path = write("ground_truth.csv", TRUTH_HEADER, videos, images, matrix.labels.astype(int).tolist())
     sidecar_path = out / "synth_spec.json"
     sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
     return GeneratedDataset(inducer_paths, truth_path, sidecar_path, list(matrix.inducer_names))
@@ -185,7 +173,7 @@ def _write_dataset(matrix: ScoreMatrix, sidecar: dict, out_dir: str | Path) -> G
 
 def generate(spec: SynthSpec, out_dir: str | Path) -> GeneratedDataset:
     """Emit m inducer CSVs, one truth CSV, and a JSON sidecar echoing the generation recipe."""
-    return _write_dataset(_raw_matrix(spec), spec.to_dict(), out_dir)
+    return _write_dataset(_raw_matrix(spec), asdict(spec), out_dir)
 
 
 def generate_perfect_inducer(
@@ -211,7 +199,7 @@ def generate_perfect_inducer(
     )
     matrix = _raw_matrix(spec)
     matrix.scores[:, 0] = matrix.labels
-    sidecar = {**spec.to_dict(), "perfect_inducer": matrix.inducer_names[0]}
+    sidecar = {**asdict(spec), "perfect_inducer": matrix.inducer_names[0]}
     return _write_dataset(matrix, sidecar, out_dir)
 
 
@@ -235,9 +223,8 @@ def planted_score_matrix(
         seed=seed,
         planted_weights=weights,
     )
-    raw = _raw_matrix(spec)
+    matrix = _normalized(_raw_matrix(spec))
     rng = np.random.default_rng(spec.seed + 1)
-    matrix = apply_minmax(fit_minmax(raw), raw)
     labels = fusion.fuse(np.asarray(weights, dtype=np.float64), matrix)
     if noise_sigma > 0:
         labels = labels + rng.normal(0.0, noise_sigma, size=n_samples)
@@ -256,8 +243,7 @@ def random_score_matrix(
         seed=seed,
         label_rule="random_balanced",
     )
-    raw = _raw_matrix(spec)
-    return apply_minmax(fit_minmax(raw), raw)
+    return _normalized(_raw_matrix(spec))
 
 
 class GridResult(NamedTuple):

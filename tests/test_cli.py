@@ -24,7 +24,6 @@ from latefuse.cli import (
 )
 from latefuse.fusion import mse
 from latefuse.ingestion import (
-    NormalizationParams,
     apply_minmax,
     assemble,
     load_ground_truth,
@@ -66,7 +65,7 @@ def read_weights(out_dir):
 
 def read_norm_params(out_dir):
     doc = json.loads((out_dir / "norm_params.json").read_text())
-    return NormalizationParams({name: (entry["min"], entry["max"]) for name, entry in doc.items()})
+    return {name: (entry["min"], entry["max"]) for name, entry in doc.items()}
 
 
 # ---------------------------------------------------------------- run
@@ -202,12 +201,12 @@ def test_run_report_mse_matches_recomputation(dataset_pair, tmp_path):
         ["run", "--method", "trust-region", *data_flags(dataset_pair, out)]
     ) == EXIT_OK
     report = json.loads((out / "optimizer_report.json").read_text())
-    params = read_norm_params(out)
+    ranges = read_norm_params(out)
     _, weights = read_weights(out)
 
     tables = [read_inducer_csv(p) for p in dev.inducer_paths]
     truth = load_ground_truth([dev.truth_path])
-    matrix = apply_minmax(params, assemble(tables, truth))
+    matrix = apply_minmax(ranges, assemble(tables, truth))
     assert report["best_objective"] == mse(weights, matrix)
 
 
@@ -325,13 +324,27 @@ def test_data_error_missing_file(dataset_pair, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_data_error_names_an_inducer_file_that_is_not_utf8(dataset_pair, tmp_path, capsys):
-    dev, _ = dataset_pair
-    path = dev.inducer_paths[1]
-    path.write_bytes(b"\xff\xfe" + path.read_bytes())  # a UTF-16 byte-order mark
+def _break_second_inducer(dataset_pair, split, tmp_path, capsys):
+    """Prefix the split's second inducer file with a UTF-16 byte-order mark; the run's stderr and the file."""
+    path = dataset_pair[split].inducer_paths[1]
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
     code = main(["run", "--method", "equal", *data_flags(dataset_pair, tmp_path / "o")])
     assert code == EXIT_DATA
-    assert f"data error: inducer {path.stem!r}: not valid UTF-8 at line 1\n" in capsys.readouterr().err
+    return capsys.readouterr().err, path
+
+
+def test_data_error_names_an_inducer_file_that_is_not_utf8(dataset_pair, tmp_path, capsys):
+    err, path = _break_second_inducer(dataset_pair, 0, tmp_path, capsys)
+    assert f"data error: {path.resolve()}: not valid UTF-8 at line 1\n" in err
+
+
+def test_data_error_names_the_test_split_inducer_file(dataset_pair, tmp_path, capsys):
+    # dev and test both hold an inducer_2.csv, so only the path says which one is bad
+    err, path = _break_second_inducer(dataset_pair, 1, tmp_path, capsys)
+    dev_twin = dataset_pair[0].inducer_paths[1]
+    assert dev_twin.name == path.name
+    assert f"data error: {path.resolve()}: not valid UTF-8 at line 1\n" in err
+    assert str(dev_twin.resolve()) not in err
 
 
 def test_data_error_names_a_truth_file_that_is_not_utf8(dataset_pair, tmp_path, capsys):
@@ -552,8 +565,8 @@ def test_compare_summary_mse_is_bit_equal_to_recomputation(compare_out, dataset_
     lines = (compare_out / "summary.csv").read_text().splitlines()[1:]
     for line in lines:
         method, dev_mse = line.split(",")[0], float(line.split(",")[1])
-        params = read_norm_params(compare_out / method)
-        matrix = apply_minmax(params, assemble(tables, truth))
+        ranges = read_norm_params(compare_out / method)
+        matrix = apply_minmax(ranges, assemble(tables, truth))
         _, weights = read_weights(compare_out / method)
         assert dev_mse == mse(weights, matrix), method
 

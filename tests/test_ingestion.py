@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from latefuse.ingestion import (
     AlignmentError,
     DuplicateKeyError,
-    GroundTruth,
     InducerTable,
     MissingLabelError,
-    NormalizationParams,
     ParseError,
     ScoreMatrix,
     apply_minmax,
@@ -24,8 +22,6 @@ from latefuse.ingestion import (
     parse_ground_truth,
     parse_inducer_file,
     read_inducer_csv,
-    write_ground_truth_csv,
-    write_inducer_csv,
 )
 
 
@@ -110,7 +106,7 @@ def test_parse_accepts_bytes():
 
 def test_parse_ground_truth_basics():
     truth = parse_ground_truth(truth_source("v1,i1,1", "v1,i2,0"))
-    assert truth.labels == {("v1", "i1"): 1, ("v1", "i2"): 0}
+    assert truth == {("v1", "i1"): 1, ("v1", "i2"): 0}
 
 
 def test_parse_ground_truth_bad_label():
@@ -168,7 +164,7 @@ def test_load_ground_truth_merges_and_rejects_cross_file_duplicates(tmp_path):
 def two_tables():
     t1 = parse_inducer_file(inducer_source("v1,i2,0,0.4", "v1,i1,1,0.1"), "a")
     t2 = parse_inducer_file(inducer_source("v1,i1,1,0.9", "v1,i2,0,0.6"), "b")
-    truth = GroundTruth({("v1", "i1"): 1, ("v1", "i2"): 0})
+    truth = {("v1", "i1"): 1, ("v1", "i2"): 0}
     return t1, t2, truth
 
 
@@ -185,24 +181,24 @@ def test_assemble_disjoint_keys():
     t1 = table("a", [("v1", "i1")], [0.1])
     t2 = table("b", [("v2", "i2")], [0.2])
     with pytest.raises(AlignmentError):
-        assemble([t1, t2], GroundTruth({("v1", "i1"): 0, ("v2", "i2"): 0}))
+        assemble([t1, t2], {("v1", "i1"): 0, ("v2", "i2"): 0})
 
 
 def test_assemble_missing_label():
     t1 = table("a", [("v1", "i1")], [0.1])
     with pytest.raises(MissingLabelError):
-        assemble([t1], GroundTruth({}))
+        assemble([t1], {})
 
 
 def test_assemble_tolerates_extra_truth_keys():
     t1 = table("a", [("v1", "i1")], [0.1])
-    matrix = assemble([t1], GroundTruth({("v1", "i1"): 1, ("zz", "zz"): 0}))
+    matrix = assemble([t1], {("v1", "i1"): 1, ("zz", "zz"): 0})
     assert matrix.n_samples == 1
 
 
 def test_assemble_empty_table_list():
     with pytest.raises(AlignmentError):
-        assemble([], GroundTruth({}))
+        assemble([], {})
 
 
 def test_assemble_order_independent_of_record_order():
@@ -221,30 +217,27 @@ def test_assemble_order_independent_of_record_order():
 # ---------------------------------------------------------------- normalization
 
 def test_fit_minmax_examples():
-    params = fit_minmax(matrix_from([[2, 4, 6], [0.5, 0.5, 0.5], [-1, 0, 3]]))
-    assert params.ranges["c0"] == (2.0, 6.0)
-    assert params.ranges["c1"] == (0.5, 0.5)
-    assert params.ranges["c2"] == (-1.0, 3.0)
+    ranges = fit_minmax(matrix_from([[2, 4, 6], [0.5, 0.5, 0.5], [-1, 0, 3]]))
+    assert ranges == {"c0": (2.0, 6.0), "c1": (0.5, 0.5), "c2": (-1.0, 3.0)}
 
 
 def test_apply_minmax_scales_and_clamps():
     fit_on = matrix_from([[2, 4, 6]])
-    params = fit_minmax(fit_on)
-    assert apply_minmax(params, fit_on).scores[:, 0].tolist() == [0.0, 0.5, 1.0]
+    ranges = fit_minmax(fit_on)
+    assert apply_minmax(ranges, fit_on).scores[:, 0].tolist() == [0.0, 0.5, 1.0]
     out_of_range = matrix_from([[8]])
-    assert apply_minmax(params, out_of_range).scores[0, 0] == 1.0
+    assert apply_minmax(ranges, out_of_range).scores[0, 0] == 1.0
 
 
 def test_apply_minmax_degenerate_column_is_zero():
     fit_on = matrix_from([[0.5, 0.5]])
-    params = fit_minmax(fit_on)
-    assert apply_minmax(params, fit_on).scores[:, 0].tolist() == [0.0, 0.0]
+    ranges = fit_minmax(fit_on)
+    assert apply_minmax(ranges, fit_on).scores[:, 0].tolist() == [0.0, 0.0]
 
 
 def test_apply_minmax_requires_every_column():
-    params = NormalizationParams({"other": (0.0, 1.0)})
     with pytest.raises(ValueError, match="no normalization range"):
-        apply_minmax(params, matrix_from([[1, 2]]))
+        apply_minmax({"other": (0.0, 1.0)}, matrix_from([[1, 2]]))
 
 
 def test_fit_minmax_empty():
@@ -255,7 +248,7 @@ def test_fit_minmax_empty():
 
 def test_normalization_params_validate():
     with pytest.raises(ValueError, match="min > max"):
-        NormalizationParams({"a": (2.0, 1.0)})
+        apply_minmax({"c0": (2.0, 1.0)}, matrix_from([[1, 2]]))
 
 
 @given(
@@ -285,11 +278,10 @@ def test_identity_on_already_unit_data():
 
 def test_normalization_json_round_trip(run_on_pair):
     result, out = run_on_pair("equal")
-    params = result.norm_params
+    ranges = result.norm_params
     doc = json.loads((out / "norm_params.json").read_text())
-    loaded = NormalizationParams({name: (entry["min"], entry["max"]) for name, entry in doc.items()})
-    assert loaded.ranges == params.ranges
-    name, (lo, hi) = next(iter(params.ranges.items()))
+    assert {name: (entry["min"], entry["max"]) for name, entry in doc.items()} == ranges
+    name, (lo, hi) = next(iter(ranges.items()))
     assert doc[name] == {"min": lo, "max": hi}
 
 
@@ -297,31 +289,31 @@ def test_normalization_json_round_trip(run_on_pair):
 
 def test_inducer_csv_round_trip_preserves_scores_exactly(tmp_path):
     rng = np.random.default_rng(5)
-    original = table("roundtrip", [(f"v{i % 3}", f"i{i}") for i in range(20)], rng.normal(size=20))
-    classes = rng.integers(0, 2, size=20)
+    keys = [(f"v{i % 3}", f"i{i}") for i in range(20)]
+    scores = rng.normal(size=20).tolist()
+    classes = rng.integers(0, 2, size=20).tolist()
     path = tmp_path / "roundtrip.csv"
-    write_inducer_csv(path, original, classes)
+    rows = [f"{v},{i},{c},{x!r}" for (v, i), c, x in zip(keys, classes, scores)]
+    path.write_text("\n".join(["video_id,image_id,class,score", *rows]) + "\n")
     loaded = read_inducer_csv(path)
     assert loaded.inducer_name == "roundtrip"
-    assert loaded.keys == original.keys
-    assert loaded.scores.tolist() == original.scores.tolist()
-    lines = path.read_text().splitlines()
-    assert lines[0] == "video_id,image_id,class,score"
-    assert [int(line.split(",")[2]) for line in lines[1:]] == classes.tolist()
-
-
-def test_write_inducer_csv_needs_one_class_per_row(tmp_path):
-    with pytest.raises(ValueError, match="class values"):
-        write_inducer_csv(tmp_path / "a.csv", table("a", [("v1", "i1")], [0.5]), [0, 1])
+    assert loaded.keys == keys
+    assert loaded.scores.tolist() == scores
 
 
 def test_truth_csv_round_trip(tmp_path):
-    truth = GroundTruth({("v1", "i1"): 1, ("v0", "i9"): 0})
     path = tmp_path / "truth.csv"
-    write_ground_truth_csv(path, truth)
-    loaded = load_ground_truth([path])
-    assert loaded.labels == truth.labels
-    assert path.read_text().splitlines()[1] == "v0,i9,0"
+    path.write_text("video_id,image_id,label\nv1,i1,1\nv0,i9,0\n")
+    assert load_ground_truth([path]) == {("v1", "i1"): 1, ("v0", "i9"): 0}
+
+
+def test_read_inducer_csv_errors_name_the_path(tmp_path):
+    path = tmp_path / "test" / "inducer_3.csv"
+    path.parent.mkdir()
+    path.write_text("video_id,image_id,class,score\nv,i,1,x\n")
+    with pytest.raises(ParseError) as raised:
+        read_inducer_csv(path)
+    assert str(raised.value) == f"{path}: non-numeric score at line 2: 'x'"
 
 
 @given(
@@ -342,7 +334,7 @@ def test_assemble_rows_always_sorted(keys, m):
     for j in range(m):
         shuffled = rng.sample(keys, len(keys))
         tables.append(table(f"t{j}", shuffled, [rng.random() for _ in shuffled]))
-    truth = GroundTruth({k: 1 for k in keys})
+    truth = {k: 1 for k in keys}
     matrix = assemble(tables, truth)
     assert matrix.sample_keys == keys
     assert math.isfinite(matrix.scores.sum())

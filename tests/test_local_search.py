@@ -212,18 +212,61 @@ def _paper_shaped_dev(seed):
     return apply_minmax(fit_minmax(dev), dev)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_gradient_methods_terminate_at_the_optimum_full_dimension(seed):
+def _objective_and_optimum(seed):
+    """The `_paper_shaped_dev` objective and its minimum over the box, from scipy's BVLS."""
     optimize_ = pytest.importorskip("scipy.optimize")
     dev = _paper_shaped_dev(seed)
     exact = optimize_.lsq_linear(dev.scores, dev.labels, bounds=(0.0, 1.0), method="bvls", tol=1e-15)
     objective = make_mse_objective(dev)
-    optimum = objective.value(exact.x)
+    return objective, objective.value(exact.x)
+
+
+def _scipy_minimize(objective, config, method, **kwargs):
+    """scipy's bounded `minimize` on our objective, from our start (the equal weights) in our box."""
+    optimize_ = pytest.importorskip("scipy.optimize")
+    bounds = optimize_.Bounds(config.lower_bound, config.upper_bound)
+    return optimize_.minimize(objective.value, equal_start(config), bounds=bounds, method=method, **kwargs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gradient_methods_terminate_at_the_optimum_full_dimension(seed):
+    objective, optimum = _objective_and_optimum(seed)
     for method in ("lbfgsb", "trust-region", "tnc"):
         report = optimize(method, objective, OptimizerConfig(dimension=29))
         assert report.converged, method
         assert report.function_evaluations <= 100, method
         assert abs(report.best_objective - optimum) <= 1e-12 * optimum, method
+
+
+# the paper's local methods, as scipy's bounded `minimize` names them
+SCIPY_COUNTERPARTS = {"lbfgsb": "L-BFGS-B", "tnc": "TNC", "trust-region": "trust-constr"}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gradient_methods_end_no_farther_from_the_optimum_than_scipy(seed):
+    objective, optimum = _objective_and_optimum(seed)
+    config = OptimizerConfig(dimension=29)
+    for method, counterpart in SCIPY_COUNTERPARTS.items():
+        ours = optimize(method, objective, config).best_objective - optimum
+        theirs = objective.value(_scipy_minimize(objective, config, counterpart, jac=objective.gradient).x) - optimum
+        assert ours <= theirs + 1e-12, (method, ours, theirs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nelder_mead_stops_at_its_budget_short_of_the_optimum_like_scipy(seed):
+    """Both bounded Nelder-Meads run out of iterations with a nonzero gap; run with -s to see both gaps."""
+    objective, optimum = _objective_and_optimum(seed)
+    config = OptimizerConfig(dimension=29)
+    ours = optimize("nelder-mead", objective, config)
+    theirs = _scipy_minimize(objective, config, "Nelder-Mead", options={"maxiter": config.max_iterations})
+    ours_gap, scipy_gap = ours.best_objective - optimum, objective.value(theirs.x) - optimum
+    print(
+        f"seed {seed}: nelder-mead gap {ours_gap:.3e} ({ours.function_evaluations} f-evals), "
+        f"scipy Nelder-Mead gap {scipy_gap:.3e} ({theirs.nfev} f-evals, {theirs.message})"
+    )
+    assert not ours.converged and ours.iterations == config.max_iterations
+    assert theirs.status == 2 and theirs.nit == config.max_iterations  # scipy: iteration limit reached
+    assert ours_gap > 0 and scipy_gap > 0
 
 
 # ---------------------------------------------------------------- unconverged stops

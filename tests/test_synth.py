@@ -1,12 +1,18 @@
 import json
+import runpy
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latefuse.fusion import fuse, mse
-from latefuse.ingestion import assemble, load_ground_truth, read_inducer_csv
+from latefuse.ingestion import InducerTable, assemble, load_ground_truth, read_inducer_csv
 from latefuse.synth import (
     SynthSpec,
+    _labels,
+    _raw_scores,
     ap_oracle,
     build_tables,
     generate,
@@ -86,7 +92,7 @@ def test_generate_sidecar_echoes_spec(tmp_path):
     spec = SynthSpec(n_samples=6, m_inducers=2, n_videos=2, seed=3, label_rule="random_balanced")
     dataset = generate(spec, tmp_path)
     doc = json.loads(dataset.sidecar_path.read_text())
-    assert doc == spec.to_dict()
+    assert doc == asdict(spec)
 
 
 def test_generate_full_scale_shapes(tmp_path):
@@ -203,7 +209,7 @@ def test_generate_class_column_is_binary(tmp_path):
         classes = {line.split(",")[2] for line in path.read_text().splitlines()[1:]}
         assert classes == {"0", "1"}
     _, truth = build_tables(spec)
-    assert set(truth.labels.values()) <= {0, 1}
+    assert set(truth.values()) <= {0, 1}
 
 
 def test_planted_fusion_reaches_zero_after_readback(tmp_path):
@@ -214,3 +220,116 @@ def test_planted_fusion_reaches_zero_after_readback(tmp_path):
     matrix = read_back(generate(spec, tmp_path))
     assert mse(np.array([0.5, 0.5, 0.5]), matrix) > 0.0
     assert set(np.unique(matrix.labels)) == {0.0, 1.0}
+
+
+# ---------------------------------------------------------------- dataset bytes
+
+def reference_write_inducer_csv(path, table, classes):
+    """The inducer writer that ``synth`` used before it wrote straight from the matrix."""
+    if len(classes) != len(table):
+        raise ValueError(f"{len(classes)} class values for {len(table)} rows")
+    lines = ["video_id,image_id,class,score"]
+    for (vid, iid), cls, score in zip(table.keys, classes, table.scores.tolist()):
+        lines.append(f"{vid},{iid},{int(cls)},{score!r}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def reference_write_ground_truth_csv(path, labels, keys=None):
+    """The truth writer that ``synth`` used before; rows follow `keys` when given, else sorted key order."""
+    ordered = list(keys) if keys is not None else sorted(labels)
+    lines = ["video_id,image_id,label"]
+    for key in ordered:
+        lines.append(f"{key[0]},{key[1]},{labels[key]}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def reference_own_range(raw):
+    mins, maxs = raw.min(axis=0), raw.max(axis=0)
+    span = np.where(maxs > mins, maxs - mins, 1.0)
+    return (raw - mins) / span
+
+
+def reference_dataset(spec, out, perfect=False):
+    """The dataset files as the previous generator wrote them, field by field."""
+    out.mkdir(parents=True)
+    rng = np.random.default_rng(spec.seed)
+    keys = sample_keys(spec.n_samples, spec.n_videos, spec.key_prefix)
+    raw = _raw_scores(spec, rng)
+    labels = _labels(spec, reference_own_range(raw), rng)
+    if perfect:
+        raw[:, 0] = labels
+    calls = reference_own_range(raw) >= 0.5
+    width = len(str(spec.m_inducers))
+    names = [f"inducer_{j + 1:0{width}d}" for j in range(spec.m_inducers)]
+    for j, name in enumerate(names):
+        reference_write_inducer_csv(out / f"{name}.csv", InducerTable(name, keys, raw[:, j].copy()), calls[:, j])
+    reference_write_ground_truth_csv(
+        out / "ground_truth.csv", {key: int(label) for key, label in zip(keys, labels)}, keys=keys
+    )
+    sidecar = {
+        "n_samples": spec.n_samples,
+        "m_inducers": spec.m_inducers,
+        "n_videos": spec.n_videos,
+        "seed": spec.seed,
+        "planted_weights": None if spec.planted_weights is None else [float(x) for x in spec.planted_weights],
+        "noise_sigma": spec.noise_sigma,
+        "label_rule": spec.label_rule,
+        "score_ranges": spec.score_ranges,
+        "key_prefix": spec.key_prefix,
+    }
+    if perfect:
+        sidecar["perfect_inducer"] = names[0]
+    (out / "synth_spec.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+
+
+def assert_same_files(got, expected):
+    names = sorted(p.name for p in expected.iterdir())
+    assert sorted(p.name for p in got.iterdir()) == names
+    for name in names:
+        assert (got / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+BYTE_SPECS = {
+    "constant-column": SynthSpec(
+        40, 4, 5, seed=3, planted_weights=[0.2, 0.5, 0.9, 0.1], noise_sigma=0.05,
+        score_ranges=[(-2.0, 5.0), (3.0, 3.0), (0.0, 1.0), (10, 20)],
+    ),
+    "prefix-m12-noise": SynthSpec(
+        123, 12, 11, seed=7, planted_weights=np.linspace(0.05, 0.95, 12), noise_sigma=0.1, key_prefix="t"
+    ),
+    "balanced": SynthSpec(30, 3, 3, seed=5, label_rule="random_balanced", key_prefix="d"),
+}
+
+
+@pytest.mark.parametrize("name", BYTE_SPECS)
+def test_generate_writes_the_reference_bytes(tmp_path, name):
+    spec = BYTE_SPECS[name]
+    generate(spec, tmp_path / "got")
+    reference_dataset(spec, tmp_path / "expected")
+    assert_same_files(tmp_path / "got", tmp_path / "expected")
+
+
+@pytest.mark.parametrize("m, prefix", [(3, "p"), (11, "")])
+def test_generate_perfect_inducer_writes_the_reference_bytes(tmp_path, m, prefix):
+    generate_perfect_inducer(60, m, 6, seed=9, out_dir=tmp_path / "got", key_prefix=prefix)
+    spec = SynthSpec(60, m, 6, seed=9, label_rule="random_balanced", key_prefix=prefix)
+    reference_dataset(spec, tmp_path / "expected", perfect=True)
+    assert_same_files(tmp_path / "got", tmp_path / "expected")
+
+
+def test_make_synth_data_writes_the_reference_bytes(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synth_data.py"
+    argv = ["--dev-samples", "90", "--test-samples", "40", "--inducers", "10", "--videos", "9", "--noise", "0.05"]
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(tmp_path / "got"), *argv, "--seed", "4"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(script), run_name="__main__")
+    assert done.value.code == 0
+    # the script's two specs share one planted weight vector and differ in seed, size and prefix
+    w_star = np.random.default_rng(4).uniform(0.05, 1.0, size=10).tolist()
+    specs = {
+        "dev": SynthSpec(90, 10, 9, seed=4, planted_weights=w_star, noise_sigma=0.05, key_prefix="d"),
+        "test": SynthSpec(40, 10, 3, seed=5, planted_weights=w_star, noise_sigma=0.05, key_prefix="t"),
+    }
+    for split, spec in specs.items():
+        reference_dataset(spec, tmp_path / "expected" / split)
+        assert_same_files(tmp_path / "got" / split, tmp_path / "expected" / split)
