@@ -161,16 +161,19 @@ def read_inducer_csv(path: str | Path) -> InducerTable:
 
 
 def load_ground_truth(paths: Sequence[str | Path]) -> dict[Key, int]:
-    """Merge one or more truth files; a key repeated across files is an error."""
+    """Merge one or more truth files; a key repeated across files is an error naming both files."""
     merged: dict[Key, int] = {}
+    loaded: list[tuple[Path, dict[Key, int]]] = []
     for path in paths:
         path = Path(path)
         with path.open("rb") as fh:
             labels = parse_ground_truth(fh, name=str(path))
         for key, label in labels.items():
             if key in merged:
-                raise DuplicateKeyError(f"key {key} appears in more than one truth file")
+                first = next(earlier for earlier, seen in loaded if key in seen)
+                raise DuplicateKeyError(f"key {key} of truth file {path} already appears in {first}")
             merged[key] = label
+        loaded.append((path, labels))
     return merged
 
 
@@ -223,7 +226,8 @@ def apply_minmax(ranges: dict[str, tuple[float, float]], matrix: ScoreMatrix) ->
 
     A degenerate column (min == max) maps to all zeros, neutralizing that
     inducer instead of dividing by zero.  Raises ValueError when an inducer
-    has no range or its range has min > max.
+    has no range, or its range has min > max or a span max - min that is not
+    finite (two finite ends can overflow it).
     """
     out = np.empty_like(matrix.scores)
     for j, name in enumerate(matrix.inducer_names):
@@ -232,6 +236,10 @@ def apply_minmax(ranges: dict[str, tuple[float, float]], matrix: ScoreMatrix) ->
         lo, hi = ranges[name]
         if lo > hi:
             raise ValueError(f"normalization range for {name!r} has min > max")
+        if not math.isfinite(hi - lo):
+            raise ValueError(
+                f"normalization range for {name!r} is too wide: max - min overflows ({lo!r} to {hi!r})"
+            )
         if hi == lo:
             out[:, j] = 0.0
         else:

@@ -19,7 +19,6 @@ from .common import (
     Search,
     Setting,
     check_settings,
-    equal_start,
     projected_gradient_norm,
 )
 
@@ -81,7 +80,6 @@ __all__ = [
     "ParameterError",
     "Search",
     "Setting",
-    "equal_start",
     "optimize",
     "projected_gradient_norm",
     "resolve",

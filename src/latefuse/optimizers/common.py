@@ -1,10 +1,11 @@
 """Shared machinery for the weight-search methods: config, settings, search state, search loops.
 
-Every optimizer works on the closed box [lower_bound, upper_bound]^dimension
-through one `Search`: it counts the search's evaluations, keeps a canonical
-incumbent (best weights re-scored through the objective's exact form, so the
-reported objective is bit-reproducible) that starts at the equal weights, and
-builds the OptimizerReport with its non-increasing best-so-far trace.
+Every optimizer works on the closed box [0, 1]^dimension, the paper's weight
+range, through one `Search`: it counts the search's evaluations, keeps a
+canonical incumbent (best weights re-scored through the objective's exact
+form, so the reported objective is bit-reproducible) that starts at the equal
+weights, and builds the OptimizerReport with its non-increasing best-so-far
+trace.
 
 The gradient methods run in `descend`, the one projected-descent loop: it
 stops at a box-stationary point, and each method supplies only its step on
@@ -23,7 +24,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from ..fusion import Objective
+from ..fusion import Objective, equal_weights
 
 
 class NonFiniteObjectiveError(RuntimeError):
@@ -101,8 +102,6 @@ CONFIG_SETTINGS = {
 
 _CONFIG_FIELDS = {  # all are given, so only CONFIG_SETTINGS' defaults are read
     "dimension": Setting(int, None, 1, math.inf, "[)"),
-    "lower_bound": Setting(float, None, -math.inf, math.inf, "()"),
-    "upper_bound": Setting(float, None, "lower_bound", math.inf, "()"),
     **CONFIG_SETTINGS,
     "seed": Setting(int, None, 0, math.inf, "[)"),
 }
@@ -111,8 +110,6 @@ _CONFIG_FIELDS = {  # all are given, so only CONFIG_SETTINGS' defaults are read
 @dataclass
 class OptimizerConfig:
     dimension: int
-    lower_bound: float = 0.0
-    upper_bound: float = 1.0
     max_iterations: int = CONFIG_SETTINGS["max_iterations"].default
     tolerance: float = CONFIG_SETTINGS["tolerance"].default
     seed: int = 0
@@ -121,10 +118,6 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         values = {key: getattr(self, key) for key in _CONFIG_FIELDS}
         check_settings(_CONFIG_FIELDS, values, "OptimizerConfig")
-
-    @property
-    def span(self) -> float:
-        return self.upper_bound - self.lower_bound
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -140,13 +133,12 @@ class OptimizerReport:
     iterations: int
     converged: bool
     trace: list[tuple[int, float]]
-    seed: int
     config: OptimizerConfig
 
     def to_dict(self) -> dict:
         return {
             "method": self.method,
-            "seed": self.seed,
+            "seed": self.config.seed,
             "config": self.config.to_dict(),
             "best_weights": [float(x) for x in self.best_weights],
             "best_objective": float(self.best_objective),
@@ -156,12 +148,6 @@ class OptimizerReport:
             "converged": self.converged,
             "trace": [[it, f] for it, f in self.trace],
         }
-
-
-def equal_start(config: OptimizerConfig) -> np.ndarray:
-    """The uniform 1/m starting point, projected into the box."""
-    w = np.full(config.dimension, 1.0 / config.dimension)
-    return np.clip(w, config.lower_bound, config.upper_bound)
 
 
 class Search:
@@ -185,7 +171,7 @@ class Search:
         self.config = config
         self.function_evaluations = 0
         self.gradient_evaluations = 0
-        self.best_x = equal_start(config)
+        self.best_x = equal_weights(config.dimension)
         self.best_f = self.exact(self.best_x)
         self.trace: list[tuple[int, float]] = [(0, self.best_f)]
 
@@ -234,11 +220,8 @@ class Search:
         return False
 
     def report(self, iterations: int, converged: bool) -> OptimizerReport:
-        config = self.config
         w = self.best_x
-        assert np.all(w >= config.lower_bound) and np.all(w <= config.upper_bound), (
-            "incumbent escaped the bounds"
-        )
+        assert np.all(w >= 0.0) and np.all(w <= 1.0), "incumbent escaped the box"
         return OptimizerReport(
             method="",  # optimize() stamps the registry key
             best_weights=w.copy(),
@@ -248,23 +231,22 @@ class Search:
             iterations=iterations,
             converged=converged,
             trace=list(self.trace),
-            seed=config.seed,
-            config=config,
+            config=self.config,
         )
 
 
-def projected_gradient_norm(x: np.ndarray, g: np.ndarray, lo: float, hi: float) -> float:
+def projected_gradient_norm(x: np.ndarray, g: np.ndarray) -> float:
     """Infinity norm of x - P(x - g); zero exactly at a box-constrained stationary point."""
-    return float(np.max(np.abs(x - np.clip(x - g, lo, hi))))
+    return float(np.max(np.abs(x - np.clip(x - g, 0.0, 1.0))))
 
 
-def free_set(x: np.ndarray, g: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def free_set(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Mask of the variables a descent step may move.
 
     Interior variables are free; a variable on a bound stays fixed unless the
     gradient pulls it back into the box.
     """
-    return ((x > lo) & (x < hi)) | ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0))
+    return ((x > 0.0) & (x < 1.0)) | ((x <= 0.0) & (g < 0)) | ((x >= 1.0) & (g > 0))
 
 
 # The Armijo line search's settings, shared by the methods that use it.
@@ -290,13 +272,12 @@ def line_search(
     Sufficient decrease is measured against the realized (projected) step.
     Returns (trial, f_trial, fell_back), or None when neither finds a step.
     """
-    lo, hi = search.config.lower_bound, search.config.upper_bound
     c = float(p["armijo_c"])
     descends = direction is not steepest and float(g @ direction) < 0.0
     for d in (direction, steepest) if descends else (steepest,):
         alpha = 1.0
         for _ in range(p["max_backtracks"]):
-            trial = np.clip(x + alpha * d, lo, hi)
+            trial = np.clip(x + alpha * d, 0.0, 1.0)
             step = trial - x
             if not np.any(step):
                 break  # d points entirely out of the box
@@ -319,15 +300,14 @@ def descend(objective: Objective, config: OptimizerConfig, step: Callable) -> Op
     `step` returns None or the iteration budget runs out.  Only a point that
     moved is offered to the incumbent.
     """
-    lo, hi = config.lower_bound, config.upper_bound
     search = Search(objective, config)
-    x = equal_start(config)
+    x = equal_weights(config.dimension)
     f = search.value(x)
     g = search.gradient(x)
     for it in range(1, config.max_iterations + 1):
-        if projected_gradient_norm(x, g, lo, hi) <= config.tolerance:
+        if projected_gradient_norm(x, g) <= config.tolerance:
             return search.report(it - 1, converged=True)
-        taken = step(search, x, f, g, free_set(x, g, lo, hi))
+        taken = step(search, x, f, g, free_set(x, g))
         if taken is None:
             return search.report(it, converged=False)
         if taken[0] is not x:
@@ -350,8 +330,8 @@ def evolve(
     """
     search = Search(objective, config)
     rng = np.random.default_rng(config.seed)
-    population = rng.uniform(config.lower_bound, config.upper_bound, size=(size, config.dimension))
-    population[0] = equal_start(config)
+    population = rng.uniform(0.0, 1.0, size=(size, config.dimension))
+    population[0] = equal_weights(config.dimension)
     values = search.value_batch(population)
     search.consider(population[int(np.argmin(values))], 0)
 

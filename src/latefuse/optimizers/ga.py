@@ -26,8 +26,8 @@ def optimize_ga(objective: Objective, config: OptimizerConfig, p: dict) -> Optim
     mutation_rate = p["mutation_rate"]
     if mutation_rate is None:
         mutation_rate = 1.0 / config.dimension
-    lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
-    sigma = float(p["mutation_sigma"]) * (hi - lo)
+    m = config.dimension
+    sigma = float(p["mutation_sigma"])
     n_children = pop_size - elite
 
     def step(search, rng, population, fitness):
@@ -54,7 +54,7 @@ def optimize_ga(objective: Objective, config: OptimizerConfig, p: dict) -> Optim
 
         mutate = rng.random((n_children, m)) < mutation_rate
         noise = rng.normal(0.0, sigma, size=(n_children, m))
-        next_pop[elite:] = np.clip(children + mutate * noise, lo, hi)
+        next_pop[elite:] = np.clip(children + mutate * noise, 0.0, 1.0)
         return next_pop, search.value_batch(next_pop)
 
     generations = min(p["max_generations"], config.max_iterations)

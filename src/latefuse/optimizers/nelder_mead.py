@@ -6,11 +6,11 @@ import bisect
 
 import numpy as np
 
-from ..fusion import Objective
-from .common import OptimizerConfig, OptimizerReport, Search, Setting, equal_start
+from ..fusion import Objective, equal_weights
+from .common import OptimizerConfig, OptimizerReport, Search, Setting
 
 SETTINGS = {
-    "initial_step": Setting(float, 0.05, 0, 1, "(]"),  # a share of the box span
+    "initial_step": Setting(float, 0.05, 0, 1, "(]"),
     "reflection": Setting(float, 1.0, 0, 10, "(]"),
     "expansion": Setting(float, 2.0, 1, 10, "(]"),
     "contraction": Setting(float, 0.5, 0, 1, "()"),
@@ -18,14 +18,14 @@ SETTINGS = {
 }
 
 
-def _initial_simplex(x0: np.ndarray, step: float, lo: float, hi: float) -> np.ndarray:
+def _initial_simplex(x0: np.ndarray, step: float) -> np.ndarray:
     m = x0.size
     simplex = np.tile(x0, (m + 1, 1))
     for j in range(m):
-        if x0[j] + step <= hi:
+        if x0[j] + step <= 1.0:
             simplex[j + 1, j] = x0[j] + step
         else:
-            simplex[j + 1, j] = max(x0[j] - step, lo)
+            simplex[j + 1, j] = max(x0[j] - step, 0.0)
     return simplex
 
 
@@ -39,15 +39,13 @@ def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict)
     gamma = float(p["expansion"])
     beta = float(p["contraction"])
     delta = float(p["shrink"])
-    lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
+    m = config.dimension
     search = Search(objective, config)
 
-    x0 = equal_start(config)
-    step = float(p["initial_step"]) * config.span
     # Rows stay sorted by value, ties in the order a stable sort would keep:
     # a new vertex goes after the vertices it ties with, and only a shrink
     # re-sorts the whole simplex.
-    simplex = _initial_simplex(x0, step, lo, hi)
+    simplex = _initial_simplex(equal_weights(m), float(p["initial_step"]))
     simplex, values = _sort(simplex, [search.value(v) for v in simplex])
     search.consider(simplex[0], 0)
     offered = values[0]  # the search value of the last vertex offered to the incumbent
@@ -64,11 +62,11 @@ def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict)
 
         centroid = np.add.reduce(simplex[:-1], axis=0) / m  # bit-equal to .mean(axis=0)
         toward = centroid - simplex[-1]
-        reflected = np.clip(centroid + alpha * toward, lo, hi)
+        reflected = np.clip(centroid + alpha * toward, 0.0, 1.0)
         f_reflected = search.value(reflected)
 
         if f_reflected < values[0]:
-            expanded = np.clip(centroid + gamma * toward, lo, hi)
+            expanded = np.clip(centroid + gamma * toward, 0.0, 1.0)
             f_expanded = search.value(expanded)
             if f_expanded < f_reflected:
                 vertex, f_vertex = expanded, f_expanded
@@ -78,14 +76,14 @@ def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict)
             vertex, f_vertex = reflected, f_reflected
         else:
             if f_reflected < values[-1]:
-                vertex = np.clip(centroid + beta * toward, lo, hi)
+                vertex = np.clip(centroid + beta * toward, 0.0, 1.0)
             else:
-                vertex = np.clip(centroid - beta * toward, lo, hi)
+                vertex = np.clip(centroid - beta * toward, 0.0, 1.0)
             f_vertex = search.value(vertex)
             if not f_vertex < min(f_reflected, values[-1]):
                 vertex = None
                 for i in range(1, m + 1):
-                    simplex[i] = np.clip(simplex[0] + delta * (simplex[i] - simplex[0]), lo, hi)
+                    simplex[i] = np.clip(simplex[0] + delta * (simplex[i] - simplex[0]), 0.0, 1.0)
                     values[i] = search.value(simplex[i])
                 simplex, values = _sort(simplex, values)
 

@@ -17,8 +17,6 @@ SETTINGS = {
 
 
 def optimize_pso(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
-    lo, hi = config.lower_bound, config.upper_bound
-    vmax = hi - lo
     positions = velocities = None
 
     def step(search, rng, pbest, pbest_values):
@@ -33,8 +31,8 @@ def optimize_pso(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
             + p["cognitive"] * r1 * (pbest - positions)
             + p["social"] * r2 * (search.best_x - positions)
         )
-        np.clip(velocities, -vmax, vmax, out=velocities)
-        positions = np.clip(positions + velocities, lo, hi)
+        np.clip(velocities, -1.0, 1.0, out=velocities)  # at most the box's width per step
+        positions = np.clip(positions + velocities, 0.0, 1.0)
 
         values = search.value_batch(positions)
         better = values < pbest_values

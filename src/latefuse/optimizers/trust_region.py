@@ -11,7 +11,7 @@ from .common import OptimizerConfig, OptimizerReport, Setting, descend
 
 SETTINGS = {
     "initial_radius": Setting(float, 1.0, 0, math.inf, "()"),
-    "max_radius": Setting(float, None, 0, math.inf, "()"),  # None: sqrt(dimension) * span
+    "max_radius": Setting(float, None, 0, math.inf, "()"),  # None: sqrt(dimension), the box's diagonal
     "acceptance_threshold": Setting(float, 1e-4, 0, 0.25, "[)"),
 }
 
@@ -50,11 +50,11 @@ def _dogleg(g: np.ndarray, hessian: np.ndarray, radius: float) -> np.ndarray:
 
 
 def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
-    lo, hi, m = config.lower_bound, config.upper_bound, config.dimension
+    m = config.dimension
     radius = float(p["initial_radius"])
     max_radius = p["max_radius"]
     if max_radius is None:
-        max_radius = math.sqrt(m) * config.span
+        max_radius = math.sqrt(m)
     eta = float(p["acceptance_threshold"])
     hessian = np.eye(m)
 
@@ -64,7 +64,7 @@ def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict
         # and variables held on a bound by the gradient take a zero step.
         s = np.zeros(m)
         s[free] = _dogleg(g[free], hessian[np.ix_(free, free)], radius)
-        trial = np.clip(x + s, lo, hi)
+        trial = np.clip(x + s, 0.0, 1.0)
         realized = trial - x
         if not np.any(realized):
             radius *= 0.25

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,22 @@ def test_data_error_names_a_truth_file_that_is_not_utf8(dataset_pair, tmp_path, 
     code = main(["run", "--method", "equal", *data_flags(dataset_pair, tmp_path / "o")])
     assert code == EXIT_DATA
     assert f"data error: {test.truth_path.resolve()}: not valid UTF-8 at line 3\n" in capsys.readouterr().err
+
+
+def test_data_error_names_the_inducer_whose_range_overflows(dataset_pair, tmp_path, capsys):
+    # two finite dev scores whose difference is not finite: no warning, no abort, a data error
+    path = dataset_pair[0].inducer_paths[1]
+    header, *rows = path.read_text().splitlines()
+    for i, score in enumerate(["1e308", "-1e308"]):
+        rows[i] = ",".join([*rows[i].split(",")[:3], score])
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--method", "equal", *data_flags(dataset_pair, tmp_path / "o")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: normalization range for {path.stem!r} is too wide" in err
+    assert "Warning" not in err
 
 
 def test_data_error_mismatched_inducer_sets(dataset_pair, tmp_path, capsys):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,13 @@ def test_load_ground_truth_merges_and_rejects_cross_file_duplicates(tmp_path):
     b.write_text("video_id,image_id,label\nv1,i1,0\n")
     with pytest.raises(DuplicateKeyError):
         load_ground_truth([a, b])
+    # with three files, the message names the file that first held the key and the one that repeats it
+    b.write_text("video_id,image_id,label\nv2,i2,0\n")
+    c = tmp_path / "c.csv"
+    c.write_text("video_id,image_id,label\nv3,i3,1\nv1,i1,1\n")
+    with pytest.raises(DuplicateKeyError) as raised:
+        load_ground_truth([a, b, c])
+    assert str(raised.value) == f"key ('v1', 'i1') of truth file {c} already appears in {a}"
 
 
 # ---------------------------------------------------------------- assemble
@@ -249,6 +257,15 @@ def test_fit_minmax_empty():
 def test_normalization_params_validate():
     with pytest.raises(ValueError, match="min > max"):
         apply_minmax({"c0": (2.0, 1.0)}, matrix_from([[1, 2]]))
+
+
+def test_apply_minmax_rejects_a_span_that_overflows():
+    # both ends are finite, but max - min is not: scaling would give NaN columns
+    matrix = matrix_from([[0.5, 0.25], [1e308, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="range for 'c1' is too wide"):
+            apply_minmax(fit_minmax(matrix), matrix)
 
 
 @given(

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latefuse.fusion import Objective, make_mse_objective
+from latefuse.fusion import Objective, equal_weights, make_mse_objective
 from latefuse.ingestion import apply_minmax, assemble, fit_minmax
 from latefuse.optimizers import METHODS, OptimizerConfig, optimize
 from latefuse.optimizers.common import (
     Search,
-    equal_start,
     free_set,
     line_search,
     projected_gradient_norm,
@@ -28,11 +27,9 @@ def _reference_nelder_mead(objective, config, p):
     """
     alpha, gamma = float(p["reflection"]), float(p["expansion"])
     beta, delta = float(p["contraction"]), float(p["shrink"])
-    lo, hi = config.lower_bound, config.upper_bound
     search = Search(objective, config)
 
-    x0 = equal_start(config)
-    simplex = _initial_simplex(x0, float(p["initial_step"]) * config.span, lo, hi)
+    simplex = _initial_simplex(equal_weights(config.dimension), float(p["initial_step"]))
     values = np.array([search.value(v) for v in simplex])
     b = int(np.argmin(values))
     search.consider(simplex[b], 0)
@@ -54,11 +51,11 @@ def _reference_nelder_mead(objective, config, p):
 
         centroid = simplex[:-1].mean(axis=0)
         worst = simplex[-1]
-        reflected = np.clip(centroid + alpha * (centroid - worst), lo, hi)
+        reflected = np.clip(centroid + alpha * (centroid - worst), 0.0, 1.0)
         f_reflected = search.value(reflected)
 
         if f_reflected < values[0]:
-            expanded = np.clip(centroid + gamma * (centroid - worst), lo, hi)
+            expanded = np.clip(centroid + gamma * (centroid - worst), 0.0, 1.0)
             f_expanded = search.value(expanded)
             if f_expanded < f_reflected:
                 simplex[-1], values[-1] = expanded, f_expanded
@@ -68,15 +65,15 @@ def _reference_nelder_mead(objective, config, p):
             simplex[-1], values[-1] = reflected, f_reflected
         else:
             if f_reflected < values[-1]:
-                contracted = np.clip(centroid + beta * (centroid - worst), lo, hi)
+                contracted = np.clip(centroid + beta * (centroid - worst), 0.0, 1.0)
             else:
-                contracted = np.clip(centroid - beta * (centroid - worst), lo, hi)
+                contracted = np.clip(centroid - beta * (centroid - worst), 0.0, 1.0)
             f_contracted = search.value(contracted)
             if f_contracted < min(f_reflected, values[-1]):
                 simplex[-1], values[-1] = contracted, f_contracted
             else:
                 for i in range(1, simplex.shape[0]):
-                    simplex[i] = np.clip(simplex[0] + delta * (simplex[i] - simplex[0]), lo, hi)
+                    simplex[i] = np.clip(simplex[0] + delta * (simplex[i] - simplex[0]), 0.0, 1.0)
                     values[i] = search.value(simplex[i])
 
         b = int(np.argmin(values))
@@ -114,18 +111,14 @@ def _quantised_quadratic(center, scales, step):
     step=st.sampled_from([1e-2, 1e-4]),
     max_iterations=st.integers(1, 400),
     tolerance=st.sampled_from([1e-12, 1e-8, 1e-4, 1e-2]),
-    lower=st.sampled_from([0.0, -0.5]),
-    span=st.sampled_from([1.0, 0.3, 2.0]),
 )
-def test_nelder_mead_matches_argsort_every_iteration(m, data, step, max_iterations, tolerance, lower, span):
+def test_nelder_mead_matches_argsort_every_iteration(m, data, step, max_iterations, tolerance):
     params = {key: data.draw(_setting_value(spec), label=key) for key, spec in METHODS["nelder-mead"].settings.items()}
     center = np.array(data.draw(st.lists(st.floats(-0.5, 1.5), min_size=m, max_size=m), label="center"))
     scales = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m), label="scales"))
     objective = _quantised_quadratic(center, scales, step)
     config = OptimizerConfig(
         dimension=m,
-        lower_bound=lower,
-        upper_bound=lower + span,
         max_iterations=max_iterations,
         tolerance=tolerance,
         method_params=params,
@@ -142,31 +135,27 @@ def test_nelder_mead_matches_argsort_every_iteration(m, data, step, max_iteratio
 
 
 def test_free_set_at_the_bounds():
-    lo, hi = 0.0, 1.0
     x = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
     g = np.array([1.0, -1.0, 0.0, -1.0, 1.0, 0.0, 1.0, -1.0, 0.0])
     # at the lower bound: fixed when the gradient pushes out (g > 0), free when it pulls in;
     # the mirror image at the upper bound; interior variables are always free
     expected = [False, True, False, False, True, False, True, True, True]
-    assert free_set(x, g, lo, hi).tolist() == expected
+    assert free_set(x, g).tolist() == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
     m=st.integers(1, 8),
-    lower=st.sampled_from([0.0, -0.5, 2.0]),
-    span=st.sampled_from([1.0, 1e-3]),
 )
-def test_no_free_variable_means_zero_projected_gradient(data, m, lower, span):
+def test_no_free_variable_means_zero_projected_gradient(data, m):
     """With every variable held on a bound, the KKT residual is exactly 0, so no search step is tried."""
-    lo, hi = lower, lower + span
-    coordinate = st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+    coordinate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     x = np.array(data.draw(st.lists(coordinate, min_size=m, max_size=m), label="x"))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     g = np.array(data.draw(st.lists(finite, min_size=m, max_size=m), label="g"))
-    if not free_set(x, g, lo, hi).any():
-        assert projected_gradient_norm(x, g, lo, hi) == 0.0
+    if not free_set(x, g).any():
+        assert projected_gradient_norm(x, g) == 0.0
 
 
 def _coupled_quadratic(m, seed):
@@ -198,7 +187,7 @@ def test_step_leaves_fixed_variables_unchanged(method, m):
             for k in range(1, 25)
         ]
         for before, after in zip(states, states[1:]):
-            fixed = ~free_set(before, objective.gradient(before), 0.0, 1.0)
+            fixed = ~free_set(before, objective.gradient(before))
             assert np.array_equal(after[fixed], before[fixed]), seed
             pinned += int(fixed.sum())
     assert pinned > 0  # some variable sat on a bound with the gradient pushing out
@@ -224,8 +213,9 @@ def _objective_and_optimum(seed):
 def _scipy_minimize(objective, config, method, **kwargs):
     """scipy's bounded `minimize` on our objective, from our start (the equal weights) in our box."""
     optimize_ = pytest.importorskip("scipy.optimize")
-    bounds = optimize_.Bounds(config.lower_bound, config.upper_bound)
-    return optimize_.minimize(objective.value, equal_start(config), bounds=bounds, method=method, **kwargs)
+    bounds = optimize_.Bounds(0.0, 1.0)
+    x0 = equal_weights(config.dimension)
+    return optimize_.minimize(objective.value, x0, bounds=bounds, method=method, **kwargs)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -290,7 +280,7 @@ def test_gradient_methods_stop_unconverged_without_a_step(method, max_iterations
     report = optimize(method, _lying_objective(), config)
     got = (report.iterations, report.converged, report.function_evaluations, report.gradient_evaluations)
     assert got == expected
-    assert report.best_weights.tolist() == equal_start(config).tolist()
+    assert report.best_weights.tolist() == equal_weights(config.dimension).tolist()
 
 
 # ---------------------------------------------------------------- line search

@@ -56,8 +56,6 @@ def cheap_params(method):
 
 def test_config_defaults():
     config = OptimizerConfig(dimension=29)
-    assert config.lower_bound == 0.0
-    assert config.upper_bound == 1.0
     assert config.max_iterations == 10000
     assert config.tolerance == 1e-8
     assert config.seed == 0
@@ -68,13 +66,13 @@ def test_config_defaults():
     "kwargs",
     [
         {"dimension": 0},
-        {"dimension": 3, "lower_bound": 1.0, "upper_bound": 0.0},
-        {"dimension": 3, "lower_bound": 0.5, "upper_bound": 0.5},
+        {"dimension": True},
+        {"dimension": 3, "max_iterations": 2.5},
         {"dimension": 3, "max_iterations": 0},
         {"dimension": 3, "tolerance": 0.0},
         {"dimension": 3, "tolerance": math.inf},
-        {"dimension": 3, "upper_bound": math.nan},
-        {"dimension": 3, "lower_bound": -math.inf},
+        {"dimension": 3, "tolerance": math.nan},
+        {"dimension": 3, "seed": 1.5},
         {"dimension": 3, "seed": -1},
         {"dimension": 2.5},
         {"dimension": 3, "max_iterations": 10**7 + 1},
@@ -186,7 +184,7 @@ def test_report_invariants(method):
     assert report.best_objective == mse(report.best_weights, matrix)
     assert report.function_evaluations >= 1
     assert report.method == method
-    assert report.seed == 2
+    assert report.config.seed == 2
 
 
 @pytest.mark.parametrize("method", list(METHODS))
@@ -397,16 +395,17 @@ def test_trust_region_handles_bound_pinned_optimum():
     assert report.converged
 
 
-def test_pso_respects_custom_bounds():
-    config = OptimizerConfig(
-        dimension=3, seed=4, lower_bound=0.2, upper_bound=0.8,
-        method_params={"swarm_size": 25, "stagnation_window": 15},
-    )
-    report = optimize("pso", quadratic_objective([0.0, 0.5, 1.0]), config)
-    assert np.all(report.best_weights >= 0.2)
-    assert np.all(report.best_weights <= 0.8)
-    assert report.best_weights[0] == pytest.approx(0.2, abs=1e-3)
-    assert report.best_weights[2] == pytest.approx(0.8, abs=1e-3)
+@pytest.mark.parametrize("method", SEARCH_METHODS)
+def test_optimum_on_faces_of_the_box(method):
+    """The minimiser of |x - (-0.5, 0.5, 1.5)|^2 over [0, 1]^3 is (0, 0.5, 1): two coordinates on a face."""
+    config = OptimizerConfig(dimension=3, seed=4, method_params=cheap_params(method))
+    w = optimize(method, quadratic_objective([-0.5, 0.5, 1.5]), config).best_weights
+    assert np.all(w >= 0.0) and np.all(w <= 1.0)
+    if method in GRADIENT_METHODS:
+        assert (w[0], w[2]) == (0.0, 1.0)
+        assert w[1] == pytest.approx(0.5, abs=1e-6)
+    else:
+        assert w.tolist() == pytest.approx([0.0, 0.5, 1.0], abs=1e-3)
 
 
 def test_gradient_method_requires_gradient():
