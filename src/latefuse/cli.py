@@ -171,12 +171,7 @@ def fit(data: Prepared, manifest: RunManifest) -> RunResult:
     """Search weights on the dev matrix and evaluate them on the test matrix; writes nothing."""
     dev, test, norm_params = data
     config_kwargs, method_params = manifest.settings
-    config = OptimizerConfig(
-        dimension=dev.n_inducers,
-        seed=manifest.seed,
-        method_params=method_params,
-        **config_kwargs,
-    )
+    config = OptimizerConfig(seed=manifest.seed, method_params=method_params, **config_kwargs)
     objective = make_mse_objective(dev)
     started = time.perf_counter()
     report = optimize(manifest.method, objective, config)

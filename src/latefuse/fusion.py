@@ -4,13 +4,11 @@ The combined score of a sample is the weighted sum of its m inducer scores;
 the fitness of a weight vector is the mean squared error between the fused
 scores and the ground-truth labels.  `mse` and `mse_gradient` are the
 residual forms; `make_mse_objective` builds the `Objective` the optimizers
-consume, a quadratic in the m x m sufficient statistics with `mse` as its
-exact score.
+consume: the quadratic's data (G, b, c) with `mse` as its exact score.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -19,24 +17,40 @@ import numpy as np
 from .ingestion import ScoreMatrix
 
 
-@dataclass
 class Objective:
-    """A scalar objective over weight vectors.
+    """The quadratic f(w) = w'Gw - 2b'w + c over m weights, with its exact form.
 
-    `value` must be pure; it is what a search compares.  `gradient` is
-    optional and, when present, must be consistent with `value` under finite
-    differences.  `value_batch` is an optional fast path evaluating a (p, m)
-    stack of weight vectors at once; population methods fall back to
-    row-by-row `value` calls without it.  `exact` is the reference form that
-    scores a point for the report (`value` when absent): every reported
-    objective comes from it.  `value`, `gradient` and `value_batch` may round
-    differently from `exact`, so they only rank candidates.
+    `gram` (G, m x m), `moment` (b, length m) and `offset` (c) are its data,
+    and `dimension` (m) is len(moment).  `value`, `gradient` (2(Gw - b)) and
+    `value_batch` (a (p, m) stack of points at once) read only them: they are
+    what a search evaluates and compares.  `exact` is the reference form that
+    scores a point for the report: every reported objective comes from it.
+    `value`, `gradient` and `value_batch` may round differently from `exact`,
+    so they only rank candidates.
+
+    Any of the four may be replaced on an instance (a test fake, a timing
+    wrapper); a search reaches them only through the instance's attributes.
     """
 
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    value_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    exact: Callable[[np.ndarray], float] | None = None
+    def __init__(self, gram: np.ndarray, moment: np.ndarray, offset: float, exact: Callable[[np.ndarray], float]):
+        self.gram = gram
+        self.moment = moment
+        self.offset = offset
+        self.exact = exact
+        self._twice_moment = 2.0 * moment
+
+    @property
+    def dimension(self) -> int:
+        return len(self.moment)
+
+    def value(self, w: np.ndarray) -> float:
+        return float(w @ (self.gram @ w - self._twice_moment)) + self.offset
+
+    def gradient(self, w: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.gram @ w - self.moment)
+
+    def value_batch(self, ws: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", ws @ self.gram, ws) - 2.0 * (ws @ self.moment) + self.offset
 
 
 def _as_weights(weights: Sequence[float] | np.ndarray, m: int) -> np.ndarray:
@@ -78,31 +92,20 @@ def mse_gradient(weights: Sequence[float] | np.ndarray, matrix: ScoreMatrix) -> 
 def make_mse_objective(matrix: ScoreMatrix) -> Objective:
     """The MSE of one matrix as the quadratic f(w) = w'Gw - 2b'w + c.
 
-    G = S'S/n, b = S'y/n and c = y'y/n are computed once here.  `value`
-    (w.(Gw - 2b) + c), `gradient` (2(Gw - b)) and `value_batch` read only
-    them, so a point costs O(m^2) instead of O(n*m).  Their rounding error is
-    a few ulps of w'Gw, not of f: the last digits where f is far from 0, but
-    more than f itself near an exact fit.  `exact` is `mse` bound to the
-    matrix, the residual form, and the only callable that reads its rows.
+    G = S'S/n, b = S'y/n and c = y'y/n are computed once here, so a search
+    evaluation costs O(m^2) instead of O(n*m).  Its rounding error is a few
+    ulps of w'Gw, not of f: the last digits where f is far from 0, but more
+    than f itself near an exact fit.  `exact` is `mse` bound to the matrix,
+    the residual form, and the only callable that reads its rows.
     """
     if matrix.n_samples == 0:
         raise ValueError("MSE undefined on an empty dataset")
     scores = matrix.scores
     labels = matrix.labels
     n = matrix.n_samples
-    gram = (scores.T @ scores) / n
-    moment = (scores.T @ labels) / n
-    twice_moment = 2.0 * moment
-    offset = float(labels @ labels) / n
-
-    def value(w: np.ndarray) -> float:
-        return float(w @ (gram @ w - twice_moment)) + offset
-
-    def gradient(w: np.ndarray) -> np.ndarray:
-        return 2.0 * (gram @ w - moment)
-
-    def value_batch(ws: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", ws @ gram, ws) - 2.0 * (ws @ moment) + offset
-
-    return Objective(value=value, gradient=gradient, value_batch=value_batch, exact=partial(mse, matrix=matrix))
-
+    return Objective(
+        gram=(scores.T @ scores) / n,
+        moment=(scores.T @ labels) / n,
+        offset=float(labels @ labels) / n,
+        exact=partial(mse, matrix=matrix),
+    )

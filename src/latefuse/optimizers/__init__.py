@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, NamedTuple
 
-from ..fusion import Objective
+from ..fusion import Objective, equal_weights
 from . import equal, ga, lbfgsb, nelder_mead, pso, tnc, trust_region
 from .common import (
     CONFIG_SETTINGS,
@@ -62,9 +62,8 @@ def resolve(method: str, overrides: Mapping) -> tuple[dict, dict]:
 
 def optimize(method: str, objective: Objective, config: OptimizerConfig) -> OptimizerReport:
     spec = _lookup(method)
-    if spec.gradient and objective.gradient is None:
-        raise ValueError(f"{method} needs the objective's gradient")
     params = check_settings(spec.settings, config.method_params, f"method {method!r}")
+    equal_weights(objective.dimension)  # every method's start; raises for an objective without inducers
     report = spec.run(objective, config, params)
     report.method = method
     return report

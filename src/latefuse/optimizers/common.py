@@ -1,11 +1,12 @@
 """Shared machinery for the weight-search methods: config, settings, search state, search loops.
 
-Every optimizer works on the closed box [0, 1]^dimension, the paper's weight
-range, through one `Search`: it counts the search's evaluations, keeps a
-canonical incumbent (best weights re-scored through the objective's exact
-form, so the reported objective is bit-reproducible) that starts at the equal
-weights, and builds the OptimizerReport with its non-increasing best-so-far
-trace.
+Every optimizer works on the closed box [0, 1]^m, the paper's weight range,
+with m the objective's `dimension`, through one `Search`: it counts the
+search's evaluations (calls of the objective's `value`, `gradient` and
+`value_batch`), keeps a canonical incumbent (best weights re-scored through
+the objective's `exact`, so the reported objective is bit-reproducible) that
+starts at the equal weights, and builds the OptimizerReport with its
+non-increasing best-so-far trace.
 
 The gradient methods run in `descend`, the one projected-descent loop: it
 stops at a box-stationary point, and each method supplies only its step on
@@ -101,7 +102,6 @@ CONFIG_SETTINGS = {
 }
 
 _CONFIG_FIELDS = {  # all are given, so only CONFIG_SETTINGS' defaults are read
-    "dimension": Setting(int, None, 1, math.inf, "[)"),
     **CONFIG_SETTINGS,
     "seed": Setting(int, None, 0, math.inf, "[)"),
 }
@@ -109,7 +109,6 @@ _CONFIG_FIELDS = {  # all are given, so only CONFIG_SETTINGS' defaults are read
 
 @dataclass
 class OptimizerConfig:
-    dimension: int
     max_iterations: int = CONFIG_SETTINGS["max_iterations"].default
     tolerance: float = CONFIG_SETTINGS["tolerance"].default
     seed: int = 0
@@ -139,7 +138,7 @@ class OptimizerReport:
         return {
             "method": self.method,
             "seed": self.config.seed,
-            "config": self.config.to_dict(),
+            "config": {"dimension": len(self.best_weights), **self.config.to_dict()},
             "best_weights": [float(x) for x in self.best_weights],
             "best_objective": float(self.best_objective),
             "function_evaluations": self.function_evaluations,
@@ -153,9 +152,10 @@ class OptimizerReport:
 class Search:
     """One run's search state: counted evaluations, the exact incumbent and its report.
 
-    `value`, `gradient` and `value_batch` are the search's evaluations,
-    counted and checked finite; `function_evaluations` counts `value` calls
-    plus the points of `value_batch` calls.  `exact` re-scores, made only
+    `value`, `gradient` and `value_batch` are the search's evaluations, each
+    one call of the objective's attribute of that name, counted and checked
+    finite; `function_evaluations` counts `value` calls plus the points of
+    `value_batch` calls.  `exact` re-scores, made only
     for the incumbent, are not counted.
 
     `consider` re-scores a point that the search's own values say beats the
@@ -167,11 +167,10 @@ class Search:
 
     def __init__(self, objective: Objective, config: OptimizerConfig):
         self._objective = objective
-        self._exact = objective.value if objective.exact is None else objective.exact
         self.config = config
         self.function_evaluations = 0
         self.gradient_evaluations = 0
-        self.best_x = equal_weights(config.dimension)
+        self.best_x = equal_weights(objective.dimension)
         self.best_f = self.exact(self.best_x)
         self.trace: list[tuple[int, float]] = [(0, self.best_f)]
 
@@ -183,8 +182,8 @@ class Search:
         return v
 
     def exact(self, x: np.ndarray) -> float:
-        """The reference score of x, through the objective's `exact` (`value` without one)."""
-        v = float(self._exact(x))
+        """The reference score of x, through the objective's `exact`."""
+        v = float(self._objective.exact(x))
         if not math.isfinite(v):
             raise NonFiniteObjectiveError(x, v)
         return v
@@ -199,10 +198,7 @@ class Search:
     def value_batch(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate a (p, m) stack of points; counts p evaluations."""
         self.function_evaluations += len(xs)
-        if self._objective.value_batch is not None:
-            vals = np.asarray(self._objective.value_batch(xs), dtype=np.float64)
-        else:
-            vals = np.array([float(self._objective.value(x)) for x in xs])
+        vals = np.asarray(self._objective.value_batch(xs), dtype=np.float64)
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise NonFiniteObjectiveError(xs[bad], vals[bad])
@@ -301,7 +297,7 @@ def descend(objective: Objective, config: OptimizerConfig, step: Callable) -> Op
     moved is offered to the incumbent.
     """
     search = Search(objective, config)
-    x = equal_weights(config.dimension)
+    x = equal_weights(objective.dimension)
     f = search.value(x)
     g = search.gradient(x)
     for it in range(1, config.max_iterations + 1):
@@ -330,8 +326,8 @@ def evolve(
     """
     search = Search(objective, config)
     rng = np.random.default_rng(config.seed)
-    population = rng.uniform(0.0, 1.0, size=(size, config.dimension))
-    population[0] = equal_weights(config.dimension)
+    population = rng.uniform(0.0, 1.0, size=(size, objective.dimension))
+    population[0] = equal_weights(objective.dimension)
     values = search.value_batch(population)
     search.consider(population[int(np.argmin(values))], 0)
 

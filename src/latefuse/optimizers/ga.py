@@ -23,10 +23,10 @@ def optimize_ga(objective: Objective, config: OptimizerConfig, p: dict) -> Optim
     pop_size = p["population_size"]
     tournament = p["tournament_size"]
     elite = p["elite_count"]
+    m = objective.dimension
     mutation_rate = p["mutation_rate"]
     if mutation_rate is None:
-        mutation_rate = 1.0 / config.dimension
-    m = config.dimension
+        mutation_rate = 1.0 / m
     sigma = float(p["mutation_sigma"])
     n_children = pop_size - elite
 

@@ -39,7 +39,7 @@ def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict)
     gamma = float(p["expansion"])
     beta = float(p["contraction"])
     delta = float(p["shrink"])
-    m = config.dimension
+    m = objective.dimension
     search = Search(objective, config)
 
     # Rows stay sorted by value, ties in the order a stable sort would keep:

@@ -45,7 +45,7 @@ def _truncated_cg(hessvec, b: np.ndarray, max_inner: int) -> np.ndarray:
 
 
 def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
-    m = config.dimension
+    m = objective.dimension
     max_inner = min(2 * m, 50)
 
     def step(search, x, f, g, free):

@@ -50,7 +50,7 @@ def _dogleg(g: np.ndarray, hessian: np.ndarray, radius: float) -> np.ndarray:
 
 
 def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
-    m = config.dimension
+    m = objective.dimension
     radius = float(p["initial_radius"])
     max_radius = p["max_radius"]
     if max_radius is None:

@@ -2,10 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from latefuse.fusion import Objective
 from latefuse.synth import SynthSpec, generate
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
+
+
+def quadratic(gram, moment, offset):
+    """The objective w'Gw - 2b'w + c of the given data, whose exact form is its own `value`.
+
+    A test that needs the forms to disagree replaces an attribute on the
+    instance, as the benchmark's timing wrappers do.
+    """
+    objective = Objective(np.asarray(gram, dtype=float), np.asarray(moment, dtype=float), float(offset), None)
+    objective.exact = objective.value
+    return objective
 
 
 @pytest.fixture

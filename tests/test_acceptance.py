@@ -93,7 +93,7 @@ def test_02_deterministic_methods_converge_on_planted_data():
     started = time.perf_counter()
     reached = {}
     for method, tol in tolerances.items():
-        report = optimize(method, objective, OptimizerConfig(dimension=5, seed=0))
+        report = optimize(method, objective, OptimizerConfig(seed=0))
         reached[method] = (report.best_objective, report.best_objective <= tol, report.iterations)
     elapsed = time.perf_counter() - started
     ok = all(hit for _, hit, _ in reached.values()) and elapsed < budget
@@ -110,7 +110,7 @@ def test_03_stochastic_methods_converge_for_most_seeds():
     for method in ("pso", "ga"):
         wins = 0
         for seed in range(10):
-            report = optimize(method, objective, OptimizerConfig(dimension=5, seed=seed))
+            report = optimize(method, objective, OptimizerConfig(seed=seed))
             if report.best_objective <= 1e-3:
                 wins += 1
         hits[method] = wins
@@ -134,7 +134,7 @@ def test_04_search_methods_dominate_coarse_grid():
         objective = make_mse_objective(matrix)
         grid = grid_oracle(matrix, step=0.05)
         for method in SEARCH_METHODS:
-            report = optimize(method, objective, OptimizerConfig(dimension=3, seed=0))
+            report = optimize(method, objective, OptimizerConfig(seed=0))
             gap = report.best_objective - grid.objective
             worst_gap = max(worst_gap, gap)
             ok = ok and report.best_objective <= grid.objective + 1e-9
@@ -158,7 +158,7 @@ def test_05_every_search_method_ties_or_beats_equal_weights():
         equal_mse = mse(equal_weights(m), matrix)
         objective = make_mse_objective(matrix)
         for method in SEARCH_METHODS:
-            config = OptimizerConfig(dimension=m, seed=i, method_params=small_budget(method))
+            config = OptimizerConfig(seed=i, method_params=small_budget(method))
             report = optimize(method, objective, config)
             if not report.best_objective <= equal_mse:
                 failures.append((i, method, report.best_objective, equal_mse))
@@ -297,7 +297,6 @@ def test_10_fuzzed_runs_respect_bounds_and_trace_order():
             "ga": {"population_size": 12, "stagnation_window": 5, "max_generations": 20},
         }.get(method, {})
         config = OptimizerConfig(
-            dimension=m,
             seed=int(rng.integers(0, 2**31)),
             max_iterations=int(rng.integers(1, 50)),
             method_params=params,

@@ -389,7 +389,7 @@ def test_data_error_mismatched_inducer_sets(dataset_pair, tmp_path, capsys):
 
 def test_abort_exit_code_on_non_finite_objective(dataset_pair, tmp_path, capsys, monkeypatch):
     def explode(method, objective, config):
-        raise NonFiniteObjectiveError(np.zeros(config.dimension), math.nan)
+        raise NonFiniteObjectiveError(np.zeros(objective.dimension), math.nan)
 
     monkeypatch.setattr(cli, "optimize", explode)
     code = main(["run", "--method", "tnc", *data_flags(dataset_pair, tmp_path / "o")])
@@ -400,7 +400,7 @@ def test_abort_exit_code_on_non_finite_objective(dataset_pair, tmp_path, capsys,
 def test_failed_run_leaves_no_artifacts(dataset_pair, tmp_path, capsys, monkeypatch):
     # evaluation happens after optimization; a failure there must not leave files
     def explode(method, objective, config):
-        raise NonFiniteObjectiveError(np.zeros(config.dimension), math.nan)
+        raise NonFiniteObjectiveError(np.zeros(objective.dimension), math.nan)
 
     monkeypatch.setattr(cli, "optimize", explode)
     out = tmp_path / "o"

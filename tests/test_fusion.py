@@ -179,9 +179,14 @@ def test_gradient_matches_central_differences():
 
 # ---------------------------------------------------------------- objective and persistence
 
-def test_objective_closures_agree_with_functions():
+def test_objective_data_and_methods_agree_with_functions():
     matrix = random_score_matrix(30, 4, seed=40)
     obj = make_mse_objective(matrix)
+    n, s, y = matrix.n_samples, matrix.scores, matrix.labels
+    assert np.array_equal(obj.gram, (s.T @ s) / n)
+    assert np.array_equal(obj.moment, (s.T @ y) / n)
+    assert obj.offset == float(y @ y) / n
+    assert obj.dimension == 4
     w = np.array([0.2, 0.4, 0.6, 0.8])
     assert obj.exact(w) == mse(w, matrix)
     assert obj.value(w) == pytest.approx(mse(w, matrix), rel=1e-12)
@@ -192,7 +197,7 @@ def test_objective_closures_agree_with_functions():
     assert vals[0] == pytest.approx(mse(w, matrix), rel=1e-12)
 
 
-def test_search_callables_do_not_read_the_matrix():
+def test_search_methods_do_not_read_the_matrix():
     matrix = random_score_matrix(40, 3, seed=2)
     obj = make_mse_objective(matrix)
     w = np.array([0.3, 0.1, 0.7])

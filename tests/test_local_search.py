@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latefuse.fusion import Objective, equal_weights, make_mse_objective
+from conftest import quadratic
+from latefuse.fusion import equal_weights, make_mse_objective
 from latefuse.ingestion import apply_minmax, assemble, fit_minmax
 from latefuse.optimizers import METHODS, OptimizerConfig, optimize
 from latefuse.optimizers.common import (
@@ -29,7 +30,7 @@ def _reference_nelder_mead(objective, config, p):
     beta, delta = float(p["contraction"]), float(p["shrink"])
     search = Search(objective, config)
 
-    simplex = _initial_simplex(equal_weights(config.dimension), float(p["initial_step"]))
+    simplex = _initial_simplex(equal_weights(objective.dimension), float(p["initial_step"]))
     values = np.array([search.value(v) for v in simplex])
     b = int(np.argmin(values))
     search.consider(simplex[b], 0)
@@ -95,13 +96,18 @@ def _setting_value(spec):
 
 
 def _quantised_quadratic(center, scales, step):
-    """A separable quadratic rounded to multiples of ``step``, so vertex values tie."""
+    """A separable quadratic rounded to multiples of ``step``, so vertex values tie.
+
+    The rounded form is both the search value and the exact score.
+    """
 
     def value(x):
         d = np.asarray(x) - center
         return math.floor(float(scales @ (d * d)) / step + 0.5) * step
 
-    return Objective(value=value)
+    objective = quadratic(np.diag(scales), scales * center, scales @ (center * center))
+    objective.value = objective.exact = value
+    return objective
 
 
 @settings(max_examples=300, deadline=None)
@@ -117,12 +123,7 @@ def test_nelder_mead_matches_argsort_every_iteration(m, data, step, max_iteratio
     center = np.array(data.draw(st.lists(st.floats(-0.5, 1.5), min_size=m, max_size=m), label="center"))
     scales = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m), label="scales"))
     objective = _quantised_quadratic(center, scales, step)
-    config = OptimizerConfig(
-        dimension=m,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        method_params=params,
-    )
+    config = OptimizerConfig(max_iterations=max_iterations, tolerance=tolerance, method_params=params)
 
     expected = _reference_nelder_mead(objective, config, params)
     got = optimize("nelder-mead", objective, config)
@@ -159,20 +160,12 @@ def test_no_free_variable_means_zero_projected_gradient(data, m):
 
 
 def _coupled_quadratic(m, seed):
-    """(x - c)' A (x - c) with a dense SPD A and a centre partly outside [0, 1]^m."""
+    """(x - c)' A (x - c) = x'Ax - 2(Ac)'x + c'Ac with a dense SPD A and a centre partly outside [0, 1]^m."""
     rng = np.random.default_rng(seed)
     root = rng.normal(size=(m, m))
     a = root @ root.T + 0.1 * np.eye(m)
     c = rng.uniform(-1.0, 2.0, size=m)
-
-    def value(x):
-        d = np.asarray(x) - c
-        return float(d @ a @ d)
-
-    def gradient(x):
-        return 2.0 * (a @ (np.asarray(x) - c))
-
-    return Objective(value=value, gradient=gradient)
+    return quadratic(a, a @ c, c @ a @ c)
 
 
 @pytest.mark.parametrize("method", ["lbfgsb", "trust-region"])
@@ -183,7 +176,7 @@ def test_step_leaves_fixed_variables_unchanged(method, m):
     for seed in range(10):
         objective = _coupled_quadratic(m, seed)
         states = [
-            optimize(method, objective, OptimizerConfig(dimension=m, max_iterations=k)).best_weights
+            optimize(method, objective, OptimizerConfig(max_iterations=k)).best_weights
             for k in range(1, 25)
         ]
         for before, after in zip(states, states[1:]):
@@ -210,11 +203,11 @@ def _objective_and_optimum(seed):
     return objective, objective.value(exact.x)
 
 
-def _scipy_minimize(objective, config, method, **kwargs):
+def _scipy_minimize(objective, method, **kwargs):
     """scipy's bounded `minimize` on our objective, from our start (the equal weights) in our box."""
     optimize_ = pytest.importorskip("scipy.optimize")
     bounds = optimize_.Bounds(0.0, 1.0)
-    x0 = equal_weights(config.dimension)
+    x0 = equal_weights(objective.dimension)
     return optimize_.minimize(objective.value, x0, bounds=bounds, method=method, **kwargs)
 
 
@@ -222,7 +215,7 @@ def _scipy_minimize(objective, config, method, **kwargs):
 def test_gradient_methods_terminate_at_the_optimum_full_dimension(seed):
     objective, optimum = _objective_and_optimum(seed)
     for method in ("lbfgsb", "trust-region", "tnc"):
-        report = optimize(method, objective, OptimizerConfig(dimension=29))
+        report = optimize(method, objective, OptimizerConfig())
         assert report.converged, method
         assert report.function_evaluations <= 100, method
         assert abs(report.best_objective - optimum) <= 1e-12 * optimum, method
@@ -235,10 +228,10 @@ SCIPY_COUNTERPARTS = {"lbfgsb": "L-BFGS-B", "tnc": "TNC", "trust-region": "trust
 @pytest.mark.parametrize("seed", range(3))
 def test_gradient_methods_end_no_farther_from_the_optimum_than_scipy(seed):
     objective, optimum = _objective_and_optimum(seed)
-    config = OptimizerConfig(dimension=29)
+    config = OptimizerConfig()
     for method, counterpart in SCIPY_COUNTERPARTS.items():
         ours = optimize(method, objective, config).best_objective - optimum
-        theirs = objective.value(_scipy_minimize(objective, config, counterpart, jac=objective.gradient).x) - optimum
+        theirs = objective.value(_scipy_minimize(objective, counterpart, jac=objective.gradient).x) - optimum
         assert ours <= theirs + 1e-12, (method, ours, theirs)
 
 
@@ -246,9 +239,9 @@ def test_gradient_methods_end_no_farther_from_the_optimum_than_scipy(seed):
 def test_nelder_mead_stops_at_its_budget_short_of_the_optimum_like_scipy(seed):
     """Both bounded Nelder-Meads run out of iterations with a nonzero gap; run with -s to see both gaps."""
     objective, optimum = _objective_and_optimum(seed)
-    config = OptimizerConfig(dimension=29)
+    config = OptimizerConfig()
     ours = optimize("nelder-mead", objective, config)
-    theirs = _scipy_minimize(objective, config, "Nelder-Mead", options={"maxiter": config.max_iterations})
+    theirs = _scipy_minimize(objective, "Nelder-Mead", options={"maxiter": config.max_iterations})
     ours_gap, scipy_gap = ours.best_objective - optimum, objective.value(theirs.x) - optimum
     print(
         f"seed {seed}: nelder-mead gap {ours_gap:.3e} ({ours.function_evaluations} f-evals), "
@@ -261,9 +254,11 @@ def test_nelder_mead_stops_at_its_budget_short_of_the_optimum_like_scipy(seed):
 
 # ---------------------------------------------------------------- unconverged stops
 
-def _lying_objective():
+def _lying_objective(m):
     """|x - 0.3|^2 with its gradient's sign flipped: every descent direction climbs."""
-    return Objective(value=lambda x: float(np.sum((x - 0.3) ** 2)), gradient=lambda x: -2.0 * (x - 0.3))
+    objective = quadratic(np.eye(m), np.full(m, 0.3), m * 0.09)
+    objective.gradient = lambda x: -2.0 * (x - 0.3)
+    return objective
 
 
 @pytest.mark.parametrize(
@@ -276,11 +271,10 @@ def _lying_objective():
     ],
 )
 def test_gradient_methods_stop_unconverged_without_a_step(method, max_iterations, expected):
-    config = OptimizerConfig(dimension=4, max_iterations=max_iterations)
-    report = optimize(method, _lying_objective(), config)
+    report = optimize(method, _lying_objective(4), OptimizerConfig(max_iterations=max_iterations))
     got = (report.iterations, report.converged, report.function_evaluations, report.gradient_evaluations)
     assert got == expected
-    assert report.best_weights.tolist() == equal_weights(config.dimension).tolist()
+    assert report.best_weights.tolist() == equal_weights(4).tolist()
 
 
 # ---------------------------------------------------------------- line search
@@ -291,7 +285,7 @@ _ARMIJO = {"armijo_c": 1e-4, "max_backtracks": 5}
 def _line_search_state(g_sign=1.0):
     """A Search on |x - (0.2, 0.4)|^2 in [0, 1]^2 at x = (0.5, 0.5), with f and g_sign times the gradient."""
     c = np.array([0.2, 0.4])
-    search = Search(Objective(value=lambda x: float(np.sum((x - c) ** 2))), OptimizerConfig(dimension=2))
+    search = Search(quadratic(np.eye(2), c, c @ c), OptimizerConfig())
     x = np.array([0.5, 0.5])
     return search, x, float(np.sum((x - c) ** 2)), g_sign * 2.0 * (x - c)
 
