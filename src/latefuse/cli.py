@@ -22,6 +22,7 @@ from .fusion import fuse, make_mse_objective
 from .ingestion import (
     IngestionError,
     InducerTable,
+    Key,
     ScoreMatrix,
     apply_minmax,
     assemble,
@@ -137,7 +138,18 @@ def expand_inducer_paths(entries: list[str]) -> list[Path]:
 
 
 def load_split(entries: list[str]) -> list[InducerTable]:
-    tables = [read_inducer_csv(p) for p in expand_inducer_paths(entries)]
+    """Read a split's inducer files, sorted by name.
+
+    Equal keys are interned: every table points at the first copy of each
+    (video_id, image_id) tuple read, so a split keeps one copy of the key
+    column that its files repeat, whatever order each file lists it in.
+    """
+    canon: dict[Key, Key] = {}
+    tables: list[InducerTable] = []
+    for path in expand_inducer_paths(entries):
+        table = read_inducer_csv(path)
+        table.keys = [canon.setdefault(key, key) for key in table.keys]
+        tables.append(table)
     seen: set[str] = set()
     for t in tables:
         if t.inducer_name in seen:

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latefuse.cli import load_split
 from latefuse.ingestion import (
     AlignmentError,
     DuplicateKeyError,
+    IngestionError,
     InducerTable,
     MissingLabelError,
     ParseError,
@@ -149,6 +152,60 @@ def test_parse_errors_name_the_file_and_line(text, error, message):
     assert str(raised.value) == message
 
 
+# ---------------------------------------------------------------- what the README says the parser accepts
+
+def parse_outcome(text):
+    """What the parser makes of `text`, down to the bits: its keys and scores, or its error's type and message."""
+    try:
+        table = parse_inducer_file(io.StringIO(text), "c", where="f.csv")
+    except IngestionError as exc:
+        return type(exc), str(exc)
+    return table.keys, table.scores.dtype.str, table.scores.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, result",
+    [
+        # blank and whitespace-only lines are skipped; fields are stripped
+        (["", "  v1 ,\ti1 , 1 , 0.5 ", " \t "], ([("v1", "i1")], [0.5])),
+        # score is Python float syntax: underscores between digits, padding, exponents
+        (
+            ["v1,i1,0,1_0", "v1,i2,1, 1e3 ", "v1,i3,0,-0.0"],
+            ([("v1", "i1"), ("v1", "i2"), ("v1", "i3")], [10.0, 1000.0, -0.0]),
+        ),
+        (["v1,i1,0,0x1p3"], (ParseError, "f.csv: non-numeric score at line 2: '0x1p3'")),
+        (["v1,i1,0,+2", "v1,i2,0,nan"], (ParseError, "f.csv: non-finite score at line 3: 'nan'")),
+        (["v1,i1,0,inf"], (ParseError, "f.csv: non-finite score at line 2: 'inf'")),
+        (["v1,i1,01,0.5"], (ParseError, "f.csv: class out of {0,1} at line 2: '01'")),
+        (["v1,i1,0,1e999"], (ParseError, "f.csv: non-finite score at line 2: '1e999'")),
+        # several faults: the first faulty line is reported, whatever the kind of fault
+        (["v1,i1,2,0.5", "v1,i2,0"], (ParseError, "f.csv: class out of {0,1} at line 2: '2'")),
+        (["v1,i1,0,0.5", "v1,i2,0", "v1,i1,0,0.5"], (ParseError, "f.csv: expected 4 fields, got 3 at line 3")),
+        (["v1,i1,0,0.5", "v1,i1,0,x", "v1,i2,5,0.5"], (ParseError, "f.csv: non-numeric score at line 3: 'x'")),
+        (
+            ["v1,i1,0,0.5", "", "v1,i1,0,0.5", "v1,i2,0,nan"],
+            (DuplicateKeyError, "f.csv: duplicate key ('v1', 'i1') at line 4"),
+        ),
+        # within one line: flag before score before key
+        (["v1,i1,0,0.5", "v1,i1,7,x"], (ParseError, "f.csv: class out of {0,1} at line 3: '7'")),
+    ],
+)
+def test_parser_accepts_what_the_readme_states(rows, result):
+    text = INDUCER_H + "\n" + "\n".join(rows) + "\n"
+    if not isinstance(result[0], type):
+        keys, scores = result
+        result = (keys, np.dtype(np.float64).str, np.array(scores, dtype=np.float64).tobytes())
+    assert parse_outcome(text) == result
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_any_splitlines_break_ends_a_line(brk):
+    text = brk.join([INDUCER_H, "v1,i1,0,0.5", "v1,i2,1,0.25"]) + brk
+    table = parse_inducer_file(io.StringIO(text), "c")
+    assert table.keys == [("v1", "i1"), ("v1", "i2")]
+    assert table.scores.tolist() == [0.5, 0.25]
+
+
 def test_load_ground_truth_merges_and_rejects_cross_file_duplicates(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_text("video_id,image_id,label\nv1,i1,1\n")
@@ -220,6 +277,72 @@ def test_assemble_order_independent_of_record_order():
     assert a.sample_keys == b.sample_keys
     assert np.array_equal(a.scores, b.scores)
     assert np.array_equal(a.labels, b.labels)
+
+
+# ---------------------------------------------------------------- one key column per split
+
+SPLIT_KEYS = random.Random(2).sample([(f"v{r // 4}", f"i{r:02d}") for r in range(12)], 12)  # not sorted
+
+
+def write_inducer(path, keys, scores):
+    rows = (f"{v},{i},{c % 2},{x!r}" for c, ((v, i), x) in enumerate(zip(keys, np.asarray(scores).tolist())))
+    path.write_text("\n".join([INDUCER_H, *rows]) + "\n")
+
+
+def test_a_split_interns_its_keys_whatever_the_row_order(tmp_path):
+    rng = np.random.default_rng(1)
+    columns = {name: rng.random(len(SPLIT_KEYS)) for name in ("a", "b", "c")}
+    forward, mixed = tmp_path / "forward", tmp_path / "mixed"
+    forward.mkdir()
+    mixed.mkdir()
+    for name, scores in columns.items():
+        write_inducer(forward / f"{name}.csv", SPLIT_KEYS, scores)
+    # the first file reversed, the second as written, the third shuffled: the same scores by key
+    order = random.Random(4).sample(range(len(SPLIT_KEYS)), len(SPLIT_KEYS))
+    write_inducer(mixed / "a.csv", SPLIT_KEYS[::-1], columns["a"][::-1])
+    write_inducer(mixed / "b.csv", SPLIT_KEYS, columns["b"])
+    write_inducer(mixed / "c.csv", [SPLIT_KEYS[i] for i in order], columns["c"][order])
+    tables = load_split([str(mixed)])
+    assert [t.keys for t in tables] == [SPLIT_KEYS[::-1], SPLIT_KEYS, [SPLIT_KEYS[i] for i in order]]
+    assert len({id(key) for t in tables for key in t.keys}) == len(SPLIT_KEYS)  # one tuple per key
+    truth = dict.fromkeys(SPLIT_KEYS, 1)
+    interned = assemble(tables, truth)
+    unshared = assemble([read_inducer_csv(mixed / f"{name}.csv") for name in columns], truth)
+    expected = assemble(load_split([str(forward)]), truth)
+    for matrix in (unshared, expected):
+        assert interned.sample_keys == matrix.sample_keys == sorted(SPLIT_KEYS)
+        assert interned.scores.tobytes() == matrix.scores.tobytes()
+        assert interned.labels.tobytes() == matrix.labels.tobytes()
+
+
+@pytest.mark.parametrize("keys", [SPLIT_KEYS[:-1], SPLIT_KEYS + [("v9", "i99")]], ids=["missing", "extra"])
+def test_a_key_set_mismatch_names_both_inducers(tmp_path, keys):
+    write_inducer(tmp_path / "a.csv", SPLIT_KEYS, np.zeros(len(SPLIT_KEYS)))
+    write_inducer(tmp_path / "b.csv", keys, np.zeros(len(keys)))
+    write_inducer(tmp_path / "c.csv", SPLIT_KEYS, np.zeros(len(SPLIT_KEYS)))
+    tables = load_split([str(tmp_path)])
+    with pytest.raises(AlignmentError, match="inducers 'a' and 'b' disagree on 1 keys"):
+        assemble(tables, dict.fromkeys(keys + SPLIT_KEYS, 1))
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["one-order", "every-file-shuffled"])
+def test_a_split_keeps_one_key_column_in_memory(tmp_path, shuffled):
+    # the paper's dev split: 29 inducers scoring the same 1877 images of 78 videos
+    keys = [(f"dv{r * 78 // 1877:02d}", f"di{r:04d}") for r in range(1877)]
+    rng = np.random.default_rng(2)
+    for j in range(29):
+        order = rng.permutation(len(keys)) if shuffled else range(len(keys))
+        write_inducer(tmp_path / f"inducer_{j:02d}.csv", [keys[i] for i in order], rng.random(len(keys)))
+    tracemalloc.start()
+    try:
+        tables = load_split([str(tmp_path)])
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 29 copies of the keys alone would hold about 9 MB
+    assert kept < 2 * 2**20, f"{kept / 2**20:.2f} MB kept"
+    assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MB peak"
+    assert len(tables) == 29 and len({id(key) for t in tables for key in t.keys}) == len(keys)
 
 
 # ---------------------------------------------------------------- normalization
