@@ -1,6 +1,6 @@
 """Late-fusion weight learning: combine inducer scores, search weights, rank."""
 
-from .evaluation import EvalReport, UndefinedMetricError, average_precision_at_k, map_at_k, rank
+from .evaluation import EvalReport, UndefinedMetricError, map_at_k
 from .fusion import Objective, equal_weights, fuse, make_mse_objective, mse, mse_gradient
 from .ingestion import (
     AlignmentError,
@@ -15,7 +15,6 @@ from .ingestion import (
     fit_minmax,
 )
 from .optimizers import (
-    GRADIENT_METHODS,
     METHODS,
     NonFiniteObjectiveError,
     OptimizerConfig,
@@ -29,7 +28,6 @@ __all__ = [
     "AlignmentError",
     "DuplicateKeyError",
     "EvalReport",
-    "GRADIENT_METHODS",
     "IngestionError",
     "InducerTable",
     "METHODS",
@@ -43,7 +41,6 @@ __all__ = [
     "UndefinedMetricError",
     "apply_minmax",
     "assemble",
-    "average_precision_at_k",
     "equal_weights",
     "fit_minmax",
     "fuse",
@@ -52,5 +49,4 @@ __all__ = [
     "mse",
     "mse_gradient",
     "optimize",
-    "rank",
 ]

@@ -15,6 +15,8 @@ prediction and is validated but not used downstream; ``score`` is the raw
 
 Ground-truth file: UTF-8 CSV with header ``video_id,image_id,label`` where
 ``label`` is the binary relevance judgment.
+
+Either file may start with one UTF-8 byte-order mark, which is dropped.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ def _read_rows(
 ) -> dict[Key, T]:
     """Each row's key and `parse(0/1 third column, later fields, lineno)`, in file order.
 
-    Blank lines are skipped.  Raises ParseError naming the offending line, or
+    One leading U+FEFF (a UTF-8 byte-order mark) is dropped, and blank lines
+    are skipped.  Raises ParseError naming the offending line, or
     DuplicateKeyError when a (video_id, image_id) pair repeats.
     """
     data = source.read()
@@ -98,7 +101,7 @@ def _read_rows(
         except UnicodeDecodeError as exc:
             lineno = data.count(b"\n", 0, exc.start) + 1
             raise ParseError(f"{where}: not valid UTF-8 at line {lineno}") from None
-    lines = data.splitlines()
+    lines = data.removeprefix("\ufeff").splitlines()
     if not lines:
         raise ParseError(f"{where}: empty file, expected header {header!r}")
     if lines[0].strip() != header:

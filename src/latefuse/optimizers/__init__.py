@@ -1,14 +1,16 @@
 """Weight-search methods over the box-constrained fusion objective.
 
-``METHODS`` is the one registry: each method's run function, whether it needs
-the objective's gradient, and the typed spec of each of its settings.
+``METHODS`` is the one registry: each method's run function and the typed
+spec of each of its settings.  ``optimize`` is where every run starts: it
+builds the run's one ``Search`` and calls the run function with it and the
+checked params.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping, NamedTuple
 
-from ..fusion import Objective, equal_weights
+from ..fusion import Objective
 from . import equal, ga, lbfgsb, nelder_mead, pso, tnc, trust_region
 from .common import (
     CONFIG_SETTINGS,
@@ -24,9 +26,8 @@ from .common import (
 
 
 class Method(NamedTuple):
-    run: Callable[[Objective, OptimizerConfig, dict], OptimizerReport]
+    run: Callable[[Search, dict], OptimizerReport]
     settings: Mapping[str, Setting]
-    gradient: bool = False
 
 
 METHODS = {
@@ -34,12 +35,10 @@ METHODS = {
     "pso": Method(pso.optimize_pso, pso.SETTINGS),
     "ga": Method(ga.optimize_ga, ga.SETTINGS),
     "nelder-mead": Method(nelder_mead.optimize_nelder_mead, nelder_mead.SETTINGS),
-    "trust-region": Method(trust_region.optimize_trust_region, trust_region.SETTINGS, gradient=True),
-    "lbfgsb": Method(lbfgsb.optimize_lbfgsb, lbfgsb.SETTINGS, gradient=True),
-    "tnc": Method(tnc.optimize_tnc, tnc.SETTINGS, gradient=True),
+    "trust-region": Method(trust_region.optimize_trust_region, trust_region.SETTINGS),
+    "lbfgsb": Method(lbfgsb.optimize_lbfgsb, lbfgsb.SETTINGS),
+    "tnc": Method(tnc.optimize_tnc, tnc.SETTINGS),
 }
-
-GRADIENT_METHODS = tuple(name for name, m in METHODS.items() if m.gradient)
 
 
 def _lookup(method: str) -> Method:
@@ -63,14 +62,10 @@ def resolve(method: str, overrides: Mapping) -> tuple[dict, dict]:
 def optimize(method: str, objective: Objective, config: OptimizerConfig) -> OptimizerReport:
     spec = _lookup(method)
     params = check_settings(spec.settings, config.method_params, f"method {method!r}")
-    equal_weights(objective.dimension)  # every method's start; raises for an objective without inducers
-    report = spec.run(objective, config, params)
-    report.method = method
-    return report
+    return spec.run(Search(objective, config, method), params)
 
 
 __all__ = [
-    "GRADIENT_METHODS",
     "METHODS",
     "Method",
     "NonFiniteObjectiveError",

@@ -1,12 +1,13 @@
 """Shared machinery for the weight-search methods: config, settings, search state, search loops.
 
 Every optimizer works on the closed box [0, 1]^m, the paper's weight range,
-with m the objective's `dimension`, through one `Search`: it counts the
-search's evaluations (calls of the objective's `value`, `gradient` and
-`value_batch`), keeps a canonical incumbent (best weights re-scored through
-the objective's `exact`, so the reported objective is bit-reproducible) that
-starts at the equal weights, and builds the OptimizerReport with its
-non-increasing best-so-far trace.
+with m the objective's `dimension`, through the one `Search` that `optimize`
+builds for its run: it counts the search's evaluations (calls of the
+objective's `value`, `gradient` and `value_batch`), keeps a canonical
+incumbent (best weights re-scored through the objective's `exact`, so the
+reported objective is bit-reproducible) that starts at the equal weights,
+the start point of every method, and builds the OptimizerReport, named after
+the method, with its non-increasing best-so-far trace.
 
 The gradient methods run in `descend`, the one projected-descent loop: it
 stops at a box-stationary point, and each method supplies only its step on
@@ -163,14 +164,17 @@ class Search:
     best_objective and trace are bit-equal to a fresh exact evaluation of
     best_weights.  The equal start is considered at iteration 0, on
     construction, so no method reports worse than the equal weights.
+    `method` names the report and `dimension` is the objective's m.
     """
 
-    def __init__(self, objective: Objective, config: OptimizerConfig):
+    def __init__(self, objective: Objective, config: OptimizerConfig, method: str):
         self._objective = objective
         self.config = config
+        self.method = method
+        self.dimension = objective.dimension
         self.function_evaluations = 0
         self.gradient_evaluations = 0
-        self.best_x = equal_weights(objective.dimension)
+        self.best_x = equal_weights(self.dimension)
         self.best_f = self.exact(self.best_x)
         self.trace: list[tuple[int, float]] = [(0, self.best_f)]
 
@@ -219,7 +223,7 @@ class Search:
         w = self.best_x
         assert np.all(w >= 0.0) and np.all(w <= 1.0), "incumbent escaped the box"
         return OptimizerReport(
-            method="",  # optimize() stamps the registry key
+            method=self.method,
             best_weights=w.copy(),
             best_objective=self.best_f,
             function_evaluations=self.function_evaluations,
@@ -286,24 +290,24 @@ def line_search(
     return None
 
 
-def descend(objective: Objective, config: OptimizerConfig, step: Callable) -> OptimizerReport:
+def descend(search: Search, step: Callable) -> OptimizerReport:
     """The gradient methods' projected-descent loop, from the equal weights.
 
-    Each iteration calls step(search, x, f, g, free) with the `free_set` mask;
+    Each iteration calls step(x, f, g, free) with the `free_set` mask;
     it returns the next (x, f, g), the same x for a rejected trial, or None
     when it can make no progress.  The loop stops converged at a box-stationary
     point (projected-gradient infinity norm <= tolerance), and unconverged when
     `step` returns None or the iteration budget runs out.  Only a point that
     moved is offered to the incumbent.
     """
-    search = Search(objective, config)
-    x = equal_weights(objective.dimension)
+    config = search.config
+    x = search.best_x.copy()  # a copy: x must never alias the incumbent
     f = search.value(x)
     g = search.gradient(x)
     for it in range(1, config.max_iterations + 1):
         if projected_gradient_norm(x, g) <= config.tolerance:
             return search.report(it - 1, converged=True)
-        taken = step(search, x, f, g, free_set(x, g))
+        taken = step(x, f, g, free_set(x, g))
         if taken is None:
             return search.report(it, converged=False)
         if taken[0] is not x:
@@ -312,29 +316,26 @@ def descend(objective: Objective, config: OptimizerConfig, step: Callable) -> Op
     return search.report(config.max_iterations, converged=False)
 
 
-def evolve(
-    objective: Objective, config: OptimizerConfig, size: int, generations: int, window: int,
-    step: Callable,
-) -> OptimizerReport:
+def evolve(search: Search, size: int, generations: int, window: int, step: Callable) -> OptimizerReport:
     """The population methods' generation loop, from a seeded uniform population.
 
     Row 0 of the first population is the equal weights.  Each generation calls
-    step(search, rng, population, values) and keeps the (population, values) it
+    step(rng, population, values) and keeps the (population, values) it
     returns; their best point is offered to the incumbent when it beats it.  The
     loop stops converged after `window` generations without a `tolerance`
     improvement (0: never), and unconverged after `generations`.
     """
-    search = Search(objective, config)
+    config = search.config
     rng = np.random.default_rng(config.seed)
-    population = rng.uniform(0.0, 1.0, size=(size, objective.dimension))
-    population[0] = equal_weights(objective.dimension)
+    population = rng.uniform(0.0, 1.0, size=(size, search.dimension))
+    population[0] = search.best_x
     values = search.value_batch(population)
     search.consider(population[int(np.argmin(values))], 0)
 
     anchor = search.best_f
     since_improvement = 0
     for it in range(1, generations + 1):
-        population, values = step(search, rng, population, values)
+        population, values = step(rng, population, values)
         b = int(np.argmin(values))
         if values[b] < search.best_f:
             search.consider(population[b], it)

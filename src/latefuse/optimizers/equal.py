@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from ..fusion import Objective
-from .common import OptimizerConfig, OptimizerReport, Search
+from .common import OptimizerReport, Search
 
 
-def optimize_equal(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
-    search = Search(objective, config)
+def optimize_equal(search: Search, p: dict) -> OptimizerReport:
     search.value(search.best_x)  # the one search evaluation the report counts
     return search.report(iterations=0, converged=True)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fusion import Objective
-from .common import OptimizerConfig, OptimizerReport, Setting, evolve
+from .common import OptimizerReport, Search, Setting, evolve
 
 SETTINGS = {
     "population_size": Setting(int, 100, 2, 10**5),
@@ -19,18 +18,18 @@ SETTINGS = {
 }
 
 
-def optimize_ga(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
+def optimize_ga(search: Search, p: dict) -> OptimizerReport:
     pop_size = p["population_size"]
     tournament = p["tournament_size"]
     elite = p["elite_count"]
-    m = objective.dimension
+    m = search.dimension
     mutation_rate = p["mutation_rate"]
     if mutation_rate is None:
         mutation_rate = 1.0 / m
     sigma = float(p["mutation_sigma"])
     n_children = pop_size - elite
 
-    def step(search, rng, population, fitness):
+    def step(rng, population, fitness):
         """Breed the next generation: elites, then tournament-selected, crossed and mutated children."""
         order = np.argsort(fitness, kind="stable")
         next_pop = np.empty_like(population)
@@ -57,5 +56,5 @@ def optimize_ga(objective: Objective, config: OptimizerConfig, p: dict) -> Optim
         next_pop[elite:] = np.clip(children + mutate * noise, 0.0, 1.0)
         return next_pop, search.value_batch(next_pop)
 
-    generations = min(p["max_generations"], config.max_iterations)
-    return evolve(objective, config, pop_size, generations, p["stagnation_window"], step)
+    generations = min(p["max_generations"], search.config.max_iterations)
+    return evolve(search, pop_size, generations, p["stagnation_window"], step)

@@ -6,8 +6,7 @@ from collections import deque
 
 import numpy as np
 
-from ..fusion import Objective
-from .common import LINE_SEARCH_SETTINGS, OptimizerConfig, OptimizerReport, Setting, descend, line_search
+from .common import LINE_SEARCH_SETTINGS, OptimizerReport, Search, Setting, descend, line_search
 
 SETTINGS = {"history": Setting(int, 10, 1, 1000), **LINE_SEARCH_SETTINGS}
 
@@ -42,10 +41,10 @@ def _two_loop(g: np.ndarray, pairs: deque, free: np.ndarray) -> np.ndarray:
     return product
 
 
-def optimize_lbfgsb(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
+def optimize_lbfgsb(search: Search, p: dict) -> OptimizerReport:
     pairs: deque = deque(maxlen=p["history"])
 
-    def step(search, x, f, g, free):
+    def step(x, f, g, free):
         # Kim, Sra & Dhillon's projected quasi-Newton step: variables held on a
         # bound by the gradient do not move, the rest take the two-loop step.
         steepest = np.where(free, -g, 0.0)
@@ -63,4 +62,4 @@ def optimize_lbfgsb(objective: Objective, config: OptimizerConfig, p: dict) -> O
             pairs.append((s, y))
         return trial, f_trial, g_trial
 
-    return descend(objective, config, step)
+    return descend(search, step)

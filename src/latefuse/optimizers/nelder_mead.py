@@ -6,8 +6,7 @@ import bisect
 
 import numpy as np
 
-from ..fusion import Objective, equal_weights
-from .common import OptimizerConfig, OptimizerReport, Search, Setting
+from .common import OptimizerReport, Search, Setting
 
 SETTINGS = {
     "initial_step": Setting(float, 0.05, 0, 1, "(]"),
@@ -34,18 +33,18 @@ def _sort(simplex: np.ndarray, values: list[float]) -> tuple[np.ndarray, list[fl
     return simplex[order], [values[i] for i in order]
 
 
-def optimize_nelder_mead(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
+def optimize_nelder_mead(search: Search, p: dict) -> OptimizerReport:
     alpha = float(p["reflection"])
     gamma = float(p["expansion"])
     beta = float(p["contraction"])
     delta = float(p["shrink"])
-    m = objective.dimension
-    search = Search(objective, config)
+    m = search.dimension
+    config = search.config
 
     # Rows stay sorted by value, ties in the order a stable sort would keep:
     # a new vertex goes after the vertices it ties with, and only a shrink
     # re-sorts the whole simplex.
-    simplex = _initial_simplex(equal_weights(m), float(p["initial_step"]))
+    simplex = _initial_simplex(search.best_x, float(p["initial_step"]))
     simplex, values = _sort(simplex, [search.value(v) for v in simplex])
     search.consider(simplex[0], 0)
     offered = values[0]  # the search value of the last vertex offered to the incumbent

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fusion import Objective
-from .common import OptimizerConfig, OptimizerReport, Setting, evolve
+from .common import OptimizerReport, Search, Setting, evolve
 
 SETTINGS = {
     "swarm_size": Setting(int, 300, 1, 10**5),
@@ -16,10 +15,10 @@ SETTINGS = {
 }
 
 
-def optimize_pso(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
+def optimize_pso(search: Search, p: dict) -> OptimizerReport:
     positions = velocities = None
 
-    def step(search, rng, pbest, pbest_values):
+    def step(rng, pbest, pbest_values):
         """Move the swarm once; the loop keeps the personal bests."""
         nonlocal positions, velocities
         if positions is None:  # the swarm starts at the first population, at rest
@@ -40,6 +39,4 @@ def optimize_pso(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
         pbest_values[better] = values[better]
         return pbest, pbest_values
 
-    return evolve(
-        objective, config, p["swarm_size"], config.max_iterations, p["stagnation_window"], step
-    )
+    return evolve(search, p["swarm_size"], search.config.max_iterations, p["stagnation_window"], step)

@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from ..fusion import Objective
-from .common import LINE_SEARCH_SETTINGS, OptimizerConfig, OptimizerReport, descend, line_search
+from .common import LINE_SEARCH_SETTINGS, OptimizerReport, Search, descend, line_search
 
 SETTINGS = LINE_SEARCH_SETTINGS
 
@@ -44,11 +43,11 @@ def _truncated_cg(hessvec, b: np.ndarray, max_inner: int) -> np.ndarray:
     return d
 
 
-def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
-    m = objective.dimension
+def optimize_tnc(search: Search, p: dict) -> OptimizerReport:
+    m = search.dimension
     max_inner = min(2 * m, 50)
 
-    def step(search, x, f, g, free):
+    def step(x, f, g, free):
         # free is not empty: with no free variable the projected gradient is 0
         fd_step = _SQRT_EPS * (1.0 + float(np.linalg.norm(x)))
 
@@ -69,4 +68,4 @@ def optimize_tnc(objective: Objective, config: OptimizerConfig, p: dict) -> Opti
         trial, f_trial, _ = found
         return trial, f_trial, search.gradient(trial)
 
-    return descend(objective, config, step)
+    return descend(search, step)

@@ -6,8 +6,7 @@ import math
 
 import numpy as np
 
-from ..fusion import Objective
-from .common import OptimizerConfig, OptimizerReport, Setting, descend
+from .common import OptimizerReport, Search, Setting, descend
 
 SETTINGS = {
     "initial_radius": Setting(float, 1.0, 0, math.inf, "()"),
@@ -49,8 +48,8 @@ def _dogleg(g: np.ndarray, hessian: np.ndarray, radius: float) -> np.ndarray:
     return cauchy + min(max(t, 0.0), 1.0) * leg
 
 
-def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict) -> OptimizerReport:
-    m = objective.dimension
+def optimize_trust_region(search: Search, p: dict) -> OptimizerReport:
+    m = search.dimension
     radius = float(p["initial_radius"])
     max_radius = p["max_radius"]
     if max_radius is None:
@@ -58,7 +57,7 @@ def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict
     eta = float(p["acceptance_threshold"])
     hessian = np.eye(m)
 
-    def step(search, x, f, g, free):
+    def step(x, f, g, free):
         nonlocal radius, hessian
         # Coleman & Li's restriction: the dogleg runs on the free variables,
         # and variables held on a bound by the gradient take a zero step.
@@ -90,4 +89,4 @@ def optimize_trust_region(objective: Objective, config: OptimizerConfig, p: dict
             hessian = hessian + np.outer(y, y) / sy - np.outer(hs, hs) / float(realized @ hs)
         return trial, f_trial, g_trial
 
-    return descend(objective, config, step)
+    return descend(search, step)

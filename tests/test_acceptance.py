@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from latefuse.cli import RunManifest, compare
-from latefuse.evaluation import average_precision_at_k, map_at_k, rank
+from latefuse.evaluation import map_at_k
 from latefuse.fusion import equal_weights, fuse, make_mse_objective, mse
-from latefuse.ingestion import assemble
+from latefuse.ingestion import ScoreMatrix, assemble
 from latefuse.optimizers import METHODS, OptimizerConfig, optimize
 from latefuse.synth import (
     SynthSpec,
@@ -176,12 +176,17 @@ def test_06_average_precision_matches_definitional_oracle():
     cases = 0
     mismatches = 0
     for length in range(1, 11):
-        for bits in itertools.product((0, 1), repeat=length):
-            group = [(f"i{pos:02d}", float(length - pos), rel) for pos, rel in enumerate(bits)]
-            ranked = rank(group, "v")
-            for k in range(1, 13):
+        # one video per pattern, its items ranked in the pattern's order by their scores
+        patterns = list(itertools.product((0, 1), repeat=length))
+        keys = [(f"v{v:04d}", f"i{pos:02d}") for v in range(len(patterns)) for pos in range(length)]
+        labels = np.array(patterns, dtype=np.float64).ravel()
+        matrix = ScoreMatrix(keys, labels, ["c0"], np.zeros((len(keys), 1)))
+        fused = np.tile(np.arange(length, 0, -1, dtype=np.float64), len(patterns))
+        for k in range(1, 13):
+            per_group = map_at_k(fused, matrix, k).per_group
+            for bits, (_, ap, _) in zip(patterns, per_group, strict=True):
                 cases += 1
-                if average_precision_at_k(ranked, k) != ap_oracle(bits, k):
+                if ap != ap_oracle(bits, k):
                     mismatches += 1
     elapsed = time.perf_counter() - started
     _criterion(

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latefuse.evaluation import (
-    EvalReport,
-    UndefinedMetricError,
-    average_precision_at_k,
-    map_at_k,
-    rank,
-)
+from latefuse.evaluation import EvalReport, UndefinedMetricError, map_at_k
 from latefuse.ingestion import ScoreMatrix
 from latefuse.synth import ap_oracle
 
@@ -72,71 +66,91 @@ def reference_map_at_k(fused, matrix, k=10):
     return EvalReport(sum(included) / len(included), k, per_group)
 
 
-def ranked(relevances, scores=None):
-    if scores is None:
-        scores = [float(len(relevances) - i) for i in range(len(relevances))]
-    items = [(f"i{i}", scores[i], relevances[i]) for i in range(len(relevances))]
-    return rank(items, group_id="g")
+def ranked_ids(items):
+    """The image ids of one video's (image_id, score) items in map_at_k's rank order.
+
+    Each item in turn is the video's one relevant item, whose AP@n is then 1/rank.
+    """
+    fused = np.array([score for _, score in items])
+    ranks = {}
+    for iid, _ in items:
+        matrix = matrix_with({"v": [(other, int(other == iid)) for other, _ in items]})
+        ranks[iid] = round(1 / map_at_k(fused, matrix, k=len(items)).per_group[0][1])
+    return sorted(ranks, key=ranks.get)
+
+
+def ap_at_k(relevances, k):
+    """AP@k, through map_at_k, of one video whose items rank in the order given.
+
+    A pattern without a relevant item gets a second video that has one, so
+    that MAP@k is defined; the first video's row is read either way.
+    """
+    n = len(relevances)
+    groups = {"g": [(f"i{i}", rel) for i, rel in enumerate(relevances)]}
+    fused = [float(n - i) for i in range(n)]
+    if not any(relevances):
+        groups["h"] = [("i0", 1)]
+        fused.append(1.0)
+    return map_at_k(np.array(fused), matrix_with(groups), k).per_group[0][1]
 
 
 # ---------------------------------------------------------------- rank
 
 def test_rank_orders_by_score_descending():
-    out = rank([("a", 0.9, 0), ("b", 0.1, 0), ("c", 0.5, 1)])
-    assert [item[0] for item in out.items] == ["a", "c", "b"]
+    assert ranked_ids([("a", 0.9), ("b", 0.1), ("c", 0.5)]) == ["a", "c", "b"]
 
 
 def test_rank_breaks_ties_by_image_id():
-    out = rank([("b", 0.5, 0), ("a", 0.5, 1)])
-    assert [item[0] for item in out.items] == ["a", "b"]
+    assert ranked_ids([("b", 0.5), ("a", 0.5)]) == ["a", "b"]
 
 
 def test_rank_single_item():
-    out = rank([("only", 0.3, 1)])
-    assert out.items == [("only", 0.3, 1)]
+    report = map_at_k(np.array([0.3]), matrix_with({"v": [("only", 1)]}), k=10)
+    assert report.per_group == [("v", 1.0, 1)]
 
 
 def test_rank_rejects_nonbinary_relevance():
-    with pytest.raises(ValueError):
-        rank([("a", 0.5, 2)])
+    matrix = matrix_with({"v": [("b", 0), ("a", 2.0)]})
+    with pytest.raises(ValueError, match=r"relevance must be binary, got .*2\.0.* for \('v', 'a'\)"):
+        map_at_k(np.array([0.5, 0.5]), matrix, k=10)
 
 
 # ---------------------------------------------------------------- AP@k
 
 def test_ap_textbook_case():
-    value = average_precision_at_k(ranked([1, 0, 1]), 10)
+    value = ap_at_k([1, 0, 1], 10)
     assert value == pytest.approx(0.5 * (1 + 2 / 3))
     assert value == ap_oracle([1, 0, 1], 10)
 
 
 def test_ap_all_relevant_is_one():
     for k in (1, 3, 10):
-        assert average_precision_at_k(ranked([1, 1, 1]), k) == 1.0
+        assert ap_at_k([1, 1, 1], k) == 1.0
 
 
 def test_ap_no_relevant_is_zero():
-    assert average_precision_at_k(ranked([0, 0, 0]), 10) == 0.0
+    assert ap_at_k([0, 0, 0], 10) == 0.0
 
 
 def test_ap_cutoff_shorter_than_list():
     # only rank 2 hits within the cutoff; R counts the whole group, so the
     # normalizer is min(R=2, k=2) = 2 and AP@2 = (1/2) * (1/2)
-    assert average_precision_at_k(ranked([0, 1, 1]), 2) == pytest.approx(0.25)
-    assert average_precision_at_k(ranked([0, 1, 1]), 2) == ap_oracle([0, 1, 1], 2)
+    assert ap_at_k([0, 1, 1], 2) == pytest.approx(0.25)
+    assert ap_at_k([0, 1, 1], 2) == ap_oracle([0, 1, 1], 2)
 
 
 def test_ap_k_past_group_size_equals_full_ap():
     rng = np.random.default_rng(3)
     for _ in range(50):
         rel = rng.integers(0, 2, size=int(rng.integers(1, 9))).tolist()
-        base = average_precision_at_k(ranked(rel), len(rel))
+        base = ap_at_k(rel, len(rel))
         for k in range(len(rel), 13):
-            assert average_precision_at_k(ranked(rel), k) == base
+            assert ap_at_k(rel, k) == base
 
 
 def test_ap_requires_positive_k():
     with pytest.raises(ValueError):
-        average_precision_at_k(ranked([1]), 0)
+        ap_at_k([1], -1)
     with pytest.raises(ValueError):
         map_at_k(np.array([0.5]), matrix_with({"v1": [("i0", 1)]}), k=0)
 
@@ -146,7 +160,7 @@ def test_ap_agrees_with_oracle_on_random_patterns():
     for _ in range(200):
         rel = rng.integers(0, 2, size=int(rng.integers(1, 9))).tolist()
         k = int(rng.integers(1, 13))
-        assert average_precision_at_k(ranked(rel), k) == ap_oracle(rel, k)
+        assert ap_at_k(rel, k) == ap_oracle(rel, k)
 
 
 # ---------------------------------------------------------------- MAP@k
@@ -293,11 +307,6 @@ def test_map_rejects_nan_scores_in_any_row_order(rows):
         map_at_k(np.array([score[iid] for iid in rows]), matrix, k=1)
 
 
-def test_rank_rejects_nan_scores():
-    with pytest.raises(ValueError, match="NaN"):
-        rank([("b", 0.5, 0), ("a", math.nan, 1)])
-
-
 # ---------------------------------------------------------------- serialization
 
 def test_eval_report_json_and_csv(run_on_pair):
@@ -315,4 +324,4 @@ def test_exhaustive_small_patterns_match_oracle():
     for n in range(1, 8):
         for bits in itertools.product((0, 1), repeat=n):
             for k in (1, 3, 10):
-                assert average_precision_at_k(ranked(list(bits)), k) == ap_oracle(list(bits), k)
+                assert ap_at_k(list(bits), k) == ap_oracle(list(bits), k)

@@ -155,9 +155,11 @@ def test_parse_errors_name_the_file_and_line(text, error, message):
 # ---------------------------------------------------------------- what the README says the parser accepts
 
 def parse_outcome(text):
-    """What the parser makes of `text`, down to the bits: its keys and scores, or its error's type and message."""
+    """What the parser makes of `text` (str or bytes), down to the bits: its keys and scores, or its
+    error's type and message."""
+    source = io.BytesIO(text) if isinstance(text, bytes) else io.StringIO(text)
     try:
-        table = parse_inducer_file(io.StringIO(text), "c", where="f.csv")
+        table = parse_inducer_file(source, "c", where="f.csv")
     except IngestionError as exc:
         return type(exc), str(exc)
     return table.keys, table.scores.dtype.str, table.scores.tobytes()
@@ -188,14 +190,40 @@ def parse_outcome(text):
         ),
         # within one line: flag before score before key
         (["v1,i1,0,0.5", "v1,i1,7,x"], (ParseError, "f.csv: class out of {0,1} at line 3: '7'")),
+        # one leading byte-order mark is dropped, from text or bytes, and line numbers stay the same
+        (f"\ufeff{INDUCER_H}\nv1,i1,1,0.5\n", ([("v1", "i1")], [0.5])),
+        (f"\ufeff{INDUCER_H}\nv1,i1,1,0.5\n".encode(), ([("v1", "i1")], [0.5])),
+        (
+            f"\ufeff{INDUCER_H}\nv1,i1,0,0.5\nv1,i2,0\n".encode(),
+            (ParseError, "f.csv: expected 4 fields, got 3 at line 3"),
+        ),
+        # any other U+FEFF is data: a second mark spoils the header, and one in a field is kept
+        (f"\ufeff\ufeff{INDUCER_H}\n", (ParseError, f"f.csv: bad header at line 1: {chr(0xFEFF) + INDUCER_H!r}")),
+        (["\ufeffv1,i1,0,0.5"], ([("\ufeffv1", "i1")], [0.5])),
     ],
 )
 def test_parser_accepts_what_the_readme_states(rows, result):
-    text = INDUCER_H + "\n" + "\n".join(rows) + "\n"
+    # rows: the lines under the inducer header, or a whole file as str or bytes
+    text = rows if isinstance(rows, (str, bytes)) else INDUCER_H + "\n" + "\n".join(rows) + "\n"
     if not isinstance(result[0], type):
         keys, scores = result
         result = (keys, np.dtype(np.float64).str, np.array(scores, dtype=np.float64).tobytes())
     assert parse_outcome(text) == result
+
+
+@pytest.mark.parametrize("encode", [False, True])
+def test_truth_files_drop_one_leading_byte_order_mark(encode):
+    def outcome(text):
+        try:
+            return parse_ground_truth(io.BytesIO(text.encode()) if encode else io.StringIO(text))
+        except IngestionError as exc:
+            return type(exc), str(exc)
+
+    plain = f"{TRUTH_H}\nv1,i1,1\nv1,i2,0\n"
+    assert outcome("\ufeff" + plain) == outcome(plain) == {("v1", "i1"): 1, ("v1", "i2"): 0}
+    assert outcome(f"\ufeff{TRUTH_H}\nv1,i1,1\nv1,i2,5\n") == (
+        ParseError, "ground truth: label out of {0,1} at line 3: '5'"
+    )
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])

@@ -28,7 +28,7 @@ def _reference_nelder_mead(objective, config, p):
     """
     alpha, gamma = float(p["reflection"]), float(p["expansion"])
     beta, delta = float(p["contraction"]), float(p["shrink"])
-    search = Search(objective, config)
+    search = Search(objective, config, "nelder-mead")
 
     simplex = _initial_simplex(equal_weights(objective.dimension), float(p["initial_step"]))
     values = np.array([search.value(v) for v in simplex])
@@ -285,7 +285,7 @@ _ARMIJO = {"armijo_c": 1e-4, "max_backtracks": 5}
 def _line_search_state(g_sign=1.0):
     """A Search on |x - (0.2, 0.4)|^2 in [0, 1]^2 at x = (0.5, 0.5), with f and g_sign times the gradient."""
     c = np.array([0.2, 0.4])
-    search = Search(quadratic(np.eye(2), c, c @ c), OptimizerConfig())
+    search = Search(quadratic(np.eye(2), c, c @ c), OptimizerConfig(), "lbfgsb")
     x = np.array([0.5, 0.5])
     return search, x, float(np.sum((x - c) ** 2)), g_sign * 2.0 * (x - c)
 

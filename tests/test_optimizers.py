@@ -8,7 +8,6 @@ import pytest
 from conftest import quadratic
 from latefuse.fusion import equal_weights, make_mse_objective, mse
 from latefuse.optimizers import (
-    GRADIENT_METHODS,
     METHODS,
     NonFiniteObjectiveError,
     OptimizerConfig,
@@ -21,6 +20,7 @@ from latefuse.synth import planted_score_matrix, random_score_matrix
 
 SEARCH_METHODS = [m for m in METHODS if m != "equal"]
 DERIVATIVE_FREE = ["pso", "ga", "nelder-mead"]
+GRADIENT_METHODS = ("trust-region", "lbfgsb", "tnc")
 
 
 def quadratic_objective(center):
@@ -296,7 +296,7 @@ def test_incumbent_does_not_rescore_itself():
     scored = []
     objective = quadratic_objective([0.2, 0.7])  # away from the equal start [0.5, 0.5]
     objective.exact = lambda x: scored.append(x) or objective.value(x)
-    search = Search(objective, OptimizerConfig())
+    search = Search(objective, OptimizerConfig(), "equal")
     start_f = search.best_f
     del scored[:]  # the equal start's score, made on construction
     x = np.array([0.2, 0.7])
