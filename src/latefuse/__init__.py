@@ -1,52 +1,47 @@
-"""Late-fusion weight learning: combine inducer scores, search weights, rank."""
+"""Late-fusion weight learning: combine inducer scores, search weights, rank.
 
-from .evaluation import EvalReport, UndefinedMetricError, map_at_k
-from .fusion import Objective, equal_weights, fuse, make_mse_objective, mse, mse_gradient
-from .ingestion import (
-    AlignmentError,
-    DuplicateKeyError,
-    IngestionError,
-    InducerTable,
-    MissingLabelError,
-    ParseError,
-    ScoreMatrix,
-    apply_minmax,
-    assemble,
-    fit_minmax,
-)
-from .optimizers import (
-    METHODS,
-    NonFiniteObjectiveError,
-    OptimizerConfig,
-    OptimizerReport,
-    optimize,
-)
+A public name loads its submodule on first use (PEP 562), so ``import
+latefuse`` loads no numpy: ``python -m latefuse`` can set BLAS's thread
+count before numpy reads it.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentError",
-    "DuplicateKeyError",
-    "EvalReport",
-    "IngestionError",
-    "InducerTable",
-    "METHODS",
-    "MissingLabelError",
-    "NonFiniteObjectiveError",
-    "Objective",
-    "OptimizerConfig",
-    "OptimizerReport",
-    "ParseError",
-    "ScoreMatrix",
-    "UndefinedMetricError",
-    "apply_minmax",
-    "assemble",
-    "equal_weights",
-    "fit_minmax",
-    "fuse",
-    "make_mse_objective",
-    "map_at_k",
-    "mse",
-    "mse_gradient",
-    "optimize",
-]
+_SUBMODULE = {
+    "AlignmentError": "ingestion",
+    "DuplicateKeyError": "ingestion",
+    "EvalReport": "evaluation",
+    "IngestionError": "ingestion",
+    "InducerTable": "ingestion",
+    "METHODS": "optimizers",
+    "MissingLabelError": "ingestion",
+    "NonFiniteObjectiveError": "optimizers",
+    "Objective": "fusion",
+    "OptimizerConfig": "optimizers",
+    "OptimizerReport": "optimizers",
+    "ParseError": "ingestion",
+    "ScoreMatrix": "ingestion",
+    "UndefinedMetricError": "evaluation",
+    "apply_minmax": "ingestion",
+    "assemble": "ingestion",
+    "equal_weights": "fusion",
+    "fit_minmax": "ingestion",
+    "fuse": "fusion",
+    "make_mse_objective": "fusion",
+    "map_at_k": "evaluation",
+    "mse": "fusion",
+    "mse_gradient": "fusion",
+    "optimize": "optimizers",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -73,7 +73,7 @@ def map_at_k(fused: np.ndarray | Sequence[float], matrix: ScoreMatrix, k: int = 
     keys, labels = matrix.sample_keys, matrix.labels
     bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
     if bad.size:
-        raise ValueError(f"relevance must be binary, got {labels[bad[0]]!r} for {keys[bad[0]]}")
+        raise ValueError(f"relevance must be binary, got {float(labels[bad[0]])} for {keys[bad[0]]}")
 
     nan = np.flatnonzero(np.isnan(fused))
     if nan.size:
