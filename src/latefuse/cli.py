@@ -148,7 +148,7 @@ def load_split(entries: list[str]) -> list[InducerTable]:
     tables: list[InducerTable] = []
     for path in expand_inducer_paths(entries):
         table = read_inducer_csv(path)
-        table.keys = [canon.setdefault(key, key) for key in table.keys]
+        table.keys = list(map(canon.setdefault, table.keys, table.keys))
         tables.append(table)
     seen: set[str] = set()
     for t in tables:

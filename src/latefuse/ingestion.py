@@ -6,25 +6,18 @@ parses into an ``InducerTable``, the truth files into one
 inducer's ``(min, max)`` by name, the dict that ``apply_minmax`` applies.
 A file read by path is named by that path in its parse errors.
 
-File formats
-------------
-Inducer file: UTF-8 CSV with header ``video_id,image_id,class,score``, one
-record per line, LF line endings.  ``class`` is the inducer's own binary
-prediction and is validated but not used downstream; ``score`` is the raw
-(possibly out-of-range) interestingness prediction.
-
-Ground-truth file: UTF-8 CSV with header ``video_id,image_id,label`` where
-``label`` is the binary relevance judgment.
-
-Either file may start with one UTF-8 byte-order mark, which is dropped.
+An inducer file is a UTF-8 CSV headed ``video_id,image_id,class,score``, a
+ground-truth file one headed ``video_id,image_id,label``; the README's "Data
+format" section states exactly what the parser accepts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import IO, Callable, Sequence, TypeVar
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -32,7 +25,6 @@ INDUCER_HEADER = "video_id,image_id,class,score"
 TRUTH_HEADER = "video_id,image_id,label"
 
 Key = tuple[str, str]
-T = TypeVar("T")
 
 
 class IngestionError(Exception):
@@ -86,20 +78,20 @@ class ScoreMatrix:
 
 
 def _read_rows(
-    source: IO[bytes] | IO[str], header: str, where: str, parse: Callable[[int, list[str], int], T]
-) -> dict[Key, T]:
-    """Each row's key and `parse(0/1 third column, later fields, lineno)`, in file order.
+    source: IO[bytes] | IO[str], header: str, where: str
+) -> tuple[list[Key], list[str], np.ndarray]:
+    """Each row's key, third column ("0" or "1") and, under an inducer header, score, in file order.
 
-    One leading U+FEFF (a UTF-8 byte-order mark) is dropped, and blank lines
-    are skipped.  Raises ParseError naming the offending line, or
-    DuplicateKeyError when a (video_id, image_id) pair repeats.
+    One columnar pass: one leading U+FEFF (a UTF-8 byte-order mark) is
+    dropped, blank lines are skipped and each check reads a whole column.
+    Raises ParseError naming the first faulty line, or DuplicateKeyError.
     """
     data = source.read()
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
+        except UnicodeDecodeError as exc:  # the bad byte's line, by the splitlines rule
+            lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
             raise ParseError(f"{where}: not valid UTF-8 at line {lineno}") from None
     lines = data.removeprefix("\ufeff").splitlines()
     if not lines:
@@ -107,23 +99,42 @@ def _read_rows(
     if lines[0].strip() != header:
         raise ParseError(f"{where}: bad header at line 1: {lines[0]!r}")
 
-    columns = header.split(",")
-    rows: dict[Key, T] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != len(columns):
-            raise ParseError(f"{where}: expected {len(columns)} fields, got {len(fields)} at line {lineno}")
-        vid, iid, flag, *rest = (f.strip() for f in fields)
-        if flag not in ("0", "1"):
-            raise ParseError(f"{where}: {columns[2]} out of {{0,1}} at line {lineno}: {flag!r}")
-        value = parse(int(flag), rest, lineno)
-        key = (vid, iid)
-        if key in rows:
-            raise DuplicateKeyError(f"{where}: duplicate key {key} at line {lineno}")
-        rows[key] = value
-    return rows
+    # A fault is (row, error type, what, detail).  Each check reads only the rows before the last fault
+    # found (`flags` is cut there), so that fault is the first line's, and in a line the earlier check's.
+    n = header.count(",") + 1
+    rows = list(filter(None, map(str.strip, lines[1:])))
+    fault = None
+    commas = list(map(str.count, rows, repeat(",")))
+    if commas.count(n - 1) != len(rows):
+        i = next(i for i, c in enumerate(commas) if c != n - 1)
+        fault, rows = (i, ParseError, f"expected {n} fields, got {commas[i] + 1}", ""), rows[:i]
+    cells = list(map(str.strip, ",".join(rows).split(","))) if rows else []
+    flags = cells[2::n]
+    if not {"0", "1"}.issuperset(flags):
+        i = next(i for i, flag in enumerate(flags) if flag not in ("0", "1"))
+        fault, flags = (i, ParseError, header.split(",")[2] + " out of {0,1}", f": {flags[i]!r}"), flags[:i]
+    tokens = cells[3 : n * len(flags) : n] if n == 4 else []
+    numbers: list[float] = []
+    try:
+        numbers.extend(map(float, tokens))  # keeps the numbers before a token that is not one
+    except ValueError:
+        i = len(numbers)
+        fault, flags = (i, ParseError, "non-numeric score", f": {tokens[i]!r}"), flags[:i]
+    scores = np.array(numbers, dtype=np.float64)
+    if not (finite := np.isfinite(scores)).all():
+        i = int(finite.argmin())
+        fault, flags = (i, ParseError, "non-finite score", f": {tokens[i]!r}"), flags[:i]
+    end = n * len(flags)
+    keys = list(zip(cells[0:end:n], cells[1:end:n]))
+    if len(set(keys)) != len(keys):
+        first: dict[Key, int] = {}
+        i = next(i for i, key in enumerate(keys) if first.setdefault(key, i) != i)
+        fault = (i, DuplicateKeyError, f"duplicate key {keys[i]}", "")
+    if fault is not None:
+        i, error, what, detail = fault
+        lineno = [no for no, line in enumerate(lines[1:], start=2) if line.strip()][i]
+        raise error(f"{where}: {what} at line {lineno}{detail}")
+    return keys, flags, scores
 
 
 def parse_inducer_file(
@@ -132,28 +143,16 @@ def parse_inducer_file(
     """Parse one inducer CSV into an InducerTable, in file order.
 
     The ``class`` column is validated, then dropped: nothing downstream
-    reads it.  Raises ParseError (naming `where`, by default the inducer,
-    and the offending line), or DuplicateKeyError when a (video_id,
-    image_id) pair repeats.
+    reads it.  Errors name `where`, by default the inducer.
     """
-    where = where or f"inducer {inducer_name!r}"
-
-    def score(_: int, rest: list[str], lineno: int) -> float:
-        try:
-            value = float(rest[0])
-        except ValueError:
-            raise ParseError(f"{where}: non-numeric score at line {lineno}: {rest[0]!r}") from None
-        if not math.isfinite(value):
-            raise ParseError(f"{where}: non-finite score at line {lineno}: {rest[0]!r}")
-        return value
-
-    rows = _read_rows(source, INDUCER_HEADER, where, score)
-    return InducerTable(inducer_name, list(rows), np.array(list(rows.values()), dtype=np.float64))
+    keys, _, scores = _read_rows(source, INDUCER_HEADER, where or f"inducer {inducer_name!r}")
+    return InducerTable(inducer_name, keys, scores)
 
 
 def parse_ground_truth(source: IO[bytes] | IO[str], name: str = "ground truth") -> dict[Key, int]:
     """Parse a ground-truth CSV into its labels by key; every key must be unique."""
-    return _read_rows(source, TRUTH_HEADER, name, lambda label, rest, lineno: label)
+    keys, labels, _ = _read_rows(source, TRUTH_HEADER, name)
+    return dict(zip(keys, map(int, labels)))
 
 
 def read_inducer_csv(path: str | Path) -> InducerTable:

@@ -27,7 +27,11 @@ def optimize_ga(search: Search, p: dict) -> OptimizerReport:
     if mutation_rate is None:
         mutation_rate = 1.0 / m
     sigma = float(p["mutation_sigma"])
+    crossover_rate = p["crossover_rate"]
     n_children = pop_size - elite
+    n_genes = n_children * m
+    slates = np.arange(2)[:, None], np.arange(n_children)[None, :]
+    value_batch = search.value_batch
 
     def step(rng, population, fitness):
         """Breed the next generation: elites, then tournament-selected, crossed and mutated children."""
@@ -37,24 +41,22 @@ def optimize_ga(search: Search, p: dict) -> OptimizerReport:
 
         # tournament selection for both parent slates at once
         contenders = rng.integers(0, pop_size, size=(2, n_children, tournament))
-        winners = contenders[
-            np.arange(2)[:, None],
-            np.arange(n_children)[None, :],
-            np.argmin(fitness[contenders], axis=2),
-        ]
+        winners = contenders[(*slates, np.argmin(fitness[contenders], axis=2))]
         parents_a = population[winners[0]]
         parents_b = population[winners[1]]
 
-        cross = rng.random(n_children) < p["crossover_rate"]
-        take_b = rng.random((n_children, m)) < 0.5
-        children = parents_a.copy()
-        swap = cross[:, None] & take_b
-        children[swap] = parents_b[swap]
+        # one draw for the crossover, gene-swap and mutation coins, in that order
+        coins = rng.random(n_children + 2 * n_genes)
+        cross = coins[:n_children] < crossover_rate
+        take_b = coins[n_children : n_children + n_genes].reshape(n_children, m) < 0.5
+        mutate = coins[n_children + n_genes :].reshape(n_children, m) < mutation_rate
+        children = np.where(cross[:, None] & take_b, parents_b, parents_a)
 
-        mutate = rng.random((n_children, m)) < mutation_rate
-        noise = rng.normal(0.0, sigma, size=(n_children, m))
-        next_pop[elite:] = np.clip(children + mutate * noise, 0.0, 1.0)
-        return next_pop, search.value_batch(next_pop)
+        mutation = rng.normal(0.0, sigma, size=(n_children, m))
+        mutation *= mutate
+        mutation += children
+        mutation.clip(0.0, 1.0, out=next_pop[elite:])
+        return next_pop, value_batch(next_pop)
 
     generations = min(p["max_generations"], search.config.max_iterations)
     return evolve(search, pop_size, generations, p["stagnation_window"], step)

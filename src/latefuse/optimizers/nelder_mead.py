@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 
 import numpy as np
 
@@ -28,9 +28,11 @@ def _initial_simplex(x0: np.ndarray, step: float) -> np.ndarray:
     return simplex
 
 
-def _sort(simplex: np.ndarray, values: list[float]) -> tuple[np.ndarray, list[float]]:
+def _sort(simplex: np.ndarray, values: list[float]) -> None:
+    """Sort the rows by value in place, ties in their current order."""
     order = np.argsort(values, kind="stable")
-    return simplex[order], [values[i] for i in order]
+    simplex[:] = simplex[order]
+    values[:] = [values[i] for i in order]
 
 
 def optimize_nelder_mead(search: Search, p: dict) -> OptimizerReport:
@@ -39,34 +41,43 @@ def optimize_nelder_mead(search: Search, p: dict) -> OptimizerReport:
     beta = float(p["contraction"])
     delta = float(p["shrink"])
     m = search.dimension
-    config = search.config
+    max_iterations, tolerance = search.config.max_iterations, search.config.tolerance
+    value, reduce = search.value, np.add.reduce
 
     # Rows stay sorted by value, ties in the order a stable sort would keep:
     # a new vertex goes after the vertices it ties with, and only a shrink
-    # re-sorts the whole simplex.
+    # re-sorts the whole simplex.  Rows move only in place, so the views
+    # `best`, `head` (all but the worst) and `worst` stay valid.
     simplex = _initial_simplex(search.best_x, float(p["initial_step"]))
-    simplex, values = _sort(simplex, [search.value(v) for v in simplex])
-    search.consider(simplex[0], 0)
+    values = [value(v) for v in simplex]
+    _sort(simplex, values)
+    best, head, worst = simplex[0], simplex[:-1], simplex[-1]
+    search.consider(best, 0)
     offered = values[0]  # the search value of the last vertex offered to the incumbent
 
     converged = False
     iterations = 0
-    for it in range(1, config.max_iterations + 1):
+    for it in range(1, max_iterations + 1):
         iterations = it
-        if values[-1] - values[0] <= config.tolerance:
-            if float(np.max(np.abs(simplex[1:] - simplex[0]))) <= config.tolerance:
+        if values[-1] - values[0] <= tolerance:
+            if float(np.max(np.abs(simplex[1:] - best))) <= tolerance:
                 converged = True
                 iterations = it - 1
                 break
 
-        centroid = np.add.reduce(simplex[:-1], axis=0) / m  # bit-equal to .mean(axis=0)
-        toward = centroid - simplex[-1]
-        reflected = np.clip(centroid + alpha * toward, 0.0, 1.0)
-        f_reflected = search.value(reflected)
+        centroid = reduce(head, axis=0)
+        centroid /= m  # bit-equal to .mean(axis=0)
+        toward = centroid - worst
+        reflected = alpha * toward
+        reflected += centroid
+        reflected.clip(0.0, 1.0, out=reflected)
+        f_reflected = value(reflected)
 
         if f_reflected < values[0]:
-            expanded = np.clip(centroid + gamma * toward, 0.0, 1.0)
-            f_expanded = search.value(expanded)
+            expanded = gamma * toward
+            expanded += centroid
+            expanded.clip(0.0, 1.0, out=expanded)
+            f_expanded = value(expanded)
             if f_expanded < f_reflected:
                 vertex, f_vertex = expanded, f_expanded
             else:
@@ -75,25 +86,25 @@ def optimize_nelder_mead(search: Search, p: dict) -> OptimizerReport:
             vertex, f_vertex = reflected, f_reflected
         else:
             if f_reflected < values[-1]:
-                vertex = np.clip(centroid + beta * toward, 0.0, 1.0)
+                vertex = (centroid + beta * toward).clip(0.0, 1.0)
             else:
-                vertex = np.clip(centroid - beta * toward, 0.0, 1.0)
-            f_vertex = search.value(vertex)
+                vertex = (centroid - beta * toward).clip(0.0, 1.0)
+            f_vertex = value(vertex)
             if not f_vertex < min(f_reflected, values[-1]):
                 vertex = None
                 for i in range(1, m + 1):
-                    simplex[i] = np.clip(simplex[0] + delta * (simplex[i] - simplex[0]), 0.0, 1.0)
-                    values[i] = search.value(simplex[i])
-                simplex, values = _sort(simplex, values)
+                    simplex[i] = (best + delta * (simplex[i] - best)).clip(0.0, 1.0)
+                    values[i] = value(simplex[i])
+                _sort(simplex, values)
 
         if vertex is not None:  # replace the worst vertex, keeping the rows sorted
             values.pop()
-            k = bisect.bisect_right(values, f_vertex)
+            k = bisect_right(values, f_vertex)
             values.insert(k, f_vertex)
             simplex[k + 1 :] = simplex[k:-1]
             simplex[k] = vertex
         if values[0] < offered:  # the best vertex is new: only a lower value displaces it
             offered = values[0]
-            search.consider(simplex[0], it)
+            search.consider(best, it)
 
     return search.report(iterations, converged)

@@ -16,6 +16,8 @@ SETTINGS = {
 
 
 def optimize_pso(search: Search, p: dict) -> OptimizerReport:
+    inertia, cognitive, social = p["inertia"], p["cognitive"], p["social"]
+    value_batch = search.value_batch
     positions = velocities = None
 
     def step(rng, pbest, pbest_values):
@@ -23,17 +25,20 @@ def optimize_pso(search: Search, p: dict) -> OptimizerReport:
         nonlocal positions, velocities
         if positions is None:  # the swarm starts at the first population, at rest
             positions, velocities = pbest.copy(), np.zeros_like(pbest)
-        r1 = rng.random(pbest.shape)
-        r2 = rng.random(pbest.shape)
-        velocities = (
-            p["inertia"] * velocities
-            + p["cognitive"] * r1 * (pbest - positions)
-            + p["social"] * r2 * (search.best_x - positions)
-        )
-        np.clip(velocities, -1.0, 1.0, out=velocities)  # at most the box's width per step
-        positions = np.clip(positions + velocities, 0.0, 1.0)
+        # in place, in the order of inertia*v + cognitive*r1*(pbest - x) + social*r2*(best - x)
+        r1, r2 = rng.random((2, *pbest.shape))
+        velocities *= inertia
+        r1 *= cognitive
+        r1 *= pbest - positions
+        velocities += r1
+        r2 *= social
+        r2 *= search.best_x - positions
+        velocities += r2
+        velocities.clip(-1.0, 1.0, out=velocities)  # at most the box's width per step
+        positions += velocities
+        positions.clip(0.0, 1.0, out=positions)
 
-        values = search.value_batch(positions)
+        values = value_batch(positions)
         better = values < pbest_values
         pbest[better] = positions[better]
         pbest_values[better] = values[better]

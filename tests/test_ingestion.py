@@ -7,9 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from latefuse.cli import load_split
 from latefuse.ingestion import (
     AlignmentError,
@@ -143,26 +144,42 @@ TRUTH_H = "video_id,image_id,label"
         (f"{TRUTH_H}\nv,i,1,0\n", ParseError, "ground truth: expected 3 fields, got 4 at line 2"),
         (f"{TRUTH_H}\nv,i,5\n", ParseError, "ground truth: label out of {0,1} at line 2: '5'"),
         (f"{TRUTH_H}\nv,i,1\n\nv,i,0\n", DuplicateKeyError, "ground truth: duplicate key ('v', 'i') at line 4"),
+        # invalid UTF-8 is reported at its line, whichever splitlines break ends the lines before it
+        *(
+            (f"{INDUCER_H}{brk}v1,i1,0,0.5{brk}v1,i2,0,0.".encode() + b"\xff5" + brk.encode(), ParseError,
+             "inducer 'c': not valid UTF-8 at line 3")
+            for brk in ("\n", "\r\n", "\r", "\u2028")
+        ),
+        (b"\xef\xbb\xbf" + f"{TRUTH_H}\r\rv,i,1\r".encode() + b"\x80", ParseError, "ground truth: not valid UTF-8 at line 4"),
     ],
 )
 def test_parse_errors_name_the_file_and_line(text, error, message):
     parse = parse_ground_truth if message.startswith("ground truth") else lambda s: parse_inducer_file(s, "c")
     with pytest.raises(error) as raised:
-        parse(io.BytesIO(text.encode()))
+        parse(io.BytesIO(text if isinstance(text, bytes) else text.encode()))
     assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------- what the README says the parser accepts
 
-def parse_outcome(text):
-    """What the parser makes of `text` (str or bytes), down to the bits: its keys and scores, or its
-    error's type and message."""
+def parse_outcome(text, parse=parse_inducer_file):
+    """What an inducer parser makes of `text` (str or bytes), down to the bits: its keys and scores,
+    or its error's type and message."""
     source = io.BytesIO(text) if isinstance(text, bytes) else io.StringIO(text)
     try:
-        table = parse_inducer_file(source, "c", where="f.csv")
+        table = parse(source, "c", where="f.csv")
     except IngestionError as exc:
         return type(exc), str(exc)
     return table.keys, table.scores.dtype.str, table.scores.tobytes()
+
+
+def truth_outcome(text, parse=parse_ground_truth):
+    """What a truth parser makes of `text` (str or bytes): its labels in file order, or its error."""
+    source = io.BytesIO(text) if isinstance(text, bytes) else io.StringIO(text)
+    try:
+        return list(parse(source).items())
+    except IngestionError as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize(
@@ -226,12 +243,54 @@ def test_truth_files_drop_one_leading_byte_order_mark(encode):
     )
 
 
-@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", BREAKS)
 def test_any_splitlines_break_ends_a_line(brk):
     text = brk.join([INDUCER_H, "v1,i1,0,0.5", "v1,i2,1,0.25"]) + brk
     table = parse_inducer_file(io.StringIO(text), "c")
     assert table.keys == [("v1", "i1"), ("v1", "i2")]
     assert table.scores.tolist() == [0.5, 0.25]
+
+
+# ---------------------------------------------------------------- the columnar parser against the per-line one
+
+# good values repeat, so that many files parse; each bad one is a fault the parser must name
+_VIDEOS = st.sampled_from(["v1", "v2", " v1 ", "\ufeffv1", "é"])
+_IMAGES = st.sampled_from(["i1", "i2", "\ti2", "i3", "i4", "i5"])
+_FLAGS = st.sampled_from(["0", "1"] * 8 + [" 1 ", "01", "2", "", "1.0"])
+_SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0.5"] * 16 + ["1_0", "-0.0", " 1e3 ", "+2", "x", "nan", "1e999", "-inf", "", "0x1p3", "1__0"]),
+)
+
+
+@st.composite
+def _csv_text(draw, header, fields):
+    """A file under `header` with good and bad rows, blank lines and any line breaks, as str or bytes."""
+    rows = {
+        "good": st.tuples(_VIDEOS, _IMAGES, _FLAGS, *fields).map(",".join),
+        "any count": st.lists(st.sampled_from(["v1", "i1", "0", "0.5"]), max_size=6).map(",".join),
+        "blank": st.sampled_from(["", " ", "\t \t"]),
+    }
+    kinds = draw(st.lists(st.sampled_from(["good"] * 8 + ["any count", "blank"]), max_size=12))
+    lines = [draw(st.sampled_from([header, f" {header}\t"]))] + [draw(rows[kind]) for kind in kinds]
+    breaks = draw(st.lists(st.sampled_from(BREAKS), min_size=len(lines), max_size=len(lines)))
+    text = draw(st.sampled_from(["", "\ufeff"])) + "".join(map(str.__add__, lines, breaks))
+    return text.encode() if draw(st.booleans()) else text
+
+
+@settings(max_examples=400)
+@given(text=_csv_text(INDUCER_H, [_SCORES]))
+def test_columnar_inducer_parser_matches_the_per_line_parser(text):
+    assert parse_outcome(text) == parse_outcome(text, oracles.parse_inducer_file)
+
+
+@settings(max_examples=200)
+@given(text=_csv_text(TRUTH_H, []))
+def test_columnar_truth_parser_matches_the_per_line_parser(text):
+    assert truth_outcome(text) == truth_outcome(text, oracles.parse_ground_truth)
 
 
 def test_load_ground_truth_merges_and_rejects_cross_file_duplicates(tmp_path):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from conftest import quadratic
 from latefuse.fusion import equal_weights, make_mse_objective, mse
 from latefuse.optimizers import (
@@ -15,7 +16,7 @@ from latefuse.optimizers import (
     ParameterError,
     optimize,
 )
-from latefuse.optimizers.common import CONFIG_SETTINGS, Search
+from latefuse.optimizers.common import CONFIG_SETTINGS, Search, check_settings
 from latefuse.synth import planted_score_matrix, random_score_matrix
 
 SEARCH_METHODS = [m for m in METHODS if m != "equal"]
@@ -320,6 +321,40 @@ def test_population_methods_rescore_only_new_points(method, size_key):
     assert report.iterations > 20
     assert report.function_evaluations == size * (report.iterations + 1)
     assert len(scored) == len(report.trace)
+
+
+# ---------------------------------------------------------------- population steps against their references
+
+REFERENCE_STEPS = {"ga": oracles.optimize_ga, "pso": oracles.optimize_pso}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize(
+    "method, m, params",
+    [
+        ("ga", 4, {"population_size": 20}),
+        ("ga", 1, {"population_size": 12, "stagnation_window": 10}),
+        ("ga", 5, {"population_size": 9, "elite_count": 0, "tournament_size": 1}),
+        ("ga", 3, {"population_size": 15, "elite_count": 4, "crossover_rate": 0.0, "mutation_rate": 1.0}),
+        ("ga", 6, {"population_size": 10, "crossover_rate": 1.0, "mutation_rate": 0.0, "mutation_sigma": 2.0}),
+        ("pso", 4, {"swarm_size": 20}),
+        ("pso", 1, {"swarm_size": 6, "stagnation_window": 10}),
+        ("pso", 5, {"swarm_size": 1}),
+        ("pso", 3, {"swarm_size": 8, "inertia": 2.0, "cognitive": 0.0, "social": 5.0}),
+    ],
+)
+def test_population_steps_match_their_references_bit_for_bit(method, m, params, seed):
+    objective = make_mse_objective(random_score_matrix(50, m, seed=seed + 20))
+    config = OptimizerConfig(seed=seed, max_iterations=150, method_params=params)
+    resolved = check_settings(METHODS[method].settings, params, method)
+    expected = REFERENCE_STEPS[method](Search(objective, config, method), resolved)
+    got = optimize(method, objective, config)
+    assert got.best_weights.tobytes() == expected.best_weights.tobytes()
+    assert got.best_objective == expected.best_objective
+    assert got.trace == expected.trace
+    assert got.function_evaluations == expected.function_evaluations
+    assert got.gradient_evaluations == expected.gradient_evaluations
+    assert (got.iterations, got.converged) == (expected.iterations, expected.converged)
 
 
 # ---------------------------------------------------------------- method specifics
