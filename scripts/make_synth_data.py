@@ -27,26 +27,29 @@ def main() -> int:
     args = parser.parse_args()
 
     out = Path(args.out)
-    # one hidden weight vector behind both splits, so dev-learned weights transfer
-    w_star = np.random.default_rng(args.seed).uniform(0.05, 1.0, size=args.inducers)
-    dev_spec = SynthSpec(
-        n_samples=args.dev_samples,
-        m_inducers=args.inducers,
-        n_videos=args.videos,
-        seed=args.seed,
-        planted_weights=w_star.tolist(),
-        noise_sigma=args.noise,
-        key_prefix="d",
-    )
-    test_spec = SynthSpec(
-        n_samples=args.test_samples,
-        m_inducers=args.inducers,
-        n_videos=max(args.videos // 3, 1),
-        seed=args.seed + 1,
-        planted_weights=w_star.tolist(),
-        noise_sigma=args.noise,
-        key_prefix="t",
-    )
+    try:
+        # one hidden weight vector behind both splits, so dev-learned weights transfer
+        w_star = np.random.default_rng(args.seed).uniform(0.05, 1.0, size=args.inducers)
+        dev_spec = SynthSpec(
+            n_samples=args.dev_samples,
+            m_inducers=args.inducers,
+            n_videos=args.videos,
+            seed=args.seed,
+            planted_weights=w_star.tolist(),
+            noise_sigma=args.noise,
+            key_prefix="d",
+        )
+        test_spec = SynthSpec(
+            n_samples=args.test_samples,
+            m_inducers=args.inducers,
+            n_videos=max(args.videos // 3, 1),
+            seed=args.seed + 1,
+            planted_weights=w_star.tolist(),
+            noise_sigma=args.noise,
+            key_prefix="t",
+        )
+    except ValueError as exc:  # a flag value that SynthSpec or the weight draw rejects
+        parser.error(str(exc))
     dev = generate(dev_spec, out / "dev")
     test = generate(test_spec, out / "test")
     print(f"dev: {len(dev.inducer_paths)} inducers, truth {dev.truth_path}")

@@ -32,7 +32,6 @@ _SUBMODULE = {
     "make_mse_objective": "fusion",
     "map_at_k": "evaluation",
     "mse": "fusion",
-    "mse_gradient": "fusion",
     "optimize": "optimizers",
 }
 

@@ -262,7 +262,8 @@ def compare(manifests: list[RunManifest], out_dir: str | Path) -> list[RunResult
     if not manifests:
         raise UsageError("compare needs at least one manifest")
     first = manifests[0]
-    for m in manifests[1:]:
+    out_dirs: set[Path] = set()
+    for m in manifests:
         same = (
             m.dev_paths == first.dev_paths
             and m.test_paths == first.test_paths
@@ -271,6 +272,10 @@ def compare(manifests: list[RunManifest], out_dir: str | Path) -> list[RunResult
         )
         if not same:
             raise UsageError("compare manifests must share dev, test, truth, and k")
+        out = Path(m.out_dir).resolve()
+        if out in out_dirs:  # a later method's artifacts would overwrite an earlier one's
+            raise UsageError(f"compare manifests must not share an out_dir: {m.out_dir}")
+        out_dirs.add(out)
 
     data = prepare(first)
     results = [fit(data, m) for m in manifests]  # every fit succeeds before any write

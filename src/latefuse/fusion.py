@@ -2,9 +2,9 @@
 
 The combined score of a sample is the weighted sum of its m inducer scores;
 the fitness of a weight vector is the mean squared error between the fused
-scores and the ground-truth labels.  `mse` and `mse_gradient` are the
-residual forms; `make_mse_objective` builds the `Objective` the optimizers
-consume: the quadratic's data (G, b, c) with `mse` as its exact score.
+scores and the ground-truth labels.  `mse` is the residual form;
+`make_mse_objective` builds the `Objective` the optimizers consume: the
+quadratic's data (G, b, c) with `mse` as its exact score.
 """
 
 from __future__ import annotations
@@ -79,14 +79,6 @@ def mse(weights: Sequence[float] | np.ndarray, matrix: ScoreMatrix) -> float:
         raise ValueError("MSE undefined on an empty dataset")
     err = matrix.scores @ _as_weights(weights, matrix.n_inducers) - matrix.labels
     return float(err @ err) / matrix.n_samples
-
-
-def mse_gradient(weights: Sequence[float] | np.ndarray, matrix: ScoreMatrix) -> np.ndarray:
-    """Gradient of `mse`: component j is (2/n) sum_i (fused_i - label_i) * scores_ij."""
-    if matrix.n_samples == 0:
-        raise ValueError("MSE gradient undefined on an empty dataset")
-    err = matrix.scores @ _as_weights(weights, matrix.n_inducers) - matrix.labels
-    return (2.0 / matrix.n_samples) * (matrix.scores.T @ err)
 
 
 def make_mse_objective(matrix: ScoreMatrix) -> Objective:

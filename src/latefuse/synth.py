@@ -1,37 +1,27 @@
-"""Synthetic inducer datasets with known structure, plus brute-force oracles.
+"""Synthetic inducer datasets with known structure.
 
-The real CLEF inducer files are not redistributable, so tests and the
-acceptance gate run on generated data: either files in the exact ingestion
-formats, or in-memory matrices planted from a known weight vector so the
-optimal objective value is known a priori.  The grid and AP oracles are
-deliberately naive re-computations used to cross-check the fast paths.
+The real CLEF inducer files are not redistributable, so
+``scripts/make_synth_data.py`` and the tests run on generated data.  A
+`SynthSpec` fixes a dataset by its seed: uniform raw scores (optionally
+rescaled per inducer) and binary labels, either thresholded from a planted
+weighted sum or balanced at random.
 
-Every dataset starts as one raw ``ScoreMatrix``.  ``build_tables`` splits it
-into the types ``assemble`` takes, and ``generate`` writes its keys, scores
-and labels straight to the CSV formats, with ``asdict(spec)`` as the sidecar.
+``raw_matrix`` builds the dataset as one raw ``ScoreMatrix``, rows in key
+order.  ``write_dataset`` writes such a matrix in the exact ingestion
+formats, and ``generate`` writes a spec's matrix with ``asdict(spec)`` as
+the sidecar.  The tests' fixtures and oracles are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import fusion
-from .ingestion import (
-    INDUCER_HEADER,
-    TRUTH_HEADER,
-    InducerTable,
-    Key,
-    ScoreMatrix,
-    apply_minmax,
-    fit_minmax,
-)
+from .ingestion import INDUCER_HEADER, TRUTH_HEADER, ScoreMatrix, apply_minmax, fit_minmax
 
 LABEL_RULES = ("threshold_on_planted_fusion", "random_balanced")
 
@@ -123,7 +113,7 @@ def _normalized(matrix: ScoreMatrix) -> ScoreMatrix:
     return apply_minmax(fit_minmax(matrix), matrix)
 
 
-def _raw_matrix(spec: SynthSpec) -> ScoreMatrix:
+def raw_matrix(spec: SynthSpec) -> ScoreMatrix:
     """The dataset as one raw (unnormalized) matrix, rows in key order."""
     rng = np.random.default_rng(spec.seed)
     keys = sample_keys(spec.n_samples, spec.n_videos, spec.key_prefix)
@@ -135,15 +125,7 @@ def _raw_matrix(spec: SynthSpec) -> ScoreMatrix:
     return matrix
 
 
-def build_tables(spec: SynthSpec) -> tuple[list[InducerTable], dict[Key, int]]:
-    """Materialize the dataset in memory: the inducer tables and the truth labels `assemble` takes."""
-    matrix = _raw_matrix(spec)
-    keys = matrix.sample_keys
-    tables = [InducerTable(name, keys, matrix.scores[:, j].copy()) for j, name in enumerate(matrix.inducer_names)]
-    return tables, dict(zip(keys, matrix.labels.astype(int).tolist()))
-
-
-def _write_dataset(matrix: ScoreMatrix, sidecar: dict, out_dir: str | Path) -> GeneratedDataset:
+def write_dataset(matrix: ScoreMatrix, sidecar: dict, out_dir: str | Path) -> GeneratedDataset:
     """Write the raw matrix as inducer CSVs, one truth CSV, and a JSON sidecar.
 
     Rows follow the matrix's key order and scores keep full precision.  An
@@ -173,135 +155,4 @@ def _write_dataset(matrix: ScoreMatrix, sidecar: dict, out_dir: str | Path) -> G
 
 def generate(spec: SynthSpec, out_dir: str | Path) -> GeneratedDataset:
     """Emit m inducer CSVs, one truth CSV, and a JSON sidecar echoing the generation recipe."""
-    return _write_dataset(_raw_matrix(spec), asdict(spec), out_dir)
-
-
-def generate_perfect_inducer(
-    n_samples: int,
-    m_inducers: int,
-    n_videos: int,
-    seed: int,
-    out_dir: str | Path,
-    key_prefix: str = "",
-) -> GeneratedDataset:
-    """Dataset whose first inducer's scores equal the binary labels exactly.
-
-    The basis vector on that inducer then fuses to the labels with zero MSE,
-    giving a file-backed instance with known optimal objective value 0.
-    """
-    spec = SynthSpec(
-        n_samples=n_samples,
-        m_inducers=m_inducers,
-        n_videos=n_videos,
-        seed=seed,
-        label_rule="random_balanced",
-        key_prefix=key_prefix,
-    )
-    matrix = _raw_matrix(spec)
-    matrix.scores[:, 0] = matrix.labels
-    sidecar = {**asdict(spec), "perfect_inducer": matrix.inducer_names[0]}
-    return _write_dataset(matrix, sidecar, out_dir)
-
-
-def planted_score_matrix(
-    n_samples: int,
-    m_inducers: int,
-    weights: Sequence[float],
-    seed: int,
-    n_videos: int = 1,
-    noise_sigma: float = 0.0,
-) -> ScoreMatrix:
-    """Normalized matrix whose labels are the planted fusion itself.
-
-    With zero noise the optimal MSE over the weight box is exactly 0, reached
-    at the planted vector, which makes the instance a convergence oracle.
-    """
-    spec = SynthSpec(
-        n_samples=n_samples,
-        m_inducers=m_inducers,
-        n_videos=n_videos,
-        seed=seed,
-        planted_weights=weights,
-    )
-    matrix = _normalized(_raw_matrix(spec))
-    rng = np.random.default_rng(spec.seed + 1)
-    labels = fusion.fuse(np.asarray(weights, dtype=np.float64), matrix)
-    if noise_sigma > 0:
-        labels = labels + rng.normal(0.0, noise_sigma, size=n_samples)
-    matrix.labels = labels
-    return matrix
-
-
-def random_score_matrix(
-    n_samples: int, m_inducers: int, seed: int, n_videos: int = 1
-) -> ScoreMatrix:
-    """Normalized matrix with balanced random binary labels."""
-    spec = SynthSpec(
-        n_samples=n_samples,
-        m_inducers=m_inducers,
-        n_videos=n_videos,
-        seed=seed,
-        label_rule="random_balanced",
-    )
-    return _normalized(_raw_matrix(spec))
-
-
-class GridResult(NamedTuple):
-    weights: np.ndarray
-    objective: float
-    evaluations: int
-
-
-def grid_oracle(matrix: ScoreMatrix, step: float) -> GridResult:
-    """Exhaustive MSE minimization over the lattice {0, step, ..., 1}^m.
-
-    Refuses m > 4 (cost grows as (1/step + 1)^m).  Ties break lexicographically
-    because the lattice is scanned in lexicographic order with strict improvement.
-    """
-    m = matrix.n_inducers
-    if m > 4:
-        raise ValueError(f"grid oracle refuses m={m} > 4 (exhaustive cost)")
-    if step <= 0 or step > 1:
-        raise ValueError(f"step must be in (0, 1], got {step}")
-    q = round(1.0 / step)
-    if abs(q * step - 1.0) > 1e-9:
-        raise ValueError(f"step {step} does not divide 1 evenly")
-    values = np.linspace(0.0, 1.0, q + 1)
-
-    best_w: np.ndarray | None = None
-    best_f = math.inf
-    evaluations = 0
-    for point in itertools.product(values, repeat=m):
-        w = np.array(point)
-        f = fusion.mse(w, matrix)
-        evaluations += 1
-        if f < best_f:
-            best_f = f
-            best_w = w
-    assert best_w is not None
-    return GridResult(best_w, best_f, evaluations)
-
-
-def ap_oracle(relevances: Sequence[int], k: int) -> float:
-    """AP@k straight from the definition, with explicit loops.
-
-    Kept free of any code shared with the evaluation module so it can serve
-    as an independent check.
-    """
-    if k < 1:
-        raise ValueError(f"cutoff must be >= 1, got {k}")
-    total_relevant = 0
-    for rel in relevances:
-        if rel == 1:
-            total_relevant += 1
-    if total_relevant == 0:
-        return 0.0
-    hits = 0
-    acc = 0.0
-    depth = k if k < len(relevances) else len(relevances)
-    for r in range(1, depth + 1):
-        if relevances[r - 1] == 1:
-            hits += 1
-            acc += hits / r
-    normalizer = total_relevant if total_relevant < k else k
-    return acc / normalizer
+    return write_dataset(raw_matrix(spec), asdict(spec), out_dir)

@@ -23,7 +23,7 @@ def quadratic(gram, moment, offset):
 @pytest.fixture
 def planted_500x5():
     """Noiseless planted instance; the optimum objective value is exactly 0."""
-    from latefuse.synth import planted_score_matrix
+    from oracles import planted_score_matrix
 
     w_star = np.array([0.9, 0.1, 0.5, 0.7, 0.3])
     return planted_score_matrix(500, 5, w_star, seed=7)

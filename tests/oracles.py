@@ -1,8 +1,17 @@
-"""Per-row reference versions of code that `src/` now runs column- or array-wise.
+"""The tests' references and fixture builders, kept out of the package.
 
-Each is the earlier implementation, its code unchanged but for names,
-docstrings and comments, so tests can require that the faster code gives
-the same results bit for bit:
+An oracle recomputes a result its own way and shares none of its
+arithmetic with the package code it checks:
+
+- `grid_oracle`: exhaustive MSE search over a lattice of the weight box;
+- `ap_oracle`: AP@k straight from the definition, and `reference_map_at_k`,
+  the per-row MAP@k that scores each video through it;
+- `mse_gradient`: the gradient of the MSE in residual form.
+
+Per-row versions of code that `src/` now runs column- or array-wise keep
+the earlier implementation, its code unchanged but for names, docstrings
+and comments, so tests can require the faster code to give the same
+results bit for bit:
 
 - `read_rows`, `parse_inducer_file` and `parse_ground_truth`: the CSV parser
   that checked one line at a time;
@@ -11,15 +20,23 @@ the same results bit for bit:
 
 The parser decodes bytes as before, so it names the wrong line for invalid
 UTF-8 after a break other than ``\\n``; compare it on valid text only.
+
+A fixture builds test data and may call the package: `random_score_matrix`,
+`planted_score_matrix` and `build_tables` in memory, from
+`synth.raw_matrix`, and `generate_perfect_inducer` on disk.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import IO, Callable, TypeVar
+from dataclasses import asdict
+from pathlib import Path
+from typing import IO, Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
+from latefuse.evaluation import EvalReport, UndefinedMetricError
 from latefuse.ingestion import (
     INDUCER_HEADER,
     TRUTH_HEADER,
@@ -27,8 +44,12 @@ from latefuse.ingestion import (
     InducerTable,
     Key,
     ParseError,
+    ScoreMatrix,
+    apply_minmax,
+    fit_minmax,
 )
 from latefuse.optimizers.common import OptimizerReport, Search, evolve
+from latefuse.synth import GeneratedDataset, SynthSpec, raw_matrix, write_dataset
 
 T = TypeVar("T")
 
@@ -152,3 +173,155 @@ def optimize_pso(search: Search, p: dict) -> OptimizerReport:
         return pbest, pbest_values
 
     return evolve(search, p["swarm_size"], search.config.max_iterations, p["stagnation_window"], step)
+
+
+class GridResult(NamedTuple):
+    weights: np.ndarray
+    objective: float
+    evaluations: int
+
+
+def grid_oracle(matrix: ScoreMatrix, step: float) -> GridResult:
+    """Exhaustive MSE minimization over the lattice {0, step, ..., 1}^m.
+
+    Refuses m > 4 (cost grows as (1/step + 1)^m).  Ties break lexicographically
+    because the lattice is scanned in lexicographic order with strict improvement.
+    """
+    m = matrix.n_inducers
+    if m > 4:
+        raise ValueError(f"grid oracle refuses m={m} > 4 (exhaustive cost)")
+    if step <= 0 or step > 1:
+        raise ValueError(f"step must be in (0, 1], got {step}")
+    q = round(1.0 / step)
+    if abs(q * step - 1.0) > 1e-9:
+        raise ValueError(f"step {step} does not divide 1 evenly")
+    values = np.linspace(0.0, 1.0, q + 1)
+
+    best_w: np.ndarray | None = None
+    best_f = math.inf
+    evaluations = 0
+    for point in itertools.product(values, repeat=m):
+        w = np.array(point)
+        err = matrix.scores @ w - matrix.labels
+        f = float(err @ err) / matrix.n_samples
+        evaluations += 1
+        if f < best_f:
+            best_f = f
+            best_w = w
+    assert best_w is not None
+    return GridResult(best_w, best_f, evaluations)
+
+
+def ap_oracle(relevances: Sequence[int], k: int) -> float:
+    """AP@k straight from the definition, with explicit loops."""
+    if k < 1:
+        raise ValueError(f"cutoff must be >= 1, got {k}")
+    total_relevant = 0
+    for rel in relevances:
+        if rel == 1:
+            total_relevant += 1
+    if total_relevant == 0:
+        return 0.0
+    hits = 0
+    acc = 0.0
+    depth = k if k < len(relevances) else len(relevances)
+    for r in range(1, depth + 1):
+        if relevances[r - 1] == 1:
+            hits += 1
+            acc += hits / r
+    normalizer = total_relevant if total_relevant < k else k
+    return acc / normalizer
+
+
+def reference_map_at_k(fused, matrix: ScoreMatrix, k: int = 10) -> EvalReport:
+    """The per-row MAP@k that the array kernel replaced: a dict of tuples, a
+    Python sort per video and `ap_oracle` per video.  Kept as the kernel's
+    bit-exact reference."""
+    fused = np.asarray(fused, dtype=np.float64)
+    if fused.shape != (matrix.n_samples,):
+        raise ValueError(f"fused scores have shape {fused.shape}, expected ({matrix.n_samples},)")
+    if k < 1:
+        raise ValueError(f"cutoff must be >= 1, got {k}")
+
+    groups: dict[str, list[tuple[str, float, int]]] = {}
+    order: list[str] = []
+    for i, (vid, iid) in enumerate(matrix.sample_keys):
+        label = matrix.labels[i]
+        if label not in (0.0, 1.0):
+            raise ValueError(f"relevance must be binary, got {label!r} for {(vid, iid)}")
+        if vid not in groups:
+            groups[vid] = []
+            order.append(vid)
+        groups[vid].append((iid, float(fused[i]), int(label)))
+
+    per_group: list[tuple[str, float, int]] = []
+    included: list[float] = []
+    for vid in order:
+        relevances = [r for _, _, r in sorted(groups[vid], key=lambda item: (-item[1], item[0]))]
+        rel = sum(relevances)
+        ap = ap_oracle(relevances, k)
+        per_group.append((vid, ap, rel))
+        if rel >= 1:
+            included.append(ap)
+    if not included:
+        raise UndefinedMetricError("no group has a relevant item; MAP@k is undefined")
+    return EvalReport(sum(included) / len(included), k, per_group)
+
+
+def mse_gradient(weights: Sequence[float] | np.ndarray, matrix: ScoreMatrix) -> np.ndarray:
+    """Gradient of the MSE: component j is (2/n) sum_i (fused_i - label_i) * scores_ij."""
+    err = matrix.scores @ np.asarray(weights, dtype=np.float64) - matrix.labels
+    return (2.0 / matrix.n_samples) * (matrix.scores.T @ err)
+
+
+def normalized(matrix: ScoreMatrix) -> ScoreMatrix:
+    """Each column rescaled by its own min-max; a constant column maps to 0."""
+    return apply_minmax(fit_minmax(matrix), matrix)
+
+
+def random_score_matrix(n_samples: int, m_inducers: int, seed: int, n_videos: int = 1) -> ScoreMatrix:
+    """Normalized matrix with balanced random binary labels."""
+    return normalized(raw_matrix(SynthSpec(n_samples, m_inducers, n_videos, seed, label_rule="random_balanced")))
+
+
+def planted_score_matrix(
+    n_samples: int,
+    m_inducers: int,
+    weights: Sequence[float],
+    seed: int,
+    n_videos: int = 1,
+    noise_sigma: float = 0.0,
+) -> ScoreMatrix:
+    """Normalized matrix whose labels are the planted fusion itself.
+
+    With zero noise the optimal MSE over the weight box is exactly 0, reached
+    at the planted vector, which makes the instance a convergence oracle.
+    """
+    matrix = normalized(raw_matrix(SynthSpec(n_samples, m_inducers, n_videos, seed, planted_weights=weights)))
+    labels = matrix.scores @ np.asarray(weights, dtype=np.float64)
+    if noise_sigma > 0:
+        labels = labels + np.random.default_rng(seed + 1).normal(0.0, noise_sigma, size=n_samples)
+    matrix.labels = labels
+    return matrix
+
+
+def build_tables(spec: SynthSpec) -> tuple[list[InducerTable], dict[Key, int]]:
+    """A spec's dataset in memory: the inducer tables and the truth labels `assemble` takes."""
+    matrix = raw_matrix(spec)
+    keys = matrix.sample_keys
+    tables = [InducerTable(name, keys, matrix.scores[:, j].copy()) for j, name in enumerate(matrix.inducer_names)]
+    return tables, dict(zip(keys, matrix.labels.astype(int).tolist()))
+
+
+def generate_perfect_inducer(
+    n_samples: int, m_inducers: int, n_videos: int, seed: int, out_dir: str | Path, key_prefix: str = ""
+) -> GeneratedDataset:
+    """Dataset whose first inducer's scores equal the binary labels exactly.
+
+    The basis vector on that inducer then fuses to the labels with zero MSE,
+    giving a file-backed instance with known optimal objective value 0.
+    """
+    spec = SynthSpec(n_samples, m_inducers, n_videos, seed, label_rule="random_balanced", key_prefix=key_prefix)
+    matrix = raw_matrix(spec)
+    matrix.scores[:, 0] = matrix.labels
+    return write_dataset(matrix, {**asdict(spec), "perfect_inducer": matrix.inducer_names[0]}, out_dir)

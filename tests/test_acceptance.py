@@ -21,11 +21,10 @@ from latefuse.evaluation import map_at_k
 from latefuse.fusion import equal_weights, fuse, make_mse_objective, mse
 from latefuse.ingestion import ScoreMatrix, assemble
 from latefuse.optimizers import METHODS, OptimizerConfig, optimize
-from latefuse.synth import (
-    SynthSpec,
+from latefuse.synth import SynthSpec, generate
+from oracles import (
     ap_oracle,
     build_tables,
-    generate,
     grid_oracle,
     planted_score_matrix,
     random_score_matrix,

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -32,7 +33,8 @@ from latefuse.ingestion import (
 )
 from latefuse.optimizers import METHODS, NonFiniteObjectiveError, optimize
 from latefuse.optimizers.common import CONFIG_SETTINGS
-from latefuse.synth import SynthSpec, generate, generate_perfect_inducer
+from latefuse.synth import SynthSpec, generate
+from oracles import generate_perfect_inducer
 
 ARTIFACTS = [
     "manifest.json",
@@ -252,7 +254,8 @@ def test_usage_error_unknown_set_key(dataset_pair, tmp_path, capsys):
         "inertia=nan", "tolerance=inf", "cognitive=-inf",
         pytest.param("swarm_size=" + "9" * 401, id="swarm_size=401-digits"),
         "ga.mutation_sigma=-1", "lbfgsb.max_backtracks=0", "tnc.max_backtracks=-1",
-        "trust-region.initial_radius=0", "trust-region.acceptance_threshold=5",
+        "trust-region.initial_radius=0", "trust-region.max_radius=0",
+        "trust-region.acceptance_threshold=5",
         "lbfgsb.history=0", "ga.crossover_rate=5", "ga.mutation_rate=-3",
         "nelder-mead.initial_step=-1", "nelder-mead.shrink=0",
         "ga.tournament_size=101", "ga.elite_count=100",
@@ -715,6 +718,22 @@ def test_compare_api_rejects_mismatched_data(dataset_pair, tmp_path):
     )
     with pytest.raises(UsageError, match="share"):
         compare([a, b], tmp_path)
+
+
+def test_compare_api_rejects_a_shared_out_dir_before_parsing(dataset_pair, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "read_inducer_csv", None)  # a parse would raise TypeError
+    dev, test = dataset_pair
+    common = dict(
+        dev_paths=[str(dev.inducer_paths[0].parent)],
+        test_paths=[str(test.inducer_paths[0].parent)],
+        truth_paths=[str(dev.truth_path), str(test.truth_path)],
+    )
+    shared = tmp_path / "cmp" / "shared"
+    a = RunManifest(method="equal", out_dir=str(shared), **common)
+    b = RunManifest(method="tnc", out_dir=f"{tmp_path}/cmp/./shared/", **common)
+    with pytest.raises(UsageError, match=re.escape(f"must not share an out_dir: {b.out_dir}")):
+        compare([a, b], tmp_path / "cmp")
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_compare_scoped_override_reaches_only_named_method(dataset_pair, tmp_path, capsys):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latefuse.evaluation import EvalReport, UndefinedMetricError, map_at_k
+from latefuse.evaluation import UndefinedMetricError, map_at_k
 from latefuse.ingestion import ScoreMatrix
-from latefuse.synth import ap_oracle
+from oracles import ap_oracle, reference_map_at_k
 
 
 def matrix_with(groups):
@@ -21,49 +21,6 @@ def matrix_with(groups):
             labels.append(float(label))
     n = len(keys)
     return ScoreMatrix(keys, np.array(labels), ["c0"], np.zeros((n, 1)))
-
-
-def reference_map_at_k(fused, matrix, k=10):
-    """The per-row MAP@k that the array kernel replaced: a dict of tuples, a
-    Python sort per video and a scalar AP loop.  Kept as the kernel's
-    bit-exact reference."""
-    fused = np.asarray(fused, dtype=np.float64)
-    if fused.shape != (matrix.n_samples,):
-        raise ValueError(f"fused scores have shape {fused.shape}, expected ({matrix.n_samples},)")
-    if k < 1:
-        raise ValueError(f"cutoff must be >= 1, got {k}")
-
-    groups: dict[str, list[tuple[str, float, int]]] = {}
-    order: list[str] = []
-    for i, (vid, iid) in enumerate(matrix.sample_keys):
-        label = matrix.labels[i]
-        if label not in (0.0, 1.0):
-            raise ValueError(f"relevance must be binary, got {label!r} for {(vid, iid)}")
-        if vid not in groups:
-            groups[vid] = []
-            order.append(vid)
-        groups[vid].append((iid, float(fused[i]), int(label)))
-
-    per_group: list[tuple[str, float, int]] = []
-    included: list[float] = []
-    for vid in order:
-        items = sorted(groups[vid], key=lambda item: (-item[1], item[0]))
-        rel = sum(r for _, _, r in items)
-        ap = 0.0
-        if rel:
-            hits = 0
-            acc = 0.0
-            for r in range(1, min(k, len(items)) + 1):
-                if items[r - 1][2] == 1:
-                    hits += 1
-                    acc += hits / r
-            ap = acc / min(rel, k)
-        per_group.append((vid, ap, rel))
-        if rel >= 1:
-            included.append(ap)
-    if not included:
-        raise UndefinedMetricError("no group has a relevant item; MAP@k is undefined")
-    return EvalReport(sum(included) / len(included), k, per_group)
 
 
 def ranked_ids(items):

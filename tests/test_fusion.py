@@ -3,21 +3,16 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latefuse.fusion import (
-    equal_weights,
-    fuse,
-    make_mse_objective,
-    mse,
-    mse_gradient,
-)
+from latefuse.fusion import equal_weights, fuse, make_mse_objective, mse
 from latefuse.ingestion import ScoreMatrix
-from latefuse.synth import planted_score_matrix, random_score_matrix
+from oracles import mse_gradient, planted_score_matrix, random_score_matrix
 
 
 def small_matrix(scores, labels):
@@ -252,7 +247,8 @@ OBJECTIVE_BYTES_SCRIPT = """
 import hashlib, sys
 import numpy as np
 from latefuse.fusion import make_mse_objective
-from latefuse.synth import random_score_matrix
+sys.path.insert(0, sys.argv[2])
+from oracles import random_score_matrix
 obj = make_mse_objective(random_score_matrix(1877, 29, seed=3))
 points = np.random.default_rng(4).uniform(0, 1, (300, 29))
 if sys.argv[1] == "batch":
@@ -270,7 +266,7 @@ def objective_digest(path, threads):
         "MKL_NUM_THREADS": threads,
     }
     proc = subprocess.run(
-        [sys.executable, "-c", OBJECTIVE_BYTES_SCRIPT, path],
+        [sys.executable, "-c", OBJECTIVE_BYTES_SCRIPT, path, str(Path(__file__).parent)],
         env=env, capture_output=True, text=True, check=True,
     )
     return proc.stdout

@@ -18,7 +18,8 @@ from latefuse.optimizers.common import (
     projected_gradient_norm,
 )
 from latefuse.optimizers.nelder_mead import _initial_simplex
-from latefuse.synth import SynthSpec, build_tables
+from latefuse.synth import SynthSpec
+from oracles import build_tables
 
 
 def _reference_nelder_mead(objective, config, p):

@@ -17,7 +17,7 @@ from latefuse.optimizers import (
     optimize,
 )
 from latefuse.optimizers.common import CONFIG_SETTINGS, Search, check_settings
-from latefuse.synth import planted_score_matrix, random_score_matrix
+from oracles import planted_score_matrix, random_score_matrix
 
 SEARCH_METHODS = [m for m in METHODS if m != "equal"]
 DERIVATIVE_FREE = ["pso", "ga", "nelder-mead"]
@@ -415,6 +415,27 @@ def test_trust_region_handles_bound_pinned_optimum():
     assert report.best_weights[0] == 1.0
     assert report.best_weights[1] == pytest.approx(0.6, abs=1e-6)
     assert report.converged
+
+
+def test_trust_region_max_radius_defaults_to_the_box_diagonal():
+    # The radius starts just over half the box's diagonal and the first step, from the
+    # centre, uses all of it, so the radius doubles into the cap, which bounds the second
+    # step: a cap 0.01 % either side of sqrt(m) changes that step.
+    root = np.array([[-2.0, 0.0, 2.0], [-2.0, -1.0, 2.0], [-2.0, -2.0, 1.0]])
+    gram = root @ root.T + np.eye(3)
+    center = np.array([-0.8, 2.9, 2.4])
+    objective = quadratic(gram, gram @ center, center @ gram @ center)
+
+    def run(**cap):
+        params = {"initial_radius": 0.51 * math.sqrt(3), **cap}
+        report = optimize("trust-region", objective, OptimizerConfig(seed=0, method_params=params))
+        counts = (report.function_evaluations, report.gradient_evaluations, report.iterations)
+        return report.best_weights.tobytes(), report.best_objective, report.trace, counts
+
+    default = run()
+    assert run(max_radius=math.sqrt(3)) == default
+    assert run(max_radius=0.9999 * math.sqrt(3))[2] != default[2]
+    assert run(max_radius=1.0001 * math.sqrt(3))[2] != default[2]
 
 
 @pytest.mark.parametrize("method", SEARCH_METHODS)

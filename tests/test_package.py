@@ -1,13 +1,20 @@
-"""The package's lazy names and the command line's BLAS thread pin.
+"""The package's lazy names, the command line's BLAS thread pin, and what `src/` holds.
 
-Each check runs in a fresh interpreter, because both are about what happens
-while modules load, which this test process did long ago.
+The name and thread checks each run in a fresh interpreter, because both
+are about what happens while modules load, which this test process did
+long ago.
 """
 
+import ast
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -57,7 +64,7 @@ print(json.dumps({
 }))
 """
     resolved = run_python(code)
-    assert len(resolved) == 24
+    assert len(resolved) == 23
     assert {name: [True, True] for name in resolved} == resolved
 
 
@@ -91,3 +98,32 @@ import latefuse.cli, latefuse.optimizers
 print(json.dumps({{var: os.environ.get(var) for var in {THREAD_VARS!r}}}))
 """
     assert run_python(code) == {var: None for var in THREAD_VARS}
+
+
+def test_every_top_level_definition_in_src_has_a_caller_outside_the_tests():
+    """A function or class that only tests call belongs in `tests/`, not in the package."""
+    def identifiers(path):
+        """Each identifier token of a file, with its line; strings and comments are not references."""
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        return [(tok.string, tok.start[0]) for tok in tokens if tok.type == tokenize.NAME]
+
+    names = {
+        path: identifiers(path)
+        for folder in ("src", "scripts", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    unused = []
+    for path in sorted((ROOT / "src" / "latefuse").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            own = range(min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno + 1)
+            if not any(
+                name == node.name and not (where == path and line in own)
+                for where, tokens in names.items()
+                for name, line in tokens
+            ):
+                unused.append(f"{path.relative_to(ROOT)}: {node.name}")
+    assert unused == []

@@ -9,18 +9,14 @@ import pytest
 
 from latefuse.fusion import fuse, mse
 from latefuse.ingestion import InducerTable, assemble, load_ground_truth, read_inducer_csv
-from latefuse.synth import (
-    SynthSpec,
-    _labels,
-    _raw_scores,
+from latefuse.synth import SynthSpec, _labels, _raw_scores, generate, sample_keys
+from oracles import (
     ap_oracle,
     build_tables,
-    generate,
     generate_perfect_inducer,
     grid_oracle,
     planted_score_matrix,
     random_score_matrix,
-    sample_keys,
 )
 
 
@@ -333,3 +329,24 @@ def test_make_synth_data_writes_the_reference_bytes(tmp_path, monkeypatch, capsy
     for split, spec in specs.items():
         reference_dataset(spec, tmp_path / "expected" / split)
         assert_same_files(tmp_path / "got" / split, tmp_path / "expected" / split)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--videos", "0"], "need n_samples >= n_videos >= 1"),
+        (["--inducers", "0"], "need at least one inducer"),
+        (["--noise", "-1"], "noise_sigma must be >= 0"),
+        (["--test-samples", "3", "--videos", "30"], "need n_samples >= n_videos >= 1"),
+    ],
+    ids=["videos=0", "inducers=0", "noise=-1", "fewer-test-samples-than-videos"],
+)
+def test_make_synth_data_rejects_bad_values_with_a_usage_error(tmp_path, monkeypatch, capsys, argv, message):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synth_data.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(tmp_path / "out"), *argv])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(script), run_name="__main__")
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
