@@ -26,6 +26,20 @@ def main() -> int:
     parser.add_argument("--noise", type=float, default=0.0, help="label noise sigma")
     args = parser.parse_args()
 
+    # each split needs at least one sample per video; the test split has a third of the videos
+    test_videos = max(args.videos // 3, 1)
+    if args.inducers < 1:
+        parser.error(f"--inducers must be >= 1, got {args.inducers}")
+    if args.videos < 1:
+        parser.error(f"--videos must be >= 1, got {args.videos}")
+    if args.dev_samples < args.videos:
+        parser.error(f"--dev-samples ({args.dev_samples}) must be >= --videos ({args.videos})")
+    if args.test_samples < test_videos:
+        parser.error(
+            f"--test-samples ({args.test_samples}) must be >= the test split's "
+            f"--videos // 3 = {test_videos} videos"
+        )
+
     out = Path(args.out)
     try:
         # one hidden weight vector behind both splits, so dev-learned weights transfer
@@ -42,13 +56,13 @@ def main() -> int:
         test_spec = SynthSpec(
             n_samples=args.test_samples,
             m_inducers=args.inducers,
-            n_videos=max(args.videos // 3, 1),
+            n_videos=test_videos,
             seed=args.seed + 1,
             planted_weights=w_star.tolist(),
             noise_sigma=args.noise,
             key_prefix="t",
         )
-    except ValueError as exc:  # a flag value that SynthSpec or the weight draw rejects
+    except ValueError as exc:  # a value that SynthSpec rejects, such as a non-finite --noise
         parser.error(str(exc))
     dev = generate(dev_spec, out / "dev")
     test = generate(test_spec, out / "test")

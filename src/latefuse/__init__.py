@@ -19,7 +19,6 @@ _SUBMODULE = {
     "MissingLabelError": "ingestion",
     "NonFiniteObjectiveError": "optimizers",
     "Objective": "fusion",
-    "OptimizerConfig": "optimizers",
     "OptimizerReport": "optimizers",
     "ParseError": "ingestion",
     "ScoreMatrix": "ingestion",

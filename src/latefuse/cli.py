@@ -33,11 +33,10 @@ from .ingestion import (
 from .optimizers import (
     METHODS,
     NonFiniteObjectiveError,
-    OptimizerConfig,
     OptimizerReport,
     ParameterError,
+    check,
     optimize,
-    resolve,
 )
 
 EXIT_OK = 0
@@ -63,12 +62,10 @@ class RunManifest:
     seed: int = 0
     overrides: dict = field(default_factory=dict)
     trace: bool = False
-    # (OptimizerConfig fields, method params): the overrides, checked and split
-    settings: tuple[dict, dict] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
-            self.settings = resolve(self.method, self.overrides)
+            check(self.method, self.overrides)
         except ParameterError as exc:
             raise UsageError(str(exc)) from None
         if self.k < 1:
@@ -79,21 +76,18 @@ class RunManifest:
             raise UsageError("dev, test, and truth paths are all required")
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        del doc["settings"]
-        return doc
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc) -> "RunManifest":
         """Rebuild a manifest from its JSON echo; each field must be known and have its JSON type."""
         if not isinstance(doc, dict):
             raise UsageError(f"manifest must be a JSON object, got {type(doc).__name__}")
-        init = [f for f in fields(cls) if f.init]
-        unknown = [key for key in doc if key not in {f.name for f in init}]
+        unknown = [key for key in doc if key not in {f.name for f in fields(cls)}]
         if unknown:
             raise UsageError(f"manifest has unknown field {unknown[0]!r}")
         values = {}
-        for f in init:
+        for f in fields(cls):
             if f.name in doc:
                 if not _is_json_type(doc[f.name], f.type):
                     raise UsageError(f"manifest field {f.name!r} must be {f.type}, got {doc[f.name]!r}")
@@ -182,11 +176,9 @@ def prepare(manifest: RunManifest) -> Prepared:
 def fit(data: Prepared, manifest: RunManifest) -> RunResult:
     """Search weights on the dev matrix and evaluate them on the test matrix; writes nothing."""
     dev, test, norm_params = data
-    config_kwargs, method_params = manifest.settings
-    config = OptimizerConfig(seed=manifest.seed, method_params=method_params, **config_kwargs)
     objective = make_mse_objective(dev)
     started = time.perf_counter()
-    report = optimize(manifest.method, objective, config)
+    report = optimize(manifest.method, objective, manifest.overrides, manifest.seed)
     wall_time = time.perf_counter() - started
 
     fused_test = fuse(report.best_weights, test)

@@ -1,21 +1,24 @@
 """Weight-search methods over the box-constrained fusion objective.
 
 ``METHODS`` is the one registry: each method's run function and the typed
-spec of each of its settings.  ``optimize`` is where every run starts: it
-builds the run's one ``Search`` and calls the run function with it and the
-checked params.
+spec of each of its settings.  A run's settings are one flat mapping, the
+shared ``CONFIG_SETTINGS`` and the method's own, which ``check`` checks
+once.  ``optimize`` is where every run starts: it builds the run's one
+``Search``, which carries the resolved settings and the seed, and calls the
+run function with it.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from typing import Callable, Mapping, NamedTuple
 
 from ..fusion import Objective
 from . import equal, ga, lbfgsb, nelder_mead, pso, tnc, trust_region
 from .common import (
     CONFIG_SETTINGS,
+    SEED,
     NonFiniteObjectiveError,
-    OptimizerConfig,
     OptimizerReport,
     ParameterError,
     Search,
@@ -26,7 +29,7 @@ from .common import (
 
 
 class Method(NamedTuple):
-    run: Callable[[Search, dict], OptimizerReport]
+    run: Callable[[Search], OptimizerReport]
     settings: Mapping[str, Setting]
 
 
@@ -41,40 +44,33 @@ METHODS = {
 }
 
 
-def _lookup(method: str) -> Method:
+def check(method: str, settings: Mapping) -> ChainMap:
+    """Check a run's method and settings (key, type, finiteness, range) before any work.
+
+    The settings are checked against CONFIG_SETTINGS plus the method's own;
+    returns them resolved over the defaults.
+    """
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}; choose one of {sorted(METHODS)}")
-    return METHODS[method]
+    specs = {**CONFIG_SETTINGS, **METHODS[method].settings}
+    return check_settings(specs, settings, f"method {method!r}")
 
 
-def resolve(method: str, overrides: Mapping) -> tuple[dict, dict]:
-    """Check a run's overrides (key, type, finiteness, range) before any data is read.
-
-    Returns them, as given, split into OptimizerConfig fields and method params.
-    """
-    settings = {**CONFIG_SETTINGS, **_lookup(method).settings}
-    check_settings(settings, overrides, f"method {method!r}")
-    config_fields = {k: v for k, v in overrides.items() if k in CONFIG_SETTINGS}
-    method_params = {k: v for k, v in overrides.items() if k not in CONFIG_SETTINGS}
-    return config_fields, method_params
-
-
-def optimize(method: str, objective: Objective, config: OptimizerConfig) -> OptimizerReport:
-    spec = _lookup(method)
-    params = check_settings(spec.settings, config.method_params, f"method {method!r}")
-    return spec.run(Search(objective, config, method), params)
+def optimize(method: str, objective: Objective, settings: Mapping | None = None, seed: int = 0) -> OptimizerReport:
+    resolved = check(method, settings or {})
+    SEED.check("seed", seed, {})
+    return METHODS[method].run(Search(objective, method, resolved, seed))
 
 
 __all__ = [
     "METHODS",
     "Method",
     "NonFiniteObjectiveError",
-    "OptimizerConfig",
     "OptimizerReport",
     "ParameterError",
     "Search",
     "Setting",
+    "check",
     "optimize",
     "projected_gradient_norm",
-    "resolve",
 ]

@@ -1,4 +1,4 @@
-"""Shared machinery for the weight-search methods: config, settings, search state, search loops.
+"""Shared machinery for the weight-search methods: settings, search state, search loops.
 
 Every optimizer works on the closed box [0, 1]^m, the paper's weight range,
 with m the objective's `dimension`, through the one `Search` that `optimize`
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from collections import ChainMap
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -79,48 +80,33 @@ class Setting(NamedTuple):
             raise ParameterError(f"{key} must be in {self.describe()}, got {value!r}")
 
 
-def check_settings(specs: Mapping[str, Setting], values: Mapping, owner: str) -> dict:
-    """Merge ``values`` over the defaults of ``specs``, checking every given value.
+def check_settings(specs: Mapping[str, Setting], values: Mapping, owner: str) -> ChainMap:
+    """Resolve ``values`` over the defaults of ``specs``, checking every given value.
 
-    A default is checked too where its interval names another setting.
+    A default is checked too where its interval names another setting.  The
+    result's first map is a copy of ``values``, in their order, so a report
+    can tell the given settings from the defaults.
     """
     for key in values:
         if key not in specs:
             raise ParameterError(
                 f"unknown method parameter {key!r} for {owner}; valid keys: {sorted(specs)}"
             )
-    resolved = {key: spec.default for key, spec in specs.items()} | dict(values)
+    resolved = ChainMap(dict(values), {key: spec.default for key, spec in specs.items()})
     for key, spec in specs.items():
         if key in values or isinstance(spec.low, str) or isinstance(spec.high, str):
             spec.check(key, resolved[key], resolved)
     return resolved
 
 
-# The OptimizerConfig fields that a run may override by name, next to method settings.
+# The settings that every method takes, next to its own.
 CONFIG_SETTINGS = {
     "max_iterations": Setting(int, 10000, 1, 10**7),
     "tolerance": Setting(float, 1e-8, 0, math.inf, "()"),
 }
 
-_CONFIG_FIELDS = {  # all are given, so only CONFIG_SETTINGS' defaults are read
-    **CONFIG_SETTINGS,
-    "seed": Setting(int, None, 0, math.inf, "[)"),
-}
-
-
-@dataclass
-class OptimizerConfig:
-    max_iterations: int = CONFIG_SETTINGS["max_iterations"].default
-    tolerance: float = CONFIG_SETTINGS["tolerance"].default
-    seed: int = 0
-    method_params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        values = {key: getattr(self, key) for key in _CONFIG_FIELDS}
-        check_settings(_CONFIG_FIELDS, values, "OptimizerConfig")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+# The spec of a run's seed, which `optimize` takes next to the settings.
+SEED = Setting(int, 0, 0, math.inf, "[)")
 
 
 @dataclass
@@ -133,13 +119,20 @@ class OptimizerReport:
     iterations: int
     converged: bool
     trace: list[tuple[int, float]]
-    config: OptimizerConfig
+    settings: ChainMap  # the run's resolved settings: those it was given over the defaults
+    seed: int
 
     def to_dict(self) -> dict:
+        given = self.settings.maps[0]
         return {
             "method": self.method,
-            "seed": self.config.seed,
-            "config": {"dimension": len(self.best_weights), **self.config.to_dict()},
+            "seed": self.seed,
+            "config": {
+                "dimension": len(self.best_weights),
+                **{key: self.settings[key] for key in CONFIG_SETTINGS},
+                "seed": self.seed,
+                "method_params": {k: v for k, v in given.items() if k not in CONFIG_SETTINGS},
+            },
             "best_weights": [float(x) for x in self.best_weights],
             "best_objective": float(self.best_objective),
             "function_evaluations": self.function_evaluations,
@@ -164,13 +157,16 @@ class Search:
     best_objective and trace are bit-equal to a fresh exact evaluation of
     best_weights.  The equal start is considered at iteration 0, on
     construction, so no method reports worse than the equal weights.
-    `method` names the report and `dimension` is the objective's m.
+    `method` names the report, `settings` are the run's resolved settings,
+    which the method reads, `seed` seeds its random draws and `dimension`
+    is the objective's m.
     """
 
-    def __init__(self, objective: Objective, config: OptimizerConfig, method: str):
+    def __init__(self, objective: Objective, method: str, settings: ChainMap, seed: int = 0):
         self._objective = objective
-        self.config = config
         self.method = method
+        self.settings = settings
+        self.seed = seed
         self.dimension = objective.dimension
         self.function_evaluations = 0
         self.gradient_evaluations = 0
@@ -231,7 +227,8 @@ class Search:
             iterations=iterations,
             converged=converged,
             trace=list(self.trace),
-            config=self.config,
+            settings=self.settings,
+            seed=self.seed,
         )
 
 
@@ -263,15 +260,16 @@ def line_search(
     g: np.ndarray,
     direction: np.ndarray,
     steepest: np.ndarray,
-    p: Mapping,
 ) -> tuple[np.ndarray, float, bool] | None:
     """Armijo backtracking along the projected arc P(x + alpha * d).
 
     d is `direction` when it descends, then `steepest` when `direction` does
     not descend or finds no step; `direction is steepest` is tried once.
-    Sufficient decrease is measured against the realized (projected) step.
+    Sufficient decrease is measured against the realized (projected) step,
+    with the search's `LINE_SEARCH_SETTINGS`.
     Returns (trial, f_trial, fell_back), or None when neither finds a step.
     """
+    p = search.settings
     c = float(p["armijo_c"])
     descends = direction is not steepest and float(g @ direction) < 0.0
     for d in (direction, steepest) if descends else (steepest,):
@@ -300,12 +298,12 @@ def descend(search: Search, step: Callable) -> OptimizerReport:
     `step` returns None or the iteration budget runs out.  Only a point that
     moved is offered to the incumbent.
     """
-    config = search.config
+    max_iterations, tolerance = search.settings["max_iterations"], search.settings["tolerance"]
     x = search.best_x.copy()  # a copy: x must never alias the incumbent
     f = search.value(x)
     g = search.gradient(x)
-    for it in range(1, config.max_iterations + 1):
-        if projected_gradient_norm(x, g) <= config.tolerance:
+    for it in range(1, max_iterations + 1):
+        if projected_gradient_norm(x, g) <= tolerance:
             return search.report(it - 1, converged=True)
         taken = step(x, f, g, free_set(x, g))
         if taken is None:
@@ -313,7 +311,7 @@ def descend(search: Search, step: Callable) -> OptimizerReport:
         if taken[0] is not x:
             x, f, g = taken
             search.consider(x, it)
-    return search.report(config.max_iterations, converged=False)
+    return search.report(max_iterations, converged=False)
 
 
 def evolve(search: Search, size: int, generations: int, window: int, step: Callable) -> OptimizerReport:
@@ -325,8 +323,8 @@ def evolve(search: Search, size: int, generations: int, window: int, step: Calla
     loop stops converged after `window` generations without a `tolerance`
     improvement (0: never), and unconverged after `generations`.
     """
-    config = search.config
-    rng = np.random.default_rng(config.seed)
+    tolerance = search.settings["tolerance"]
+    rng = np.random.default_rng(search.seed)
     population = rng.uniform(0.0, 1.0, size=(size, search.dimension))
     population[0] = search.best_x
     values = search.value_batch(population)
@@ -339,7 +337,7 @@ def evolve(search: Search, size: int, generations: int, window: int, step: Calla
         b = int(np.argmin(values))
         if values[b] < search.best_f:
             search.consider(population[b], it)
-        if anchor - search.best_f >= config.tolerance:
+        if anchor - search.best_f >= tolerance:
             anchor = search.best_f
             since_improvement = 0
         else:

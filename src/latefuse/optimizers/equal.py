@@ -5,6 +5,6 @@ from __future__ import annotations
 from .common import OptimizerReport, Search
 
 
-def optimize_equal(search: Search, p: dict) -> OptimizerReport:
+def optimize_equal(search: Search) -> OptimizerReport:
     search.value(search.best_x)  # the one search evaluation the report counts
     return search.report(iterations=0, converged=True)

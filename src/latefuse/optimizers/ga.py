@@ -18,7 +18,8 @@ SETTINGS = {
 }
 
 
-def optimize_ga(search: Search, p: dict) -> OptimizerReport:
+def optimize_ga(search: Search) -> OptimizerReport:
+    p = search.settings
     pop_size = p["population_size"]
     tournament = p["tournament_size"]
     elite = p["elite_count"]
@@ -58,5 +59,5 @@ def optimize_ga(search: Search, p: dict) -> OptimizerReport:
         mutation.clip(0.0, 1.0, out=next_pop[elite:])
         return next_pop, value_batch(next_pop)
 
-    generations = min(p["max_generations"], search.config.max_iterations)
+    generations = min(p["max_generations"], p["max_iterations"])
     return evolve(search, pop_size, generations, p["stagnation_window"], step)

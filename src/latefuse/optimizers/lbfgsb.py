@@ -41,15 +41,15 @@ def _two_loop(g: np.ndarray, pairs: deque, free: np.ndarray) -> np.ndarray:
     return product
 
 
-def optimize_lbfgsb(search: Search, p: dict) -> OptimizerReport:
-    pairs: deque = deque(maxlen=p["history"])
+def optimize_lbfgsb(search: Search) -> OptimizerReport:
+    pairs: deque = deque(maxlen=search.settings["history"])
 
     def step(x, f, g, free):
         # Kim, Sra & Dhillon's projected quasi-Newton step: variables held on a
         # bound by the gradient do not move, the rest take the two-loop step.
         steepest = np.where(free, -g, 0.0)
         direction = -_two_loop(g, pairs, free) if pairs else steepest
-        found = line_search(search, x, f, g, direction, steepest, p)
+        found = line_search(search, x, f, g, direction, steepest)
         if found is None:
             return None
         trial, f_trial, fell_back = found

@@ -35,13 +35,14 @@ def _sort(simplex: np.ndarray, values: list[float]) -> None:
     values[:] = [values[i] for i in order]
 
 
-def optimize_nelder_mead(search: Search, p: dict) -> OptimizerReport:
+def optimize_nelder_mead(search: Search) -> OptimizerReport:
+    p = search.settings
     alpha = float(p["reflection"])
     gamma = float(p["expansion"])
     beta = float(p["contraction"])
     delta = float(p["shrink"])
     m = search.dimension
-    max_iterations, tolerance = search.config.max_iterations, search.config.tolerance
+    max_iterations, tolerance = p["max_iterations"], p["tolerance"]
     value, reduce = search.value, np.add.reduce
 
     # Rows stay sorted by value, ties in the order a stable sort would keep:

@@ -15,7 +15,8 @@ SETTINGS = {
 }
 
 
-def optimize_pso(search: Search, p: dict) -> OptimizerReport:
+def optimize_pso(search: Search) -> OptimizerReport:
+    p = search.settings
     inertia, cognitive, social = p["inertia"], p["cognitive"], p["social"]
     value_batch = search.value_batch
     positions = velocities = None
@@ -44,4 +45,4 @@ def optimize_pso(search: Search, p: dict) -> OptimizerReport:
         pbest_values[better] = values[better]
         return pbest, pbest_values
 
-    return evolve(search, p["swarm_size"], search.config.max_iterations, p["stagnation_window"], step)
+    return evolve(search, p["swarm_size"], p["max_iterations"], p["stagnation_window"], step)

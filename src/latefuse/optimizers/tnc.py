@@ -43,7 +43,7 @@ def _truncated_cg(hessvec, b: np.ndarray, max_inner: int) -> np.ndarray:
     return d
 
 
-def optimize_tnc(search: Search, p: dict) -> OptimizerReport:
+def optimize_tnc(search: Search) -> OptimizerReport:
     m = search.dimension
     max_inner = min(2 * m, 50)
 
@@ -62,7 +62,7 @@ def optimize_tnc(search: Search, p: dict) -> OptimizerReport:
 
         direction = np.zeros(m)
         direction[free] = _truncated_cg(hessvec, -g[free], max_inner)
-        found = line_search(search, x, f, g, direction, np.where(free, -g, 0.0), p)
+        found = line_search(search, x, f, g, direction, np.where(free, -g, 0.0))
         if found is None:
             return None
         trial, f_trial, _ = found

@@ -48,7 +48,8 @@ def _dogleg(g: np.ndarray, hessian: np.ndarray, radius: float) -> np.ndarray:
     return cauchy + min(max(t, 0.0), 1.0) * leg
 
 
-def optimize_trust_region(search: Search, p: dict) -> OptimizerReport:
+def optimize_trust_region(search: Search) -> OptimizerReport:
+    p = search.settings
     m = search.dimension
     radius = float(p["initial_radius"])
     max_radius = p["max_radius"]

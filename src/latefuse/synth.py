@@ -15,6 +15,7 @@ the sidecar.  The tests' fixtures and oracles are in ``tests/oracles.py``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -48,8 +49,8 @@ class SynthSpec:
             raise ValueError("need n_samples >= n_videos >= 1")
         if self.m_inducers < 1:
             raise ValueError("need at least one inducer")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.label_rule not in LABEL_RULES:
             raise ValueError(f"label_rule must be one of {LABEL_RULES}")
         if self.label_rule == "threshold_on_planted_fusion" and self.planted_weights is None:

@@ -109,7 +109,8 @@ def parse_ground_truth(source: IO[bytes] | IO[str], name: str = "ground truth") 
     return read_rows(source, TRUTH_HEADER, name, lambda label, rest, lineno: label)
 
 
-def optimize_ga(search: Search, p: dict) -> OptimizerReport:
+def optimize_ga(search: Search) -> OptimizerReport:
+    p = search.settings
     pop_size = p["population_size"]
     tournament = p["tournament_size"]
     elite = p["elite_count"]
@@ -145,11 +146,12 @@ def optimize_ga(search: Search, p: dict) -> OptimizerReport:
         next_pop[elite:] = np.clip(children + mutate * noise, 0.0, 1.0)
         return next_pop, search.value_batch(next_pop)
 
-    generations = min(p["max_generations"], search.config.max_iterations)
+    generations = min(p["max_generations"], p["max_iterations"])
     return evolve(search, pop_size, generations, p["stagnation_window"], step)
 
 
-def optimize_pso(search: Search, p: dict) -> OptimizerReport:
+def optimize_pso(search: Search) -> OptimizerReport:
+    p = search.settings
     positions = velocities = None
 
     def step(rng, pbest, pbest_values):
@@ -172,7 +174,7 @@ def optimize_pso(search: Search, p: dict) -> OptimizerReport:
         pbest_values[better] = values[better]
         return pbest, pbest_values
 
-    return evolve(search, p["swarm_size"], search.config.max_iterations, p["stagnation_window"], step)
+    return evolve(search, p["swarm_size"], p["max_iterations"], p["stagnation_window"], step)
 
 
 class GridResult(NamedTuple):

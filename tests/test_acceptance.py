@@ -20,7 +20,7 @@ from latefuse.cli import RunManifest, compare
 from latefuse.evaluation import map_at_k
 from latefuse.fusion import equal_weights, fuse, make_mse_objective, mse
 from latefuse.ingestion import ScoreMatrix, assemble
-from latefuse.optimizers import METHODS, OptimizerConfig, optimize
+from latefuse.optimizers import METHODS, optimize
 from latefuse.synth import SynthSpec, generate
 from oracles import (
     ap_oracle,
@@ -92,7 +92,7 @@ def test_02_deterministic_methods_converge_on_planted_data():
     started = time.perf_counter()
     reached = {}
     for method, tol in tolerances.items():
-        report = optimize(method, objective, OptimizerConfig(seed=0))
+        report = optimize(method, objective, seed=0)
         reached[method] = (report.best_objective, report.best_objective <= tol, report.iterations)
     elapsed = time.perf_counter() - started
     ok = all(hit for _, hit, _ in reached.values()) and elapsed < budget
@@ -109,7 +109,7 @@ def test_03_stochastic_methods_converge_for_most_seeds():
     for method in ("pso", "ga"):
         wins = 0
         for seed in range(10):
-            report = optimize(method, objective, OptimizerConfig(seed=seed))
+            report = optimize(method, objective, seed=seed)
             if report.best_objective <= 1e-3:
                 wins += 1
         hits[method] = wins
@@ -133,7 +133,7 @@ def test_04_search_methods_dominate_coarse_grid():
         objective = make_mse_objective(matrix)
         grid = grid_oracle(matrix, step=0.05)
         for method in SEARCH_METHODS:
-            report = optimize(method, objective, OptimizerConfig(seed=0))
+            report = optimize(method, objective, seed=0)
             gap = report.best_objective - grid.objective
             worst_gap = max(worst_gap, gap)
             ok = ok and report.best_objective <= grid.objective + 1e-9
@@ -157,8 +157,7 @@ def test_05_every_search_method_ties_or_beats_equal_weights():
         equal_mse = mse(equal_weights(m), matrix)
         objective = make_mse_objective(matrix)
         for method in SEARCH_METHODS:
-            config = OptimizerConfig(seed=i, method_params=small_budget(method))
-            report = optimize(method, objective, config)
+            report = optimize(method, objective, small_budget(method), seed=i)
             if not report.best_objective <= equal_mse:
                 failures.append((i, method, report.best_objective, equal_mse))
     _criterion(
@@ -300,12 +299,9 @@ def test_10_fuzzed_runs_respect_bounds_and_trace_order():
             "pso": {"swarm_size": 12, "stagnation_window": 5},
             "ga": {"population_size": 12, "stagnation_window": 5, "max_generations": 20},
         }.get(method, {})
-        config = OptimizerConfig(
-            seed=int(rng.integers(0, 2**31)),
-            max_iterations=int(rng.integers(1, 50)),
-            method_params=params,
-        )
-        report = optimize(method, make_mse_objective(matrix), config)
+        seed = int(rng.integers(0, 2**31))
+        settings = {**params, "max_iterations": int(rng.integers(1, 50))}
+        report = optimize(method, make_mse_objective(matrix), settings, seed=seed)
         if not (np.all(report.best_weights >= 0.0) and np.all(report.best_weights <= 1.0)):
             bound_breaks += 1
         values = [f for _, f in report.trace]

@@ -134,6 +134,33 @@ def test_run_manifest_rerun_reproduces_artifacts(dataset_pair, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flags, config",
+    [
+        (
+            ["--set", "tolerance=1", "--set", "max_iterations=3000", "--set", "swarm_size=50"],
+            {"dimension": 4, "max_iterations": 3000, "tolerance": 1, "seed": 3,
+             "method_params": {"swarm_size": 50}},
+        ),
+        (
+            [],
+            {"dimension": 4, "max_iterations": 10000, "tolerance": 1e-8, "seed": 3, "method_params": {}},
+        ),
+    ],
+    ids=["with-set", "no-set"],
+)
+def test_run_report_config_block_is_pinned(dataset_pair, tmp_path, flags, config):
+    # the config block: keys in order, settings as given (an int tolerance stays an int)
+    out = tmp_path / "o"
+    code = main(["run", "--method", "pso", "--seed", "3", *flags, *data_flags(dataset_pair, out)])
+    assert code == EXIT_OK
+    doc = json.loads((out / "optimizer_report.json").read_text())
+    assert list(doc)[:3] == ["method", "seed", "config"]
+    assert doc["seed"] == 3
+    assert list(doc["config"].items()) == list(config.items())
+    assert [type(v) for v in doc["config"].values()] == [type(v) for v in config.values()]
+
+
+@pytest.mark.parametrize(
     "flags",
     [["--method", "pso"], ["--dev", "d.csv"], ["--test", "t.csv"], ["--truth", "g.csv"],
      ["--k", "10"], ["--seed", "0"], ["--set", "max_iterations=5"], ["--trace"],
@@ -296,9 +323,9 @@ def test_compare_bad_method_parameter_writes_nothing(dataset_pair, tmp_path, cap
 def test_compare_bad_setting_parses_and_fits_nothing(dataset_pair, tmp_path, capsys, monkeypatch):
     calls = []
 
-    def counting_optimize(method, objective, config):
+    def counting_optimize(method, objective, settings, seed):
         calls.append(method)
-        return optimize(method, objective, config)
+        return optimize(method, objective, settings, seed)
 
     def counting_read(path):
         calls.append(path)
@@ -391,7 +418,7 @@ def test_data_error_mismatched_inducer_sets(dataset_pair, tmp_path, capsys):
 
 
 def test_abort_exit_code_on_non_finite_objective(dataset_pair, tmp_path, capsys, monkeypatch):
-    def explode(method, objective, config):
+    def explode(method, objective, settings, seed):
         raise NonFiniteObjectiveError(np.zeros(objective.dimension), math.nan)
 
     monkeypatch.setattr(cli, "optimize", explode)
@@ -402,7 +429,7 @@ def test_abort_exit_code_on_non_finite_objective(dataset_pair, tmp_path, capsys,
 
 def test_failed_run_leaves_no_artifacts(dataset_pair, tmp_path, capsys, monkeypatch):
     # evaluation happens after optimization; a failure there must not leave files
-    def explode(method, objective, config):
+    def explode(method, objective, settings, seed):
         raise NonFiniteObjectiveError(np.zeros(objective.dimension), math.nan)
 
     monkeypatch.setattr(cli, "optimize", explode)

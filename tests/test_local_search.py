@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import quadratic
 from latefuse.fusion import equal_weights, make_mse_objective
 from latefuse.ingestion import apply_minmax, assemble, fit_minmax
-from latefuse.optimizers import METHODS, OptimizerConfig, optimize
+from latefuse.optimizers import METHODS, check, optimize
 from latefuse.optimizers.common import (
     Search,
     free_set,
@@ -22,14 +22,15 @@ from latefuse.synth import SynthSpec
 from oracles import build_tables
 
 
-def _reference_nelder_mead(objective, config, p):
+def _reference_nelder_mead(objective, settings):
     """Nelder-Mead as it was before the simplex was kept sorted: a stable argsort every iteration.
 
     Like the method, its search state starts from the equal weights.
     """
+    p = check("nelder-mead", settings)
     alpha, gamma = float(p["reflection"]), float(p["expansion"])
     beta, delta = float(p["contraction"]), float(p["shrink"])
-    search = Search(objective, config, "nelder-mead")
+    search = Search(objective, "nelder-mead", p)
 
     simplex = _initial_simplex(equal_weights(objective.dimension), float(p["initial_step"]))
     values = np.array([search.value(v) for v in simplex])
@@ -38,7 +39,7 @@ def _reference_nelder_mead(objective, config, p):
 
     converged = False
     iterations = 0
-    for it in range(1, config.max_iterations + 1):
+    for it in range(1, p["max_iterations"] + 1):
         iterations = it
         order = np.argsort(values, kind="stable")
         simplex = simplex[order]
@@ -46,7 +47,7 @@ def _reference_nelder_mead(objective, config, p):
 
         f_spread = float(np.max(np.abs(values[1:] - values[0])))
         x_spread = float(np.max(np.abs(simplex[1:] - simplex[0])))
-        if f_spread <= config.tolerance and x_spread <= config.tolerance:
+        if f_spread <= p["tolerance"] and x_spread <= p["tolerance"]:
             converged = True
             iterations = it - 1
             break
@@ -124,10 +125,10 @@ def test_nelder_mead_matches_argsort_every_iteration(m, data, step, max_iteratio
     center = np.array(data.draw(st.lists(st.floats(-0.5, 1.5), min_size=m, max_size=m), label="center"))
     scales = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m), label="scales"))
     objective = _quantised_quadratic(center, scales, step)
-    config = OptimizerConfig(max_iterations=max_iterations, tolerance=tolerance, method_params=params)
+    settings = {"max_iterations": max_iterations, "tolerance": tolerance, **params}
 
-    expected = _reference_nelder_mead(objective, config, params)
-    got = optimize("nelder-mead", objective, config)
+    expected = _reference_nelder_mead(objective, settings)
+    got = optimize("nelder-mead", objective, settings)
     assert got.best_weights.tobytes() == expected.best_weights.tobytes()
     assert got.best_objective == expected.best_objective
     assert got.trace == expected.trace
@@ -177,7 +178,7 @@ def test_step_leaves_fixed_variables_unchanged(method, m):
     for seed in range(10):
         objective = _coupled_quadratic(m, seed)
         states = [
-            optimize(method, objective, OptimizerConfig(max_iterations=k)).best_weights
+            optimize(method, objective, {"max_iterations": k}).best_weights
             for k in range(1, 25)
         ]
         for before, after in zip(states, states[1:]):
@@ -216,7 +217,7 @@ def _scipy_minimize(objective, method, **kwargs):
 def test_gradient_methods_terminate_at_the_optimum_full_dimension(seed):
     objective, optimum = _objective_and_optimum(seed)
     for method in ("lbfgsb", "trust-region", "tnc"):
-        report = optimize(method, objective, OptimizerConfig())
+        report = optimize(method, objective)
         assert report.converged, method
         assert report.function_evaluations <= 100, method
         assert abs(report.best_objective - optimum) <= 1e-12 * optimum, method
@@ -229,9 +230,8 @@ SCIPY_COUNTERPARTS = {"lbfgsb": "L-BFGS-B", "tnc": "TNC", "trust-region": "trust
 @pytest.mark.parametrize("seed", range(3))
 def test_gradient_methods_end_no_farther_from_the_optimum_than_scipy(seed):
     objective, optimum = _objective_and_optimum(seed)
-    config = OptimizerConfig()
     for method, counterpart in SCIPY_COUNTERPARTS.items():
-        ours = optimize(method, objective, config).best_objective - optimum
+        ours = optimize(method, objective).best_objective - optimum
         theirs = objective.value(_scipy_minimize(objective, counterpart, jac=objective.gradient).x) - optimum
         assert ours <= theirs + 1e-12, (method, ours, theirs)
 
@@ -240,16 +240,16 @@ def test_gradient_methods_end_no_farther_from_the_optimum_than_scipy(seed):
 def test_nelder_mead_stops_at_its_budget_short_of_the_optimum_like_scipy(seed):
     """Both bounded Nelder-Meads run out of iterations with a nonzero gap; run with -s to see both gaps."""
     objective, optimum = _objective_and_optimum(seed)
-    config = OptimizerConfig()
-    ours = optimize("nelder-mead", objective, config)
-    theirs = _scipy_minimize(objective, "Nelder-Mead", options={"maxiter": config.max_iterations})
+    ours = optimize("nelder-mead", objective)
+    max_iterations = ours.settings["max_iterations"]
+    theirs = _scipy_minimize(objective, "Nelder-Mead", options={"maxiter": max_iterations})
     ours_gap, scipy_gap = ours.best_objective - optimum, objective.value(theirs.x) - optimum
     print(
         f"seed {seed}: nelder-mead gap {ours_gap:.3e} ({ours.function_evaluations} f-evals), "
         f"scipy Nelder-Mead gap {scipy_gap:.3e} ({theirs.nfev} f-evals, {theirs.message})"
     )
-    assert not ours.converged and ours.iterations == config.max_iterations
-    assert theirs.status == 2 and theirs.nit == config.max_iterations  # scipy: iteration limit reached
+    assert not ours.converged and ours.iterations == max_iterations
+    assert theirs.status == 2 and theirs.nit == max_iterations  # scipy: iteration limit reached
     assert ours_gap > 0 and scipy_gap > 0
 
 
@@ -272,7 +272,7 @@ def _lying_objective(m):
     ],
 )
 def test_gradient_methods_stop_unconverged_without_a_step(method, max_iterations, expected):
-    report = optimize(method, _lying_objective(4), OptimizerConfig(max_iterations=max_iterations))
+    report = optimize(method, _lying_objective(4), {"max_iterations": max_iterations})
     got = (report.iterations, report.converged, report.function_evaluations, report.gradient_evaluations)
     assert got == expected
     assert report.best_weights.tolist() == equal_weights(4).tolist()
@@ -286,14 +286,14 @@ _ARMIJO = {"armijo_c": 1e-4, "max_backtracks": 5}
 def _line_search_state(g_sign=1.0):
     """A Search on |x - (0.2, 0.4)|^2 in [0, 1]^2 at x = (0.5, 0.5), with f and g_sign times the gradient."""
     c = np.array([0.2, 0.4])
-    search = Search(quadratic(np.eye(2), c, c @ c), OptimizerConfig(), "lbfgsb")
+    search = Search(quadratic(np.eye(2), c, c @ c), "lbfgsb", check("lbfgsb", _ARMIJO))
     x = np.array([0.5, 0.5])
     return search, x, float(np.sum((x - c) ** 2)), g_sign * 2.0 * (x - c)
 
 
 def test_line_search_falls_back_when_the_direction_climbs():
     search, x, f, g = _line_search_state()
-    trial, f_trial, fell_back = line_search(search, x, f, g, g.copy(), -g, _ARMIJO)
+    trial, f_trial, fell_back = line_search(search, x, f, g, g.copy(), -g)
     assert fell_back
     assert trial.tolist() == np.clip(x - g, 0.0, 1.0).tolist()  # the full steepest step
     assert f_trial < f
@@ -303,12 +303,12 @@ def test_line_search_falls_back_when_the_direction_climbs():
 def test_line_search_tries_steepest_once():
     search, x, f, g = _line_search_state(g_sign=-1.0)  # every trial climbs
     steepest = -g
-    assert line_search(search, x, f, g, steepest, steepest, _ARMIJO) is None
+    assert line_search(search, x, f, g, steepest, steepest) is None
     assert search.function_evaluations == _ARMIJO["max_backtracks"]
 
 
 def test_line_search_without_a_step_in_either_direction():
     search, x, f, g = _line_search_state(g_sign=-1.0)
     steepest = -g
-    assert line_search(search, x, f, g, steepest.copy(), steepest, _ARMIJO) is None
+    assert line_search(search, x, f, g, steepest.copy(), steepest) is None
     assert search.function_evaluations == 2 * _ARMIJO["max_backtracks"]  # equal values, two directions

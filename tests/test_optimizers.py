@@ -11,12 +11,12 @@ from latefuse.fusion import equal_weights, make_mse_objective, mse
 from latefuse.optimizers import (
     METHODS,
     NonFiniteObjectiveError,
-    OptimizerConfig,
     OptimizerReport,
     ParameterError,
+    check,
     optimize,
 )
-from latefuse.optimizers.common import CONFIG_SETTINGS, Search, check_settings
+from latefuse.optimizers.common import CONFIG_SETTINGS, Search
 from oracles import planted_score_matrix, random_score_matrix
 
 SEARCH_METHODS = [m for m in METHODS if m != "equal"]
@@ -45,11 +45,12 @@ def cheap_params(method):
 # ---------------------------------------------------------------- config
 
 def test_config_defaults():
-    config = OptimizerConfig()
-    assert config.max_iterations == 10000
-    assert config.tolerance == 1e-8
-    assert config.seed == 0
-    assert config.method_params == {}
+    report = optimize("equal", quadratic_objective([0.5]))
+    assert report.settings == {"max_iterations": 10000, "tolerance": 1e-8}
+    assert report.seed == 0
+    assert report.to_dict()["config"] == {
+        "dimension": 1, "max_iterations": 10000, "tolerance": 1e-8, "seed": 0, "method_params": {}
+    }
 
 
 @pytest.mark.parametrize(
@@ -69,14 +70,16 @@ def test_config_defaults():
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        OptimizerConfig(**kwargs)
+    settings = dict(kwargs)
+    seed = settings.pop("seed", 0)  # an argument of its own, next to the settings
+    with pytest.raises(ParameterError):
+        optimize("equal", quadratic_objective([0.5]), settings, seed=seed)
 
 
 @pytest.mark.parametrize("method", list(METHODS))
 def test_objective_without_inducers_rejected(method):
     with pytest.raises(ValueError, match="need at least one inducer"):
-        optimize(method, quadratic(np.zeros((0, 0)), np.zeros(0), 0.0), OptimizerConfig())
+        optimize(method, quadratic(np.zeros((0, 0)), np.zeros(0), 0.0))
 
 
 @pytest.mark.parametrize(
@@ -86,22 +89,20 @@ def test_objective_without_inducers_rejected(method):
     "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-beyond-float")]
 )
 def test_non_finite_method_parameter_rejected(method, key, value):
-    config = OptimizerConfig(method_params={key: value})
     with pytest.raises(ParameterError, match="finite"):
-        optimize(method, quadratic_objective([0.5, 0.5]), config)
+        optimize(method, quadratic_objective([0.5, 0.5]), {key: value})
 
 
 def test_unknown_method_rejected():
     obj = quadratic_objective([0.5])
     with pytest.raises(ValueError, match="unknown method"):
-        optimize("newton", obj, OptimizerConfig())
+        optimize("newton", obj)
 
 
 def test_unknown_method_param_rejected():
     obj = quadratic_objective([0.5])
-    config = OptimizerConfig(method_params={"swarm": 10})
     with pytest.raises(ValueError, match="unknown method parameter"):
-        optimize("pso", obj, config)
+        optimize("pso", obj, {"swarm": 10})
 
 
 def test_readme_table_lists_every_setting():
@@ -123,7 +124,7 @@ def test_readme_table_lists_every_setting():
 # ---------------------------------------------------------------- equal baseline
 
 def test_equal_weights_m29_matches_uniform_value():
-    report = optimize("equal", quadratic_objective([0.5] * 29), OptimizerConfig())
+    report = optimize("equal", quadratic_objective([0.5] * 29))
     assert np.all(report.best_weights == 1.0 / 29)
     assert report.best_weights[0] == pytest.approx(0.0345, abs=5e-4)
     assert report.iterations == 0
@@ -132,7 +133,7 @@ def test_equal_weights_m29_matches_uniform_value():
 
 @pytest.mark.parametrize("m,expected", [(1, [1.0]), (4, [0.25, 0.25, 0.25, 0.25])])
 def test_equal_weights_small_dims(m, expected):
-    report = optimize("equal", quadratic_objective([0.5] * m), OptimizerConfig())
+    report = optimize("equal", quadratic_objective([0.5] * m))
     assert report.best_weights.tolist() == expected
 
 
@@ -140,8 +141,7 @@ def test_equal_weights_small_dims(m, expected):
 
 @pytest.mark.parametrize("method", SEARCH_METHODS)
 def test_interior_quadratic_minimum(method):
-    config = OptimizerConfig(seed=5, method_params=cheap_params(method))
-    report = optimize(method, quadratic_objective([0.3]), config)
+    report = optimize(method, quadratic_objective([0.3]), cheap_params(method), seed=5)
     tol = 1e-2 if method in ("pso", "ga") else 1e-4
     assert abs(report.best_weights[0] - 0.3) <= tol
     assert report.best_objective == pytest.approx(0.0, abs=tol**2 * 1.1)
@@ -149,8 +149,7 @@ def test_interior_quadratic_minimum(method):
 
 @pytest.mark.parametrize("method", SEARCH_METHODS)
 def test_bound_active_quadratic(method):
-    config = OptimizerConfig(seed=5, method_params=cheap_params(method))
-    report = optimize(method, quadratic_objective([1.5]), config)
+    report = optimize(method, quadratic_objective([1.5]), cheap_params(method), seed=5)
     assert abs(report.best_weights[0] - 1.0) <= 1e-6
     if method in GRADIENT_METHODS:
         assert report.best_weights[0] == 1.0
@@ -160,8 +159,7 @@ def test_bound_active_quadratic(method):
 def test_planted_recovery_small(method):
     w_star = np.array([0.8, 0.2, 0.6, 0.4])
     matrix = planted_score_matrix(200, 4, w_star, seed=3)
-    config = OptimizerConfig(seed=1, method_params=cheap_params(method))
-    report = optimize(method, make_mse_objective(matrix), config)
+    report = optimize(method, make_mse_objective(matrix), cheap_params(method), seed=1)
     tol = 1e-6 if method in GRADIENT_METHODS else 1e-3
     assert report.best_objective <= tol
 
@@ -169,8 +167,8 @@ def test_planted_recovery_small(method):
 @pytest.mark.parametrize("method", list(METHODS))
 def test_report_invariants(method):
     matrix = random_score_matrix(60, 3, seed=8)
-    config = OptimizerConfig(seed=2, method_params=cheap_params(method) if method != "equal" else {})
-    report = optimize(method, make_mse_objective(matrix), config)
+    params = cheap_params(method) if method != "equal" else {}
+    report = optimize(method, make_mse_objective(matrix), params, seed=2)
     assert np.all(report.best_weights >= 0.0)
     assert np.all(report.best_weights <= 1.0)
     objectives = [f for _, f in report.trace]
@@ -180,7 +178,7 @@ def test_report_invariants(method):
     assert report.best_objective == mse(report.best_weights, matrix)
     assert report.function_evaluations >= 1
     assert report.method == method
-    assert report.config.seed == 2
+    assert report.seed == 2
 
 
 @pytest.mark.parametrize("method", list(METHODS))
@@ -188,7 +186,7 @@ def test_search_starts_from_the_exact_equal_weights(method):
     matrix = random_score_matrix(70, 4, seed=3)
     equal_mse = mse(equal_weights(4), matrix)
     params = cheap_params(method) if method != "equal" else {}
-    report = optimize(method, make_mse_objective(matrix), OptimizerConfig(seed=4, method_params=params))
+    report = optimize(method, make_mse_objective(matrix), params, seed=4)
     assert report.trace[0] == (0, equal_mse)
     assert report.best_objective <= equal_mse
 
@@ -196,8 +194,7 @@ def test_search_starts_from_the_exact_equal_weights(method):
 @pytest.mark.parametrize("method", SEARCH_METHODS)
 def test_baseline_dominance(method):
     matrix = random_score_matrix(80, 5, seed=14)
-    config = OptimizerConfig(seed=6, method_params=cheap_params(method))
-    report = optimize(method, make_mse_objective(matrix), config)
+    report = optimize(method, make_mse_objective(matrix), cheap_params(method), seed=6)
     assert report.best_objective <= mse(equal_weights(5), matrix)
 
 
@@ -208,8 +205,7 @@ def test_nelder_mead_dominates_equal_under_adversarial_search_value():
     matrix = random_score_matrix(80, 5, seed=14)
     obj = make_mse_objective(matrix)
     obj.value = lambda w: -obj.exact(w)
-    config = OptimizerConfig(max_iterations=200)
-    report = optimize("nelder-mead", obj, config)
+    report = optimize("nelder-mead", obj, {"max_iterations": 200})
     assert report.best_objective <= mse(equal_weights(5), matrix)
 
 
@@ -219,10 +215,7 @@ def test_stochastic_determinism_seed_42(method):
     obj = make_mse_objective(matrix)
 
     def one_run():
-        config = OptimizerConfig(
-            seed=42, method_params={"stagnation_window": 20}
-        )
-        return optimize(method, obj, config)
+        return optimize(method, obj, {"stagnation_window": 20}, seed=42)
 
     a, b = one_run(), one_run()
     assert a.to_dict() == b.to_dict()
@@ -234,50 +227,47 @@ def test_non_finite_objective_aborts_with_point(method):
     obj = quadratic_objective([0.5, 0.5])
     obj.value = lambda x: math.nan
     obj.value_batch = lambda xs: np.full(len(xs), math.nan)
-    config = OptimizerConfig(seed=0, method_params=cheap_params(method))
     with pytest.raises(NonFiniteObjectiveError) as excinfo:
-        optimize(method, obj, config)
+        optimize(method, obj, cheap_params(method), seed=0)
     assert excinfo.value.point.shape == (2,)
 
 
 POPULATION_SIZE = {"pso": "swarm_size", "ga": "population_size"}
 
 
-def population_config(method, size, params, **fields):
-    """A pso or ga config with the given population size and method settings."""
-    return OptimizerConfig(method_params={POPULATION_SIZE[method]: size, **params}, **fields)
+def population_settings(method, size, settings):
+    """A pso or ga run's settings with the given population size."""
+    return {POPULATION_SIZE[method]: size, **settings}
 
 
 def test_budget_exhaustion_reports_not_converged():
     matrix = random_score_matrix(60, 6, seed=9)
-    config = OptimizerConfig(seed=0, max_iterations=2, tolerance=1e-14)
+    settings = {"max_iterations": 2, "tolerance": 1e-14}
     for method in GRADIENT_METHODS:
-        report = optimize(method, make_mse_objective(matrix), config)
+        report = optimize(method, make_mse_objective(matrix), settings, seed=0)
         assert not report.converged, method
         assert report.iterations == 2, method
 
     # a stagnation window of 0 runs the whole budget: size x (iterations + 1) evaluations
     objective = make_mse_objective(random_score_matrix(60, 4, seed=9))
     for method in POPULATION_SIZE:
-        config = population_config(method, 8, {"stagnation_window": 0}, max_iterations=7)
-        report = optimize(method, objective, config)
+        settings = population_settings(method, 8, {"stagnation_window": 0, "max_iterations": 7})
+        report = optimize(method, objective, settings)
         assert (report.iterations, report.converged, report.function_evaluations) == (7, False, 64), method
 
 
 @pytest.mark.parametrize("method", POPULATION_SIZE)
 def test_population_stagnation_stops_converged_after_window(method):
     flat = quadratic(np.zeros((3, 3)), np.zeros(3), 1.0)
-    config = population_config(method, 8, {"stagnation_window": 5})
-    report = optimize(method, flat, config)
+    report = optimize(method, flat, population_settings(method, 8, {"stagnation_window": 5}))
     assert (report.iterations, report.converged, report.function_evaluations) == (5, True, 48)
     assert report.trace == [(0, 1.0)]
 
 
 def test_ga_budget_is_the_smaller_of_generations_and_iterations():
     objective = make_mse_objective(random_score_matrix(60, 4, seed=9))
-    params = {"stagnation_window": 0, "max_generations": 6}
-    config = population_config("ga", 8, params, max_iterations=50)
-    report = optimize("ga", objective, config)
+    params = {"stagnation_window": 0, "max_generations": 6, "max_iterations": 50}
+    report = optimize("ga", objective, population_settings("ga", 8, params))
     assert (report.iterations, report.converged, report.function_evaluations) == (6, False, 56)
 
 
@@ -297,7 +287,7 @@ def test_incumbent_does_not_rescore_itself():
     scored = []
     objective = quadratic_objective([0.2, 0.7])  # away from the equal start [0.5, 0.5]
     objective.exact = lambda x: scored.append(x) or objective.value(x)
-    search = Search(objective, OptimizerConfig(), "equal")
+    search = Search(objective, "equal", check("equal", {}))
     start_f = search.best_f
     del scored[:]  # the equal start's score, made on construction
     x = np.array([0.2, 0.7])
@@ -317,7 +307,7 @@ def test_population_methods_rescore_only_new_points(method, size_key):
     size = 30
     obj, scored = one_ulp_low(make_mse_objective(random_score_matrix(60, 4, seed=5)))
     params = {size_key: size, "stagnation_window": 20}
-    report = optimize(method, obj, OptimizerConfig(seed=1, method_params=params))
+    report = optimize(method, obj, params, seed=1)
     assert report.iterations > 20
     assert report.function_evaluations == size * (report.iterations + 1)
     assert len(scored) == len(report.trace)
@@ -345,10 +335,9 @@ REFERENCE_STEPS = {"ga": oracles.optimize_ga, "pso": oracles.optimize_pso}
 )
 def test_population_steps_match_their_references_bit_for_bit(method, m, params, seed):
     objective = make_mse_objective(random_score_matrix(50, m, seed=seed + 20))
-    config = OptimizerConfig(seed=seed, max_iterations=150, method_params=params)
-    resolved = check_settings(METHODS[method].settings, params, method)
-    expected = REFERENCE_STEPS[method](Search(objective, config, method), resolved)
-    got = optimize(method, objective, config)
+    settings = {**params, "max_iterations": 150}
+    expected = REFERENCE_STEPS[method](Search(objective, method, check(method, settings), seed))
+    got = optimize(method, objective, settings, seed=seed)
     assert got.best_weights.tobytes() == expected.best_weights.tobytes()
     assert got.best_objective == expected.best_objective
     assert got.trace == expected.trace
@@ -361,18 +350,14 @@ def test_population_steps_match_their_references_bit_for_bit(method, m, params, 
 
 def test_ga_dominates_seeded_equal_vector():
     matrix = random_score_matrix(70, 4, seed=10)
-    config = OptimizerConfig(
-        seed=3,
-        method_params={"population_size": 20, "max_generations": 50, "stagnation_window": 10},
-    )
-    report = optimize("ga", make_mse_objective(matrix), config)
+    settings = {"population_size": 20, "max_generations": 50, "stagnation_window": 10}
+    report = optimize("ga", make_mse_objective(matrix), settings, seed=3)
     assert report.best_objective <= mse(equal_weights(4), matrix)
 
 
 def test_nelder_mead_simplex_stays_in_box():
     # a minimizer outside the box drags every candidate toward the wall
-    config = OptimizerConfig(seed=0)
-    report = optimize("nelder-mead", quadratic_objective([2.0, -1.0, 0.5]), config)
+    report = optimize("nelder-mead", quadratic_objective([2.0, -1.0, 0.5]), seed=0)
     assert np.all(report.best_weights >= 0.0)
     assert np.all(report.best_weights <= 1.0)
     assert report.best_weights[0] == pytest.approx(1.0, abs=1e-6)
@@ -393,9 +378,8 @@ def test_lbfgsb_interior_quadratic_against_closed_form():
     closed_form = np.linalg.solve(a_matrix, -b)
     assert np.all(closed_form > 0.0) and np.all(closed_form < 1.0)
 
-    config = OptimizerConfig(seed=0, max_iterations=100)
     # 0.5 x'Ax + b'x as w'Gw - 2g'w + c: G = A/2, g = -b/2, c = 0
-    report = optimize("lbfgsb", quadratic(a_matrix / 2, -b / 2, 0.0), config)
+    report = optimize("lbfgsb", quadratic(a_matrix / 2, -b / 2, 0.0), {"max_iterations": 100}, seed=0)
     assert report.converged
     assert report.iterations <= 100
     assert float(np.linalg.norm(gradient(report.best_weights), np.inf)) <= 1e-7
@@ -403,15 +387,13 @@ def test_lbfgsb_interior_quadratic_against_closed_form():
 
 
 def test_tnc_converges_on_planted(planted_500x5):
-    config = OptimizerConfig(seed=0)
-    report = optimize("tnc", make_mse_objective(planted_500x5), config)
+    report = optimize("tnc", make_mse_objective(planted_500x5), seed=0)
     assert report.best_objective <= 1e-10
     assert report.converged
 
 
 def test_trust_region_handles_bound_pinned_optimum():
-    config = OptimizerConfig(seed=0)
-    report = optimize("trust-region", quadratic_objective([1.4, 0.6]), config)
+    report = optimize("trust-region", quadratic_objective([1.4, 0.6]), seed=0)
     assert report.best_weights[0] == 1.0
     assert report.best_weights[1] == pytest.approx(0.6, abs=1e-6)
     assert report.converged
@@ -428,7 +410,7 @@ def test_trust_region_max_radius_defaults_to_the_box_diagonal():
 
     def run(**cap):
         params = {"initial_radius": 0.51 * math.sqrt(3), **cap}
-        report = optimize("trust-region", objective, OptimizerConfig(seed=0, method_params=params))
+        report = optimize("trust-region", objective, params, seed=0)
         counts = (report.function_evaluations, report.gradient_evaluations, report.iterations)
         return report.best_weights.tobytes(), report.best_objective, report.trace, counts
 
@@ -441,8 +423,7 @@ def test_trust_region_max_radius_defaults_to_the_box_diagonal():
 @pytest.mark.parametrize("method", SEARCH_METHODS)
 def test_optimum_on_faces_of_the_box(method):
     """The minimiser of |x - (-0.5, 0.5, 1.5)|^2 over [0, 1]^3 is (0, 0.5, 1): two coordinates on a face."""
-    config = OptimizerConfig(seed=4, method_params=cheap_params(method))
-    w = optimize(method, quadratic_objective([-0.5, 0.5, 1.5]), config).best_weights
+    w = optimize(method, quadratic_objective([-0.5, 0.5, 1.5]), cheap_params(method), seed=4).best_weights
     assert np.all(w >= 0.0) and np.all(w <= 1.0)
     if method in GRADIENT_METHODS:
         assert (w[0], w[2]) == (0.0, 1.0)
@@ -492,7 +473,7 @@ def test_wrappers_set_on_the_instance_see_every_search_evaluation(method):
 
     for name in seen:
         setattr(objective, name, counting(name, getattr(objective, name)))
-    report = optimize(method, objective, OptimizerConfig(seed=0, method_params=cheap_params(method)))
+    report = optimize(method, objective, cheap_params(method), seed=0)
     assert seen["value"] + seen["value_batch"] == report.function_evaluations
     assert seen["gradient"] == report.gradient_evaluations
     used = {"pso": ["value_batch"], "tnc": ["value", "gradient"]}[method]
@@ -501,9 +482,7 @@ def test_wrappers_set_on_the_instance_see_every_search_evaluation(method):
 
 def test_report_counts_gradient_evaluations():
     matrix = random_score_matrix(50, 4, seed=25)
-    report = optimize("lbfgsb", make_mse_objective(matrix), OptimizerConfig())
+    report = optimize("lbfgsb", make_mse_objective(matrix))
     assert report.gradient_evaluations > 0
-    derivative_free = optimize(
-        "nelder-mead", make_mse_objective(matrix), OptimizerConfig()
-    )
+    derivative_free = optimize("nelder-mead", make_mse_objective(matrix))
     assert derivative_free.gradient_evaluations == 0

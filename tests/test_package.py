@@ -64,7 +64,7 @@ print(json.dumps({
 }))
 """
     resolved = run_python(code)
-    assert len(resolved) == 23
+    assert len(resolved) == 22
     assert {name: [True, True] for name in resolved} == resolved
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 import runpy
+import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -334,10 +336,13 @@ def test_make_synth_data_writes_the_reference_bytes(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--videos", "0"], "need n_samples >= n_videos >= 1"),
-        (["--inducers", "0"], "need at least one inducer"),
-        (["--noise", "-1"], "noise_sigma must be >= 0"),
-        (["--test-samples", "3", "--videos", "30"], "need n_samples >= n_videos >= 1"),
+        (["--videos", "0"], "--videos must be >= 1, got 0"),
+        (["--inducers", "0"], "--inducers must be >= 1, got 0"),
+        (["--noise", "-1"], "noise_sigma must be finite and >= 0, got -1.0"),
+        (
+            ["--test-samples", "3", "--videos", "30"],
+            "--test-samples (3) must be >= the test split's --videos // 3 = 10 videos",
+        ),
     ],
     ids=["videos=0", "inducers=0", "noise=-1", "fewer-test-samples-than-videos"],
 )
@@ -350,3 +355,30 @@ def test_make_synth_data_rejects_bad_values_with_a_usage_error(tmp_path, monkeyp
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--inducers", "-1"], "--inducers"),
+        (["--test-samples", "3", "--videos", "30"], "--test-samples"),
+        (["--dev-samples", "5", "--videos", "6"], "--dev-samples"),
+        (["--noise", "nan"], "noise_sigma"),
+        (["--noise", "inf"], "noise_sigma"),
+    ],
+    ids=["inducers=-1", "test-samples", "dev-samples", "noise=nan", "noise=inf"],
+)
+def test_make_synth_data_names_the_value_at_fault(tmp_path, argv, flag):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synth_data.py"
+    cmd = [sys.executable, str(script), "--out", str(tmp_path / "out"), "--dev-samples", "40",
+           "--test-samples", "20", "--inducers", "3", "--videos", "4", *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert flag in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -0.5])
+def test_spec_rejects_a_noise_sigma_that_is_not_finite_and_non_negative(sigma):
+    with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+        SynthSpec(40, 3, 4, seed=0, planted_weights=[0.5, 0.5, 0.5], noise_sigma=sigma)
