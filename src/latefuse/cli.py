@@ -137,12 +137,20 @@ def load_split(entries: list[str]) -> list[InducerTable]:
     Equal keys are interned: every table points at the first copy of each
     (video_id, image_id) tuple read, so a split keeps one copy of the key
     column that its files repeat, whatever order each file lists it in.
+    Tables whose files list their rows in the same order share one ``keys``
+    list, so a split holds one key list per row order; callers must not
+    mutate a table's ``keys``.
     """
     canon: dict[Key, Key] = {}
+    orders: list[list[Key]] = []  # the distinct key lists read so far
     tables: list[InducerTable] = []
     for path in expand_inducer_paths(entries):
         table = read_inducer_csv(path)
-        table.keys = list(map(canon.setdefault, table.keys, table.keys))
+        keys = list(map(canon.setdefault, table.keys, table.keys))
+        # equal interned keys are the same objects, so == compares pointers
+        table.keys = next((order for order in orders if order == keys), keys)
+        if table.keys is keys:
+            orders.append(keys)
         tables.append(table)
     seen: set[str] = set()
     for t in tables:

@@ -59,8 +59,12 @@ class Setting(NamedTuple):
     def describe(self) -> str:
         return f"{self.interval[0]}{self.low}, {self.high}{self.interval[1]}"
 
-    def check(self, key: str, value, resolved: Mapping) -> None:
-        """Reject a value of the wrong type, a non-finite real or one outside the interval."""
+    def check(self, key: str, value, resolved: Mapping, given: bool = True) -> None:
+        """Reject a value of the wrong type, a non-finite real or one outside the interval.
+
+        The interval message says when the value is the default (``given``
+        false) and gives the resolved value of each end that names a setting.
+        """
         integral = self.type is int
         wanted = numbers.Integral if integral else numbers.Real
         if isinstance(value, bool) or not isinstance(value, wanted):
@@ -77,7 +81,10 @@ class Setting(NamedTuple):
         above = low < value if self.interval[0] == "(" else low <= value
         below = value < high if self.interval[1] == ")" else value <= high
         if not (above and below):
-            raise ParameterError(f"{key} must be in {self.describe()}, got {value!r}")
+            notes = [] if given else ["the default"]
+            notes += [f"{end} is {resolved[end]!r}" for end in (self.low, self.high) if isinstance(end, str)]
+            note = f" ({'; '.join(notes)})" if notes else ""
+            raise ParameterError(f"{key} must be in {self.describe()}, got {value!r}{note}")
 
 
 def check_settings(specs: Mapping[str, Setting], values: Mapping, owner: str) -> ChainMap:
@@ -95,7 +102,7 @@ def check_settings(specs: Mapping[str, Setting], values: Mapping, owner: str) ->
     resolved = ChainMap(dict(values), {key: spec.default for key, spec in specs.items()})
     for key, spec in specs.items():
         if key in values or isinstance(spec.low, str) or isinstance(spec.high, str):
-            spec.check(key, resolved[key], resolved)
+            spec.check(key, resolved[key], resolved, key in values)
     return resolved
 
 

@@ -342,6 +342,25 @@ def test_compare_bad_setting_parses_and_fits_nothing(dataset_pair, tmp_path, cap
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (["ga.population_size=2"], "got 3 (the default; population_size is 2)"),
+        (["ga.population_size=2", "ga.tournament_size=5"], "got 5 (population_size is 2)"),
+    ],
+    ids=["default", "given"],
+)
+def test_a_bound_named_by_another_setting_is_reported_with_its_value(
+    dataset_pair, tmp_path, capsys, settings, message
+):
+    # only population_size is set in the first case: the message must not read as if the
+    # user had given tournament_size
+    flags = [flag for setting in settings for flag in ("--set", setting)]
+    code = main(["compare", "--methods", "all", *flags, *data_flags(dataset_pair, tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert f"usage error: tournament_size must be in [1, population_size], {message}\n" in capsys.readouterr().err
+
+
 def test_data_error_missing_file(dataset_pair, tmp_path, capsys):
     dev, test = dataset_pair
     code = main(
