@@ -61,7 +61,6 @@ class RunManifest:
     k: int = 10
     seed: int = 0
     overrides: dict = field(default_factory=dict)
-    trace: bool = False
 
     def __post_init__(self) -> None:
         try:
@@ -100,8 +99,8 @@ class RunManifest:
 def _is_json_type(value, annotation: str) -> bool:
     if annotation == "list[str]":
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
-    kind = {"str": str, "int": int, "bool": bool, "dict": dict}[annotation]
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    kind = {"str": str, "int": int, "dict": dict}[annotation]
+    return isinstance(value, kind) and not isinstance(value, bool)  # JSON true is not an int
 
 
 @dataclass
@@ -245,8 +244,6 @@ def _artifacts(result: RunResult) -> dict[Path, str]:
         "eval_report.json": _json(ev.to_dict()),
         "eval_report.csv": _csv(["video_id", f"ap_at_{ev.k}", "num_relevant"], ev.per_group),
     }
-    if result.manifest.trace:
-        texts["trace.csv"] = _csv(["iteration", "best_objective"], report.trace)
     out = Path(result.manifest.out_dir)
     return {out / name: text for name, text in texts.items()}
 
@@ -349,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="optimizer override; repeatable (compare also accepts method.key=value)",
         )
-        p.add_argument("--trace", action="store_true", default=None, help="also write per-iteration trace.csv")
 
     run_p = sub.add_parser("run", help="run one method end to end")
     run_p.add_argument("--method", choices=sorted(METHODS), help="weight-search method")
@@ -380,12 +376,11 @@ def _manifest_from_args(
         k=10 if args.k is None else args.k,
         seed=0 if args.seed is None else args.seed,
         overrides=overrides,
-        trace=bool(args.trace),
     )
 
 
 # The run flags a manifest stands in for; --out may still redirect its output.
-_MANIFEST_FLAGS = ("method", "dev", "test", "truth", "k", "seed", "set", "trace")
+_MANIFEST_FLAGS = ("method", "dev", "test", "truth", "k", "seed", "set")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

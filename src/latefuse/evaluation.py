@@ -51,6 +51,7 @@ def _ap_at_k(rel: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if k < 1:
         raise ValueError(f"cutoff must be >= 1, got {k}")
+    k = min(k, rel.shape[-1])  # R <= row length, so min(R, k) is unchanged, and k fits a C long
     num_relevant = rel.sum(axis=-1)
     top = rel[..., :k]
     hits = np.cumsum(top, axis=-1)

@@ -80,9 +80,7 @@ def test_run_equal_writes_uniform_weights(dataset_pair, tmp_path, capsys):
     names, weights = read_weights(out)
     assert len(names) == 4
     assert np.all(weights == 0.25)
-    for name in ARTIFACTS:
-        assert (out / name).exists()
-    assert not (out / "trace.csv").exists()
+    assert sorted(path.name for path in out.iterdir()) == sorted(ARTIFACTS)
     line = capsys.readouterr().out
     assert "equal:" in line and "dev_mse=" in line and "test_map_at_10=" in line
 
@@ -163,8 +161,8 @@ def test_run_report_config_block_is_pinned(dataset_pair, tmp_path, flags, config
 @pytest.mark.parametrize(
     "flags",
     [["--method", "pso"], ["--dev", "d.csv"], ["--test", "t.csv"], ["--truth", "g.csv"],
-     ["--k", "10"], ["--seed", "0"], ["--set", "max_iterations=5"], ["--trace"],
-     ["--method", "pso", "--seed", "9", "--k", "3", "--trace"]],
+     ["--k", "10"], ["--seed", "0"], ["--set", "max_iterations=5"],
+     ["--method", "pso", "--seed", "9", "--k", "3"]],
     ids=" ".join,
 )
 def test_run_manifest_rejects_the_flags_it_replaces(dataset_pair, tmp_path, capsys, flags):
@@ -207,13 +205,19 @@ def test_run_repeated_path_flags_add_up(dataset_pair, tmp_path):
     assert json.loads((split / "manifest.json").read_text())["dev_paths"] == resolved
 
 
-def test_run_trace_flag_controls_trace_csv(dataset_pair, tmp_path):
-    out = tmp_path / "out"
-    code = main(["run", "--method", "lbfgsb", *data_flags(dataset_pair, out, ["--trace"])])
-    assert code == EXIT_OK
-    lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "iteration,best_objective"
-    assert len(lines) >= 2
+def test_run_k_past_any_c_long_scores_like_the_largest(dataset_pair, tmp_path):
+    # a cutoff past every video's size reads each whole ranking, so a larger one changes no AP
+    reports = {}
+    for k in (2**63 - 1, 10**23):
+        out = tmp_path / str(k)
+        assert main(["run", "--method", "tnc", "--k", str(k), *data_flags(dataset_pair, out)]) == EXIT_OK
+        rerun = tmp_path / f"rerun-{k}"
+        assert main(["run", "--manifest", str(out / "manifest.json"), "--out", str(rerun)]) == EXIT_OK
+        assert read_bytes(rerun, ["eval_report.json"]) == read_bytes(out, ["eval_report.json"])
+        reports[k] = json.loads((out / "eval_report.json").read_text())
+    huge, largest = reports[10**23], reports[2**63 - 1]
+    assert huge["k"] == 10**23  # the report keeps the cutoff as given
+    assert (huge["per_group"], huge["map_at_k"]) == (largest["per_group"], largest["map_at_k"])
 
 
 def test_run_weights_json_names_match_inducers(dataset_pair, tmp_path):
@@ -242,11 +246,19 @@ def test_run_report_mse_matches_recomputation(dataset_pair, tmp_path):
 
 # ---------------------------------------------------------------- exit codes
 
-def test_usage_error_unknown_method(dataset_pair, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    # run and compare have no --trace flag: optimizer_report.json holds each run's trace
+    [["run", "--method", "sgd"], ["run", "--method", "tnc", "--trace"], ["compare", "--trace"]],
+    ids=" ".join,
+)
+def test_usage_error_unknown_method_or_flag(dataset_pair, tmp_path, capsys, argv):
+    out = tmp_path / "o"
     with pytest.raises(SystemExit) as excinfo:
-        main(["run", "--method", "sgd", *data_flags(dataset_pair, tmp_path / "o")])
+        main([*argv, *data_flags(dataset_pair, out)])
     assert excinfo.value.code == EXIT_USAGE
-    capsys.readouterr()
+    assert argv[-1] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_missing_method_and_manifest(dataset_pair, tmp_path, capsys):
@@ -505,7 +517,6 @@ def test_manifest_round_trip():
         k=5,
         seed=11,
         overrides={"swarm_size": 40},
-        trace=True,
     )
     assert RunManifest.from_dict(manifest.to_dict()) == manifest
 
@@ -537,7 +548,8 @@ def test_manifest_from_dict_missing_field():
         pytest.param(lambda doc: [1, 2], "must be a JSON object", id="top-level-array"),
         pytest.param(lambda doc: {**doc, "overrides": [1, 2]}, "'overrides' must be dict", id="overrides-list"),
         pytest.param(lambda doc: {**doc, "dev_paths": 5}, "'dev_paths' must be list[str]", id="dev_paths-number"),
-        pytest.param(lambda doc: {**doc, "trace": "no"}, "'trace' must be bool", id="trace-string"),
+        # an echo written when the manifest had a trace field must drop that field
+        pytest.param(lambda doc: {**doc, "trace": False}, "unknown field 'trace'", id="old-echo-trace"),
         pytest.param(lambda doc: {**doc, "k": "x"}, "'k' must be int", id="k-string"),
         pytest.param(lambda doc: {**doc, "seed": -1}, "seed must be >= 0", id="seed-negative"),
         pytest.param(
@@ -664,7 +676,7 @@ def float_cells(rows):
 def test_every_artifact_is_canonical_utf8_text(dataset_pair, tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(
-        ["compare", "--methods", "all", "--trace", "--seed", "3",
+        ["compare", "--methods", "all", "--seed", "3",
          "--set", "pso.swarm_size=30", "--set", "pso.stagnation_window=15",
          "--set", "ga.population_size=30", "--set", "ga.stagnation_window=15",
          *data_flags(dataset_pair, out)]
@@ -672,7 +684,7 @@ def test_every_artifact_is_canonical_utf8_text(dataset_pair, tmp_path, capsys):
     assert code == EXIT_OK
     capsys.readouterr()
     files = sorted(path for path in out.rglob("*") if path.is_file())
-    assert len(files) == 2 + len(METHODS) * (len(ARTIFACTS) + 1)  # the summaries, then each method's and its trace
+    assert len(files) == 2 + len(METHODS) * len(ARTIFACTS)  # the summaries, then each method's
     for path in files:
         text = path.read_bytes().decode("utf-8")
         assert "\r" not in text and text.endswith("\n") and not text.endswith("\n\n"), path

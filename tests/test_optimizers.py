@@ -444,17 +444,7 @@ def test_report_json_round_trip(run_on_pair):
     assert doc["best_objective"] == report.best_objective
     assert doc["config"]["method_params"] == {"stagnation_window": 10}
     assert doc["trace"][0][0] == 0
-
-
-def test_trace_csv_format(run_on_pair):
-    result, out = run_on_pair("tnc", trace=True)
-    report = result.report
-    lines = (out / "trace.csv").read_text().splitlines()
-    assert lines[0] == "iteration,best_objective"
-    assert len(lines) == len(report.trace) + 1
-    it, f = lines[1].split(",")
-    assert int(it) == report.trace[0][0]
-    assert float(f) == report.trace[0][1]
+    assert doc["trace"] == [[it, f] for it, f in report.trace]  # every pair, each value exact
 
 
 @pytest.mark.parametrize("method", ["pso", "tnc"])
