@@ -143,7 +143,11 @@ def load_split(entries: list[str]) -> list[InducerTable]:
     canon: dict[Key, Key] = {}
     orders: list[list[Key]] = []  # the distinct key lists read so far
     tables: list[InducerTable] = []
+    first: dict[str, Path] = {}  # the file that first held each inducer name (its stem)
     for path in expand_inducer_paths(entries):
+        if path.stem in first:
+            raise IngestionError(f"duplicate inducer name {path.stem!r} in split: {path} repeats {first[path.stem]}")
+        first[path.stem] = path
         table = read_inducer_csv(path)
         keys = list(map(canon.setdefault, table.keys, table.keys))
         # equal interned keys are the same objects, so == compares pointers
@@ -151,11 +155,6 @@ def load_split(entries: list[str]) -> list[InducerTable]:
         if table.keys is keys:
             orders.append(keys)
         tables.append(table)
-    seen: set[str] = set()
-    for t in tables:
-        if t.inducer_name in seen:
-            raise IngestionError(f"duplicate inducer name {t.inducer_name!r} in split")
-        seen.add(t.inducer_name)
     return sorted(tables, key=lambda t: t.inducer_name)
 
 
@@ -254,37 +253,42 @@ def run(manifest: RunManifest) -> RunResult:
     return result
 
 
-def compare(manifests: list[RunManifest], out_dir: str | Path) -> list[RunResult]:
-    """Fit several methods on one dataset, prepared once, and write a summary table."""
-    if not manifests:
-        raise UsageError("compare needs at least one manifest")
-    first = manifests[0]
-    out_dirs: set[Path] = set()
-    for m in manifests:
-        same = (
-            m.dev_paths == first.dev_paths
-            and m.test_paths == first.test_paths
-            and m.truth_paths == first.truth_paths
-            and m.k == first.k
-        )
-        if not same:
-            raise UsageError("compare manifests must share dev, test, truth, and k")
-        out = Path(m.out_dir).resolve()
-        if out in out_dirs:  # a later method's artifacts would overwrite an earlier one's
-            raise UsageError(f"compare manifests must not share an out_dir: {m.out_dir}")
-        out_dirs.add(out)
+def compare(
+    methods: list[str], dev_paths: list[str], test_paths: list[str], truth_paths: list[str],
+    out_dir: str | Path, k: int = 10, seed: int = 0, overrides: dict | None = None,
+) -> list[RunResult]:
+    """Fit each method on one dataset, prepared once; method m writes to `<out_dir>/m`, plus a summary table.
 
-    data = prepare(first)
-    results = [fit(data, m) for m in manifests]  # every fit succeeds before any write
+    Paths are resolved as the CLI resolves them.  A plain key of `overrides`
+    reaches every method, a `method.key` one only that method, and wins there.
+    Repeated methods are dropped, keeping the order.  Every method and setting
+    is checked before any file is read, and every fit succeeds before any write.
+    """
+    if not methods:
+        raise UsageError("no methods selected")
+    methods = list(dict.fromkeys(methods))
+    overrides = overrides or {}
+    for key in overrides:
+        head, sep, _ = key.partition(".")
+        if sep and head in METHODS and head not in methods:
+            raise UsageError(f"--set {key!r} targets a method not selected for this compare")
+    out = Path(out_dir).resolve()
+    manifests = [
+        _resolved(m, dev_paths, test_paths, truth_paths, out / m, k=k, seed=seed,
+                  overrides=_scoped_overrides(m, overrides))
+        for m in methods
+    ]
 
-    header = ["method", "dev_mse", f"test_map_at_{first.k}", "evaluations", "wall_time"]
+    data = prepare(manifests[0])
+    results = [fit(data, m) for m in manifests]
+
+    header = ["method", "dev_mse", f"test_map_at_{k}", "evaluations", "wall_time"]
     rows = [
         dict(zip(header, (r.manifest.method, r.report.best_objective, r.eval_report.map_at_k,
                           r.report.function_evaluations, round(r.wall_time, 3))))
         for r in results
     ]
     texts = {path: text for r in results for path, text in _artifacts(r).items()}
-    out = Path(out_dir)
     texts[out / "summary.csv"] = _csv(header, (row.values() for row in rows))
     texts[out / "summary.json"] = _json(rows)
     _write_all(texts)  # one transaction: a failed write removes every method's files
@@ -332,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_data_flags(p: argparse.ArgumentParser) -> None:
-        # a None default marks a flag as not given; _manifest_from_args applies the real defaults
+        # a None default marks a flag as not given; _data_flags leaves the real defaults in place
         paths = {"nargs": "+", "action": "extend", "metavar": "PATH"}  # repeats add up
         p.add_argument("--dev", **paths, help="dev inducer csv files or directories")
         p.add_argument("--test", **paths, help="test inducer csv files or directories")
@@ -362,21 +366,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_from_args(
-    args: argparse.Namespace, method: str, out_dir: str, overrides: dict
-) -> RunManifest:
+def _resolved(method: str, dev_paths, test_paths, truth_paths, out_dir, **fields) -> RunManifest:
+    """A manifest whose paths are made absolute against the working directory."""
+    def absolute(paths) -> list[str]:
+        return [str(Path(p).resolve()) for p in paths]
+
+    return RunManifest(method, absolute(dev_paths), absolute(test_paths), absolute(truth_paths),
+                       str(Path(out_dir).resolve()), **fields)
+
+
+def _data_flags(args: argparse.Namespace) -> dict:
+    """The data flags' values as keyword arguments; an unset --k or --seed keeps its default."""
     if not args.dev or not args.test or not args.truth:
         raise UsageError("--dev, --test, and --truth are required")
-    return RunManifest(
-        method=method,
-        dev_paths=[str(Path(p).resolve()) for p in args.dev],
-        test_paths=[str(Path(p).resolve()) for p in args.test],
-        truth_paths=[str(Path(p).resolve()) for p in args.truth],
-        out_dir=str(Path(out_dir).resolve()),
-        k=10 if args.k is None else args.k,
-        seed=0 if args.seed is None else args.seed,
-        overrides=overrides,
-    )
+    given = {name: getattr(args, name) for name in ("k", "seed") if getattr(args, name) is not None}
+    return dict(dev_paths=args.dev, test_paths=args.test, truth_paths=args.truth, **given)
 
 
 # The run flags a manifest stands in for; --out may still redirect its output.
@@ -399,7 +403,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         if not args.method:
             raise UsageError("either --method or --manifest is required")
-        manifest = _manifest_from_args(args, args.method, args.out, parse_set_values(args.set or []))
+        manifest = _resolved(args.method, out_dir=args.out, overrides=parse_set_values(args.set or []),
+                             **_data_flags(args))
     result = run(manifest)
     k = manifest.k
     print(
@@ -414,30 +419,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         methods = list(METHODS)
     else:
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise UsageError("no methods selected")
-    methods = list(dict.fromkeys(methods))  # drop repeats, keep the order
-
     overrides = parse_set_values(args.set or [])
-    for key in overrides:
-        head, sep, _ = key.partition(".")
-        if sep and head in METHODS and head not in methods:
-            raise UsageError(f"--set {key!r} targets a method not selected for this compare")
-    out_root = Path(args.out).resolve()
-    # each manifest checks its method and settings, so all are checked before any parse
-    manifests = [
-        _manifest_from_args(args, m, str(out_root / m), _scoped_overrides(m, overrides))
-        for m in methods
-    ]
-
-    results = compare(manifests, out_root)
-    k = manifests[0].k
+    results = compare(methods, out_dir=args.out, overrides=overrides, **_data_flags(args))
     for r in results:
         print(
             f"{r.manifest.method}: dev_mse={r.report.best_objective!r} "
-            f"test_map_at_{k}={r.eval_report.map_at_k!r}"
+            f"test_map_at_{r.manifest.k}={r.eval_report.map_at_k!r}"
         )
-    print(f"summary -> {out_root / 'summary.csv'}")
+    print(f"summary -> {Path(args.out).resolve() / 'summary.csv'}")
     return EXIT_OK
 
 

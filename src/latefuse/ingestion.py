@@ -85,6 +85,7 @@ def _read_rows(
     One columnar pass: one leading U+FEFF (a UTF-8 byte-order mark) is
     dropped, blank lines are skipped and each check reads a whole column.
     Raises ParseError naming the first faulty line, or DuplicateKeyError.
+    An id that is empty after stripping is a fault of its line.
     """
     data = source.read()
     if isinstance(data, bytes):
@@ -126,6 +127,9 @@ def _read_rows(
         fault, flags = (i, ParseError, "non-finite score", f": {tokens[i]!r}"), flags[:i]
     end = n * len(flags)
     keys = list(zip(cells[0:end:n], cells[1:end:n]))
+    if "" in cells[0:end:n] or "" in cells[1:end:n]:  # fresh slices: kept ones would raise the memory peak
+        i = next(i for i, key in enumerate(keys) if "" in key)
+        fault, keys = (i, ParseError, "empty " + ("image_id" if keys[i][0] else "video_id"), ""), keys[:i]
     if len(set(keys)) != len(keys):
         first: dict[Key, int] = {}
         i = next(i for i, key in enumerate(keys) if first.setdefault(key, i) != i)

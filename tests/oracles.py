@@ -14,7 +14,8 @@ and comments, so tests can require the faster code to give the same
 results bit for bit:
 
 - `read_rows`, `parse_inducer_file` and `parse_ground_truth`: the CSV parser
-  that checked one line at a time;
+  that checked one line at a time, which has since gained the one rule added
+  to both parsers, that no id is empty;
 - `optimize_ga` and `optimize_pso`: the generation steps before their draws
   were merged and their arithmetic was done in place.
 
@@ -82,6 +83,9 @@ def read_rows(
         if flag not in ("0", "1"):
             raise ParseError(f"{where}: {columns[2]} out of {{0,1}} at line {lineno}: {flag!r}")
         value = parse(int(flag), rest, lineno)
+        for column, part in zip(columns, (vid, iid)):
+            if not part:
+                raise ParseError(f"{where}: empty {column} at line {lineno}")
         key = (vid, iid)
         if key in rows:
             raise DuplicateKeyError(f"{where}: duplicate key {key} at line {lineno}")

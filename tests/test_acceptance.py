@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latefuse.cli import RunManifest, compare
+from latefuse.cli import compare
 from latefuse.evaluation import map_at_k
 from latefuse.fusion import equal_weights, fuse, make_mse_objective, mse
 from latefuse.ingestion import ScoreMatrix, assemble
@@ -263,18 +263,11 @@ def test_09_full_seven_method_compare_at_scale(tmp_path):
         SynthSpec(558, 29, 10, seed=1, planted_weights=w_star, noise_sigma=0.05, key_prefix="t"),
         tmp_path / "test",
     )
-    manifests = [
-        RunManifest(
-            method=m,
-            dev_paths=[str(tmp_path / "dev")],
-            test_paths=[str(tmp_path / "test")],
-            truth_paths=[str(dev.truth_path), str(test.truth_path)],
-            out_dir=str(tmp_path / "cmp" / m),
-        )
-        for m in METHODS
-    ]
     started = time.perf_counter()
-    results = compare(manifests, tmp_path / "cmp")
+    results = compare(
+        list(METHODS), [str(tmp_path / "dev")], [str(tmp_path / "test")],
+        [str(dev.truth_path), str(test.truth_path)], tmp_path / "cmp",
+    )
     elapsed = time.perf_counter() - started
     ok = len(results) == 7 and (tmp_path / "cmp" / "summary.csv").exists() and elapsed < budget
     _criterion(

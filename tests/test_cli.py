@@ -448,6 +448,25 @@ def test_data_error_mismatched_inducer_sets(dataset_pair, tmp_path, capsys):
     assert "differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("twice", ["directory given twice", "name in two directories"])
+def test_data_error_names_both_files_of_a_repeated_inducer_name(dataset_pair, tmp_path, capsys, twice):
+    dev, test = dataset_pair
+    if twice == "directory given twice":
+        first = again = sorted(dev.inducer_paths)[0]  # the first file of the second copy repeats
+    else:
+        first, again = dev.inducer_paths[1], tmp_path / "more" / dev.inducer_paths[1].name
+        again.parent.mkdir()
+        again.write_bytes(first.read_bytes())
+    code = main(
+        ["run", "--method", "equal", "--dev", str(dev.inducer_paths[0].parent), "--dev", str(again.parent),
+         "--test", str(test.inducer_paths[0].parent), "--truth", str(dev.truth_path), str(test.truth_path),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: duplicate inducer name {first.stem!r} in split: {again.resolve()} repeats {first.resolve()}\n"
+
+
 def test_abort_exit_code_on_non_finite_objective(dataset_pair, tmp_path, capsys, monkeypatch):
     def explode(method, objective, settings, seed):
         raise NonFiniteObjectiveError(np.zeros(objective.dimension), math.nan)
@@ -755,42 +774,52 @@ def test_compare_rejects_unknown_method(dataset_pair, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_compare_api_rejects_empty_manifest_list(tmp_path):
-    with pytest.raises(UsageError):
-        compare([], tmp_path)
+def test_compare_call_writes_what_the_command_writes(dataset_pair, tmp_path, capsys, monkeypatch):
+    # both resolve relative paths, so even manifest.json matches; only the summaries' wall_time may differ
+    monkeypatch.chdir(tmp_path)
+    truth = [str(split.truth_path.relative_to(tmp_path)) for split in dataset_pair]
+    settings = {"pso.swarm_size": 30, "pso.stagnation_window": 15, "tolerance": 1e-6, "tnc.max_iterations": 50}
+
+    def written(out):
+        files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        csv, rows = files.pop(Path("summary.csv")).decode(), json.loads(files.pop(Path("summary.json")))
+        files["summary.csv"] = [line.rpartition(",")[0] for line in csv.splitlines()]  # wall_time is last
+        files["summary.json"] = [{k: v for k, v in row.items() if k != "wall_time"} for row in rows]
+        return files
+
+    flags = [flag for key, value in settings.items() for flag in ("--set", f"{key}={value}")]
+    code = main(["compare", "--methods", "pso,equal,tnc,pso", "--k", "5", "--seed", "3", *flags,
+                 "--dev", "dev", "--test", "test", "--truth", *truth, "--out", "out"])
+    assert code == EXIT_OK
+    by_command = written(tmp_path / "out")
+    (tmp_path / "out").rename(tmp_path / "by-command")
+    results = compare(["pso", "equal", "tnc", "pso"], ["dev"], ["test"], truth, "out", k=5, seed=3, overrides=settings)
+    assert [r.manifest.method for r in results] == ["pso", "equal", "tnc"]
+    assert written(tmp_path / "out") == by_command
+    assert len(by_command) == 3 * len(ARTIFACTS) + 2
+    capsys.readouterr()
 
 
-def test_compare_api_rejects_mismatched_data(dataset_pair, tmp_path):
-    dev, test = dataset_pair
-    common = dict(
-        test_paths=[str(test.inducer_paths[0].parent)],
-        truth_paths=[str(dev.truth_path), str(test.truth_path)],
-    )
-    a = RunManifest(
-        method="equal", dev_paths=[str(dev.inducer_paths[0].parent)],
-        out_dir=str(tmp_path / "a"), **common,
-    )
-    b = RunManifest(
-        method="tnc", dev_paths=[str(tmp_path / "elsewhere")],
-        out_dir=str(tmp_path / "b"), **common,
-    )
-    with pytest.raises(UsageError, match="share"):
-        compare([a, b], tmp_path)
-
-
-def test_compare_api_rejects_a_shared_out_dir_before_parsing(dataset_pair, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "methods, settings, message",
+    [
+        ([], {}, "no methods selected"),
+        (["equal", "sgd"], {}, "unknown method 'sgd'"),
+        (["equal", "pso"], {"pso.swarm_size": 0}, "swarm_size must be in"),
+        (["equal"], {"pso.swarm_size": 10}, "--set 'pso.swarm_size' targets a method not selected for this compare"),
+    ],
+    ids=["no-method", "unknown-method", "bad-setting", "unselected-scope"],
+)
+def test_compare_call_checks_everything_before_reading_a_file(
+    dataset_pair, tmp_path, monkeypatch, methods, settings, message
+):
     monkeypatch.setattr(cli, "read_inducer_csv", None)  # a parse would raise TypeError
     dev, test = dataset_pair
-    common = dict(
-        dev_paths=[str(dev.inducer_paths[0].parent)],
-        test_paths=[str(test.inducer_paths[0].parent)],
-        truth_paths=[str(dev.truth_path), str(test.truth_path)],
-    )
-    shared = tmp_path / "cmp" / "shared"
-    a = RunManifest(method="equal", out_dir=str(shared), **common)
-    b = RunManifest(method="tnc", out_dir=f"{tmp_path}/cmp/./shared/", **common)
-    with pytest.raises(UsageError, match=re.escape(f"must not share an out_dir: {b.out_dir}")):
-        compare([a, b], tmp_path / "cmp")
+    with pytest.raises(UsageError, match=re.escape(message)):
+        compare(
+            methods, [str(dev.inducer_paths[0].parent)], [str(test.inducer_paths[0].parent)],
+            [str(dev.truth_path), str(test.truth_path)], tmp_path / "cmp", overrides=settings,
+        )
     assert not (tmp_path / "cmp").exists()
 
 

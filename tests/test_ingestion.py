@@ -138,12 +138,14 @@ TRUTH_H = "video_id,image_id,label"
         (f"{INDUCER_H}\nv,i,1,x\n", ParseError, "inducer 'c': non-numeric score at line 2: 'x'"),
         (f"{INDUCER_H}\nv,i,1,nan\n", ParseError, "inducer 'c': non-finite score at line 2: 'nan'"),
         (f"{INDUCER_H}\nv,i,1,0.5\n v , i ,0,0.1\n", DuplicateKeyError, "inducer 'c': duplicate key ('v', 'i') at line 3"),
+        (f"{INDUCER_H}\nv,i1,1,0.5\n,i2,0,0.1\n", ParseError, "inducer 'c': empty video_id at line 3"),
         # a repeated key with a bad value reports the value
         (f"{INDUCER_H}\nv,i,1,0.5\nv,i,0,x\n", ParseError, "inducer 'c': non-numeric score at line 3: 'x'"),
         ("", ParseError, f"ground truth: empty file, expected header {TRUTH_H!r}"),
         (f"{TRUTH_H}\nv,i,1,0\n", ParseError, "ground truth: expected 3 fields, got 4 at line 2"),
         (f"{TRUTH_H}\nv,i,5\n", ParseError, "ground truth: label out of {0,1} at line 2: '5'"),
         (f"{TRUTH_H}\nv,i,1\n\nv,i,0\n", DuplicateKeyError, "ground truth: duplicate key ('v', 'i') at line 4"),
+        (f"{TRUTH_H}\nv, \t,1\n", ParseError, "ground truth: empty image_id at line 2"),
         # invalid UTF-8 is reported at its line, whichever splitlines break ends the lines before it
         *(
             (f"{INDUCER_H}{brk}v1,i1,0,0.5{brk}v1,i2,0,0.".encode() + b"\xff5" + brk.encode(), ParseError,
@@ -217,6 +219,13 @@ def truth_outcome(text, parse=parse_ground_truth):
         # any other U+FEFF is data: a second mark spoils the header, and one in a field is kept
         (f"\ufeff\ufeff{INDUCER_H}\n", (ParseError, f"f.csv: bad header at line 1: {chr(0xFEFF) + INDUCER_H!r}")),
         (["\ufeffv1,i1,0,0.5"], ([("\ufeffv1", "i1")], [0.5])),
+        # an id empty after stripping is a key fault, found after the score and before a repeated key
+        (["v1,,0,x"], (ParseError, "f.csv: non-numeric score at line 2: 'x'")),
+        ([",i1,1,0.5"], (ParseError, "f.csv: empty video_id at line 2")),
+        ([" , ,1,0.5"], (ParseError, "f.csv: empty video_id at line 2")),
+        (["v1,i1,0,0.5", "v1,\t,0,0.5"], (ParseError, "f.csv: empty image_id at line 3")),
+        ([",i1,0,0.5", ",i1,0,0.5"], (ParseError, "f.csv: empty video_id at line 2")),
+        (["v1,i1,0,0.5", "v1,i1,0,0.5", "v1,,0,0.5"], (DuplicateKeyError, "f.csv: duplicate key ('v1', 'i1') at line 3")),
     ],
 )
 def test_parser_accepts_what_the_readme_states(rows, result):
@@ -257,8 +266,8 @@ def test_any_splitlines_break_ends_a_line(brk):
 # ---------------------------------------------------------------- the columnar parser against the per-line one
 
 # good values repeat, so that many files parse; each bad one is a fault the parser must name
-_VIDEOS = st.sampled_from(["v1", "v2", " v1 ", "\ufeffv1", "é"])
-_IMAGES = st.sampled_from(["i1", "i2", "\ti2", "i3", "i4", "i5"])
+_VIDEOS = st.sampled_from(["v1", "v2", " v1 ", "\ufeffv1", "é"] * 4 + ["", " "])
+_IMAGES = st.sampled_from(["i1", "i2", "\ti2", "i3", "i4", "i5"] * 4 + ["", " "])
 _FLAGS = st.sampled_from(["0", "1"] * 8 + [" 1 ", "01", "2", "", "1.0"])
 _SCORES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
