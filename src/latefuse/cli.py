@@ -1,9 +1,10 @@
 """Command-line pipeline: ingest, normalize, search weights, evaluate, report.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 optimization abort.
-Every artifact's text is rendered here, by one JSON and one CSV helper.  All
-artifacts are written atomically (temp file then rename) and a failed run
-removes whatever it had already written to the output directory.
+Every artifact's fields are laid out in one place, `_artifacts`, and rendered
+by one JSON and one CSV helper.  All artifacts are written atomically (temp
+file then rename) and a failed run removes whatever it had already written
+to the output directory.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .ingestion import (
     read_inducer_csv,
 )
 from .optimizers import (
+    CONFIG_SETTINGS,
     METHODS,
     NonFiniteObjectiveError,
     OptimizerReport,
@@ -73,9 +75,6 @@ class RunManifest:
             raise UsageError("seed must be >= 0")
         if not self.dev_paths or not self.test_paths or not self.truth_paths:
             raise UsageError("dev, test, and truth paths are all required")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc) -> "RunManifest":
@@ -231,25 +230,70 @@ def _write_all(texts: dict[Path, str]) -> None:
         raise
 
 
-def _artifacts(result: RunResult) -> dict[Path, str]:
-    """One run's artifact files, by path, each with its text."""
-    report, ev = result.report, result.eval_report
-    ranges = sorted(result.norm_params.items())  # names sorted, "max" before "min": sorted keys
-    texts = {
-        "manifest.json": _json(result.manifest.to_dict()),
-        "norm_params.json": _json({name: {"max": hi, "min": lo} for name, (lo, hi) in ranges}),
-        "weights.json": _json({"inducer_names": result.inducer_names, "weights": report.best_weights.tolist()}),
-        "optimizer_report.json": _json(report.to_dict()),
-        "eval_report.json": _json(ev.to_dict()),
-        "eval_report.csv": _csv(["video_id", f"ap_at_{ev.k}", "num_relevant"], ev.per_group),
-    }
-    out = Path(result.manifest.out_dir)
-    return {out / name: text for name, text in texts.items()}
+def _artifacts(results: list[RunResult], summary_dir: Path | None = None) -> dict[Path, str]:
+    """Every artifact file of the runs, by path, each with its text; with `summary_dir`, the summary too.
+
+    This is the one place that lays out an artifact's fields.
+    """
+    texts: dict[Path, str] = {}
+    for result in results:
+        manifest, report, ev = result.manifest, result.report, result.eval_report
+        out = Path(manifest.out_dir)
+        ranges = sorted(result.norm_params.items())  # names sorted, "max" before "min": sorted keys
+        texts[out / "manifest.json"] = _json(asdict(manifest))
+        texts[out / "norm_params.json"] = _json({name: {"max": hi, "min": lo} for name, (lo, hi) in ranges})
+        texts[out / "weights.json"] = _json(
+            {"inducer_names": result.inducer_names, "weights": report.best_weights.tolist()}
+        )
+        texts[out / "optimizer_report.json"] = _json({
+            "method": report.method,
+            "seed": report.seed,
+            "config": {
+                "dimension": len(report.best_weights),
+                **{key: report.settings[key] for key in CONFIG_SETTINGS},
+                "seed": report.seed,
+                # the settings the run was given, in their order: the manifest's overrides
+                "method_params": {k: v for k, v in manifest.overrides.items() if k not in CONFIG_SETTINGS},
+            },
+            "best_weights": report.best_weights.tolist(),
+            "best_objective": report.best_objective,
+            "function_evaluations": report.function_evaluations,
+            "gradient_evaluations": report.gradient_evaluations,
+            "iterations": report.iterations,
+            "converged": report.converged,
+            "trace": report.trace,  # (iteration, best_objective) pairs, as JSON arrays
+        })
+        texts[out / "eval_report.json"] = _json({
+            "map_at_k": ev.map_at_k,
+            "k": ev.k,
+            "per_group": [
+                {"video_id": vid, "ap_at_k": ap, "num_relevant": rel} for vid, ap, rel in ev.per_group
+            ],
+        })
+        texts[out / "eval_report.csv"] = _csv(["video_id", f"ap_at_{ev.k}", "num_relevant"], ev.per_group)
+    if summary_dir is not None:
+        header = ["method", "dev_mse", f"test_map_at_{results[0].manifest.k}", "evaluations", "wall_time"]
+        rows = [
+            dict(zip(header, (r.manifest.method, r.report.best_objective, r.eval_report.map_at_k,
+                              r.report.function_evaluations, round(r.wall_time, 3))))
+            for r in results
+        ]
+        texts[summary_dir / "summary.csv"] = _csv(header, (row.values() for row in rows))
+        texts[summary_dir / "summary.json"] = _json(rows)
+    return texts
+
+
+def _line(result: RunResult) -> str:
+    """A run's one stdout line: its method, dev MSE and test MAP@k."""
+    return (
+        f"{result.manifest.method}: dev_mse={result.report.best_objective!r} "
+        f"test_map_at_{result.manifest.k}={result.eval_report.map_at_k!r}"
+    )
 
 
 def run(manifest: RunManifest) -> RunResult:
     result = fit(prepare(manifest), manifest)
-    _write_all(_artifacts(result))
+    _write_all(_artifacts([result]))
     return result
 
 
@@ -282,16 +326,7 @@ def compare(
     data = prepare(manifests[0])
     results = [fit(data, m) for m in manifests]
 
-    header = ["method", "dev_mse", f"test_map_at_{k}", "evaluations", "wall_time"]
-    rows = [
-        dict(zip(header, (r.manifest.method, r.report.best_objective, r.eval_report.map_at_k,
-                          r.report.function_evaluations, round(r.wall_time, 3))))
-        for r in results
-    ]
-    texts = {path: text for r in results for path, text in _artifacts(r).items()}
-    texts[out / "summary.csv"] = _csv(header, (row.values() for row in rows))
-    texts[out / "summary.json"] = _json(rows)
-    _write_all(texts)  # one transaction: a failed write removes every method's files
+    _write_all(_artifacts(results, out))  # one transaction: a failed write removes every method's files
     return results
 
 
@@ -405,12 +440,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise UsageError("either --method or --manifest is required")
         manifest = _resolved(args.method, out_dir=args.out, overrides=parse_set_values(args.set or []),
                              **_data_flags(args))
-    result = run(manifest)
-    k = manifest.k
-    print(
-        f"{manifest.method}: dev_mse={result.report.best_objective!r} "
-        f"test_map_at_{k}={result.eval_report.map_at_k!r} -> {manifest.out_dir}"
-    )
+    print(f"{_line(run(manifest))} -> {manifest.out_dir}")
     return EXIT_OK
 
 
@@ -422,10 +452,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     overrides = parse_set_values(args.set or [])
     results = compare(methods, out_dir=args.out, overrides=overrides, **_data_flags(args))
     for r in results:
-        print(
-            f"{r.manifest.method}: dev_mse={r.report.best_objective!r} "
-            f"test_map_at_{r.manifest.k}={r.eval_report.map_at_k!r}"
-        )
+        print(_line(r))
     print(f"summary -> {Path(args.out).resolve() / 'summary.csv'}")
     return EXIT_OK
 

@@ -26,16 +26,6 @@ class EvalReport:
     k: int
     per_group: list[tuple[str, float, int]]  # (video_id, ap_at_k, num_relevant)
 
-    def to_dict(self) -> dict:
-        return {
-            "map_at_k": self.map_at_k,
-            "k": self.k,
-            "per_group": [
-                {"video_id": vid, "ap_at_k": ap, "num_relevant": rel}
-                for vid, ap, rel in self.per_group
-            ],
-        }
-
 
 def _codes(values: Sequence, distinct: Sequence) -> np.ndarray:
     """Each value's position in `distinct`, as one integer per value."""

@@ -10,7 +10,6 @@ run function with it.
 
 from __future__ import annotations
 
-from collections import ChainMap
 from typing import Callable, Mapping, NamedTuple
 
 from ..fusion import Objective
@@ -23,7 +22,6 @@ from .common import (
     ParameterError,
     Search,
     Setting,
-    check_settings,
     projected_gradient_norm,
 )
 
@@ -44,16 +42,26 @@ METHODS = {
 }
 
 
-def check(method: str, settings: Mapping) -> ChainMap:
+def check(method: str, settings: Mapping) -> dict:
     """Check a run's method and settings (key, type, finiteness, range) before any work.
 
     The settings are checked against CONFIG_SETTINGS plus the method's own;
-    returns them resolved over the defaults.
+    returns them resolved: each given value, else its default.  A default is
+    checked too where its interval names another setting.
     """
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}; choose one of {sorted(METHODS)}")
     specs = {**CONFIG_SETTINGS, **METHODS[method].settings}
-    return check_settings(specs, settings, f"method {method!r}")
+    for key in settings:
+        if key not in specs:
+            raise ParameterError(
+                f"unknown method parameter {key!r} for method {method!r}; valid keys: {sorted(specs)}"
+            )
+    resolved = {key: settings.get(key, spec.default) for key, spec in specs.items()}
+    for key, spec in specs.items():
+        if key in settings or isinstance(spec.low, str) or isinstance(spec.high, str):
+            spec.check(key, resolved[key], resolved, key in settings)
+    return resolved
 
 
 def optimize(method: str, objective: Objective, settings: Mapping | None = None, seed: int = 0) -> OptimizerReport:

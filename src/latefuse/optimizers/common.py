@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import ChainMap
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
@@ -87,25 +86,6 @@ class Setting(NamedTuple):
             raise ParameterError(f"{key} must be in {self.describe()}, got {value!r}{note}")
 
 
-def check_settings(specs: Mapping[str, Setting], values: Mapping, owner: str) -> ChainMap:
-    """Resolve ``values`` over the defaults of ``specs``, checking every given value.
-
-    A default is checked too where its interval names another setting.  The
-    result's first map is a copy of ``values``, in their order, so a report
-    can tell the given settings from the defaults.
-    """
-    for key in values:
-        if key not in specs:
-            raise ParameterError(
-                f"unknown method parameter {key!r} for {owner}; valid keys: {sorted(specs)}"
-            )
-    resolved = ChainMap(dict(values), {key: spec.default for key, spec in specs.items()})
-    for key, spec in specs.items():
-        if key in values or isinstance(spec.low, str) or isinstance(spec.high, str):
-            spec.check(key, resolved[key], resolved, key in values)
-    return resolved
-
-
 # The settings that every method takes, next to its own.
 CONFIG_SETTINGS = {
     "max_iterations": Setting(int, 10000, 1, 10**7),
@@ -126,28 +106,8 @@ class OptimizerReport:
     iterations: int
     converged: bool
     trace: list[tuple[int, float]]
-    settings: ChainMap  # the run's resolved settings: those it was given over the defaults
+    settings: dict  # the run's resolved settings: each given value, else its default
     seed: int
-
-    def to_dict(self) -> dict:
-        given = self.settings.maps[0]
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "config": {
-                "dimension": len(self.best_weights),
-                **{key: self.settings[key] for key in CONFIG_SETTINGS},
-                "seed": self.seed,
-                "method_params": {k: v for k, v in given.items() if k not in CONFIG_SETTINGS},
-            },
-            "best_weights": [float(x) for x in self.best_weights],
-            "best_objective": float(self.best_objective),
-            "function_evaluations": self.function_evaluations,
-            "gradient_evaluations": self.gradient_evaluations,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "trace": [[it, f] for it, f in self.trace],
-        }
 
 
 class Search:
@@ -169,7 +129,7 @@ class Search:
     is the objective's m.
     """
 
-    def __init__(self, objective: Objective, method: str, settings: ChainMap, seed: int = 0):
+    def __init__(self, objective: Objective, method: str, settings: dict, seed: int = 0):
         self._objective = objective
         self.method = method
         self.settings = settings

@@ -51,10 +51,10 @@ def _dogleg(g: np.ndarray, hessian: np.ndarray, radius: float) -> np.ndarray:
 def optimize_trust_region(search: Search) -> OptimizerReport:
     p = search.settings
     m = search.dimension
-    radius = float(p["initial_radius"])
     max_radius = p["max_radius"]
     if max_radius is None:
         max_radius = math.sqrt(m)
+    radius = min(float(p["initial_radius"]), max_radius)  # the cap holds from the first step
     eta = float(p["acceptance_threshold"])
     hessian = np.eye(m)
 

@@ -24,7 +24,8 @@ UTF-8 after a break other than ``\\n``; compare it on valid text only.
 
 A fixture builds test data and may call the package: `random_score_matrix`,
 `planted_score_matrix` and `build_tables` in memory, from
-`synth.raw_matrix`, and `generate_perfect_inducer` on disk.
+`synth.raw_matrix`, and `generate_perfect_inducer` and `small_disk_pair` on
+disk.  `golden_run` runs the compare whose artifacts `tests/golden/` holds.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import IO, Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
+from latefuse.cli import compare
 from latefuse.evaluation import EvalReport, UndefinedMetricError
 from latefuse.ingestion import (
     INDUCER_HEADER,
@@ -49,8 +51,9 @@ from latefuse.ingestion import (
     apply_minmax,
     fit_minmax,
 )
+from latefuse.optimizers import METHODS
 from latefuse.optimizers.common import OptimizerReport, Search, evolve
-from latefuse.synth import GeneratedDataset, SynthSpec, raw_matrix, write_dataset
+from latefuse.synth import GeneratedDataset, SynthSpec, generate, raw_matrix, write_dataset
 
 T = TypeVar("T")
 
@@ -331,3 +334,27 @@ def generate_perfect_inducer(
     matrix = raw_matrix(spec)
     matrix.scores[:, 0] = matrix.labels
     return write_dataset(matrix, {**asdict(spec), "perfect_inducer": matrix.inducer_names[0]}, out_dir)
+
+
+def small_disk_pair(root: Path) -> tuple[GeneratedDataset, GeneratedDataset]:
+    """The test suite's 150x5 dev and 60x5 test split under `root`, scored by one hidden weight vector."""
+    w_star = np.random.default_rng(77).uniform(0.05, 1.0, size=5).tolist()
+    dev = generate(SynthSpec(150, 5, 15, seed=11, planted_weights=w_star, key_prefix="d"), root / "dev")
+    test = generate(SynthSpec(60, 5, 6, seed=12, planted_weights=w_star, key_prefix="t"), root / "test")
+    return dev, test
+
+
+# The artifacts of each method that `tests/golden/<method>/` keeps: the others hold paths or
+# times, or repeat these.
+GOLDEN_FILES = ("optimizer_report.json", "eval_report.json")
+
+
+def golden_run(root: Path) -> Path:
+    """`compare --methods all --seed 0` on `small_disk_pair` data under `root`; returns its output directory."""
+    dev, test = small_disk_pair(root / "data")
+    out = root / "out"
+    compare(
+        list(METHODS), [str(dev.inducer_paths[0].parent)], [str(test.inducer_paths[0].parent)],
+        [str(dev.truth_path), str(test.truth_path)], out, seed=0,
+    )
+    return out

@@ -28,6 +28,7 @@ from oracles import (
     grid_oracle,
     planted_score_matrix,
     random_score_matrix,
+    small_disk_pair,
 )
 
 SEARCH_METHODS = ("pso", "ga", "nelder-mead", "trust-region", "lbfgsb", "tnc")
@@ -50,11 +51,7 @@ def small_budget(method: str) -> dict:
 @pytest.fixture(scope="module")
 def disk_pair(tmp_path_factory):
     """Small on-disk dev/test dataset pair shared by the subprocess checks."""
-    root = tmp_path_factory.mktemp("data")
-    w_star = np.random.default_rng(77).uniform(0.05, 1.0, size=5).tolist()
-    dev = generate(SynthSpec(150, 5, 15, seed=11, planted_weights=w_star, key_prefix="d"), root / "dev")
-    test = generate(SynthSpec(60, 5, 6, seed=12, planted_weights=w_star, key_prefix="t"), root / "test")
-    return dev, test
+    return small_disk_pair(tmp_path_factory.mktemp("data"))
 
 
 def test_01_gradient_matches_central_differences():

@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +176,7 @@ def test_run_manifest_rejects_the_flags_it_replaces(dataset_pair, tmp_path, caps
         out_dir=str(tmp_path / "a"),
     )
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest.to_dict()))
+    path.write_text(json.dumps(asdict(manifest)))
     out = tmp_path / "b"
     code = main(["run", "--manifest", str(path), *flags, "--out", str(out)])
     assert code == EXIT_USAGE
@@ -537,7 +538,7 @@ def test_manifest_round_trip():
         seed=11,
         overrides={"swarm_size": 40},
     )
-    assert RunManifest.from_dict(manifest.to_dict()) == manifest
+    assert RunManifest.from_dict(asdict(manifest)) == manifest
 
 
 def test_manifest_rejects_unknown_method():
@@ -583,13 +584,13 @@ def test_manifest_from_dict_missing_field():
 def test_run_rejects_malformed_manifest(dataset_pair, tmp_path, capsys, monkeypatch, change, message):
     monkeypatch.setattr(cli, "read_inducer_csv", None)  # a parse would raise TypeError
     dev, test = dataset_pair
-    doc = RunManifest(
+    doc = asdict(RunManifest(
         method="pso",
         dev_paths=[str(dev.inducer_paths[0].parent)],
         test_paths=[str(test.inducer_paths[0].parent)],
         truth_paths=[str(dev.truth_path), str(test.truth_path)],
         out_dir=str(tmp_path / "a"),
-    ).to_dict()
+    ))
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(change(doc)))
     code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "b")])

@@ -249,7 +249,7 @@ def test_map_kernel_is_bit_equal_to_per_row_reference(case, k):
             map_at_k(fused, matrix, k)
         return
     got = map_at_k(fused, matrix, k)
-    assert got.to_dict() == expected.to_dict()
+    assert got == expected
     assert repr(got) == repr(expected)  # the same values and Python types, so the same bytes
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +45,13 @@ def cheap_params(method):
 
 # ---------------------------------------------------------------- config
 
-def test_config_defaults():
+def test_config_defaults(run_on_pair):
     report = optimize("equal", quadratic_objective([0.5]))
     assert report.settings == {"max_iterations": 10000, "tolerance": 1e-8}
     assert report.seed == 0
-    assert report.to_dict()["config"] == {
-        "dimension": 1, "max_iterations": 10000, "tolerance": 1e-8, "seed": 0, "method_params": {}
+    _, out = run_on_pair("equal")
+    assert json.loads((out / "optimizer_report.json").read_text())["config"] == {
+        "dimension": 4, "max_iterations": 10000, "tolerance": 1e-8, "seed": 0, "method_params": {}
     }
 
 
@@ -218,7 +220,7 @@ def test_stochastic_determinism_seed_42(method):
         return optimize(method, obj, {"stagnation_window": 20}, seed=42)
 
     a, b = one_run(), one_run()
-    assert a.to_dict() == b.to_dict()
+    assert replace(a, best_weights=a.best_weights.tolist()) == replace(b, best_weights=b.best_weights.tolist())
     assert np.array_equal(a.best_weights, b.best_weights)
 
 
@@ -418,6 +420,27 @@ def test_trust_region_max_radius_defaults_to_the_box_diagonal():
     assert run(max_radius=math.sqrt(3)) == default
     assert run(max_radius=0.9999 * math.sqrt(3))[2] != default[2]
     assert run(max_radius=1.0001 * math.sqrt(3))[2] != default[2]
+
+
+def test_trust_region_never_steps_past_max_radius():
+    # The default initial_radius, 1.0, is ten times this cap, so the first step is the one
+    # that broke it.  A trial point (a `value` call) is measured from the current iterate,
+    # the last point whose gradient was taken.
+    objective = quadratic_objective([1.5, 1.5, -0.5, 1.5])
+    calls = []
+    value, gradient = objective.value, objective.gradient
+    objective.value = lambda x: calls.append(("value", x.copy())) or value(x)
+    objective.gradient = lambda x: calls.append(("gradient", x.copy())) or gradient(x)
+    optimize("trust-region", objective, {"max_radius": 0.1})
+
+    steps, iterate = [], None
+    for kind, x in calls:
+        if kind == "gradient":
+            iterate = x
+        elif iterate is not None:
+            steps.append(float(np.linalg.norm(x - iterate)))
+    assert steps
+    assert max(steps) <= 0.1 * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("method", SEARCH_METHODS)

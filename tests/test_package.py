@@ -127,3 +127,27 @@ def test_every_top_level_definition_in_src_has_a_caller_outside_the_tests():
             ):
                 unused.append(f"{path.relative_to(ROOT)}: {node.name}")
     assert unused == []
+
+
+def test_every_name_a_src_module_imports_is_used_there_or_exported():
+    """An import left behind by a move (a `ChainMap`, an `asdict`) is dead code."""
+    unused = []
+    for path in sorted((ROOT / "src" / "latefuse").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {
+            element.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            and isinstance(node.value, ast.List)
+            for element in node.value.elts
+            if isinstance(element, ast.Constant)
+        }
+        unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(imported - used - exported)]
+    assert unused == []
