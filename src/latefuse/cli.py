@@ -19,7 +19,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .evaluation import EvalReport, map_at_k
-from .fusion import fuse, make_mse_objective
+from .fusion import Objective, fuse, make_mse_objective
 from .ingestion import (
     IngestionError,
     InducerTable,
@@ -34,6 +34,7 @@ from .ingestion import (
 from .optimizers import (
     CONFIG_SETTINGS,
     METHODS,
+    SEED,
     NonFiniteObjectiveError,
     OptimizerReport,
     ParameterError,
@@ -67,14 +68,16 @@ class RunManifest:
     def __post_init__(self) -> None:
         try:
             check(self.method, self.overrides)
+            SEED.check("seed", self.seed, {})
         except ParameterError as exc:
             raise UsageError(str(exc)) from None
         if self.k < 1:
             raise UsageError("k must be >= 1")
-        if self.seed < 0:
-            raise UsageError("seed must be >= 0")
         if not self.dev_paths or not self.test_paths or not self.truth_paths:
             raise UsageError("dev, test, and truth paths are all required")
+        for name in ("dev_paths", "test_paths", "truth_paths"):
+            setattr(self, name, [_absolute(path, name) for path in getattr(self, name)])
+        self.out_dir = _absolute(self.out_dir, "out_dir")
 
     @classmethod
     def from_dict(cls, doc) -> "RunManifest":
@@ -93,6 +96,13 @@ class RunManifest:
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise UsageError(f"manifest is missing field {f.name!r}")
         return cls(**values)
+
+
+def _absolute(path: str, name: str) -> str:
+    """`path` made absolute against the working directory; an empty one would name that directory."""
+    if not path:
+        raise UsageError(f"{name} has an empty path")
+    return str(Path(path).resolve())
 
 
 def _is_json_type(value, annotation: str) -> bool:
@@ -157,11 +167,11 @@ def load_split(entries: list[str]) -> list[InducerTable]:
     return sorted(tables, key=lambda t: t.inducer_name)
 
 
-Prepared = tuple[ScoreMatrix, ScoreMatrix, dict[str, tuple[float, float]]]
+Prepared = tuple[Objective, ScoreMatrix, dict[str, tuple[float, float]]]
 
 
 def prepare(manifest: RunManifest) -> Prepared:
-    """Parse, align and normalize the manifest's data into (dev, test, norm params); writes nothing."""
+    """Parse, align and normalize the manifest's data into (dev objective, test, norm params); writes nothing."""
     dev_tables = load_split(manifest.dev_paths)
     test_tables = load_split(manifest.test_paths)
     dev_names = [t.inducer_name for t in dev_tables]
@@ -175,20 +185,18 @@ def prepare(manifest: RunManifest) -> Prepared:
     dev = assemble(dev_tables, truth)
     test = assemble(test_tables, truth)
     ranges = fit_minmax(dev)
-    return apply_minmax(ranges, dev), apply_minmax(ranges, test), ranges
+    return make_mse_objective(apply_minmax(ranges, dev)), apply_minmax(ranges, test), ranges
 
 
 def fit(data: Prepared, manifest: RunManifest) -> RunResult:
-    """Search weights on the dev matrix and evaluate them on the test matrix; writes nothing."""
-    dev, test, norm_params = data
-    objective = make_mse_objective(dev)
+    """Search weights on the dev objective and evaluate them on the test matrix; writes nothing."""
+    objective, test, norm_params = data
     started = time.perf_counter()
     report = optimize(manifest.method, objective, manifest.overrides, manifest.seed)
     wall_time = time.perf_counter() - started
 
-    fused_test = fuse(report.best_weights, test)
-    eval_report = map_at_k(fused_test, test, manifest.k)
-    return RunResult(manifest, report, eval_report, norm_params, list(dev.inducer_names), wall_time)
+    eval_report = map_at_k(fuse(report.best_weights, test), test, manifest.k)
+    return RunResult(manifest, report, eval_report, norm_params, list(test.inducer_names), wall_time)
 
 
 def _json(doc) -> str:
@@ -303,10 +311,11 @@ def compare(
 ) -> list[RunResult]:
     """Fit each method on one dataset, prepared once; method m writes to `<out_dir>/m`, plus a summary table.
 
-    Paths are resolved as the CLI resolves them.  A plain key of `overrides`
-    reaches every method, a `method.key` one only that method, and wins there.
-    Repeated methods are dropped, keeping the order.  Every method and setting
-    is checked before any file is read, and every fit succeeds before any write.
+    Each method's `RunManifest` makes the paths absolute, as a run's does, so
+    an empty path is a usage error.  A plain key of `overrides` reaches every
+    method, a `method.key` one only that method, and wins there.  Repeated
+    methods are dropped, keeping the order.  Every method, setting and path is
+    checked before any file is read, and every fit succeeds before any write.
     """
     if not methods:
         raise UsageError("no methods selected")
@@ -316,10 +325,9 @@ def compare(
         head, sep, _ = key.partition(".")
         if sep and head in METHODS and head not in methods:
             raise UsageError(f"--set {key!r} targets a method not selected for this compare")
-    out = Path(out_dir).resolve()
+    out = Path(_absolute(str(out_dir), "out_dir"))
     manifests = [
-        _resolved(m, dev_paths, test_paths, truth_paths, out / m, k=k, seed=seed,
-                  overrides=_scoped_overrides(m, overrides))
+        RunManifest(m, dev_paths, test_paths, truth_paths, str(out / m), k, seed, _scoped_overrides(m, overrides))
         for m in methods
     ]
 
@@ -335,10 +343,9 @@ def parse_set_values(pairs: list[str]) -> dict:
     overrides: dict = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
-        key = key.strip()
-        if not sep or not key or not raw.strip():
+        key, raw = key.strip(), raw.strip()
+        if not sep or not key or not raw:
             raise UsageError(f"--set expects key=value, got {pair!r}")
-        raw = raw.strip()
         try:
             value: float = int(raw)
         except ValueError:
@@ -401,24 +408,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolved(method: str, dev_paths, test_paths, truth_paths, out_dir, **fields) -> RunManifest:
-    """A manifest whose paths are made absolute against the working directory."""
-    def absolute(paths) -> list[str]:
-        return [str(Path(p).resolve()) for p in paths]
-
-    return RunManifest(method, absolute(dev_paths), absolute(test_paths), absolute(truth_paths),
-                       str(Path(out_dir).resolve()), **fields)
-
-
 def _data_flags(args: argparse.Namespace) -> dict:
-    """The data flags' values as keyword arguments; an unset --k or --seed keeps its default."""
-    if not args.dev or not args.test or not args.truth:
-        raise UsageError("--dev, --test, and --truth are required")
+    """The data flags' values as keyword arguments; an unset --k or --seed keeps its default, an unset path is None."""
     given = {name: getattr(args, name) for name in ("k", "seed") if getattr(args, name) is not None}
     return dict(dev_paths=args.dev, test_paths=args.test, truth_paths=args.truth, **given)
 
 
-# The run flags a manifest stands in for; --out may still redirect its output.
+# The run flags a manifest stands in for; --out, which a run requires, replaces its out_dir.
 _MANIFEST_FLAGS = ("method", "dev", "test", "truth", "k", "seed", "set")
 
 
@@ -432,14 +428,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:  # the manifest stands in for the flags
             raise UsageError(f"manifest {args.manifest} is not valid JSON: {exc}") from None
+        if isinstance(doc, dict):
+            doc["out_dir"] = args.out  # --out is required and replaces the echo's own
         manifest = RunManifest.from_dict(doc)
-        if args.out:
-            manifest.out_dir = str(Path(args.out).resolve())
     else:
         if not args.method:
             raise UsageError("either --method or --manifest is required")
-        manifest = _resolved(args.method, out_dir=args.out, overrides=parse_set_values(args.set or []),
-                             **_data_flags(args))
+        manifest = RunManifest(args.method, out_dir=args.out, overrides=parse_set_values(args.set or []),
+                               **_data_flags(args))
     print(f"{_line(run(manifest))} -> {manifest.out_dir}")
     return EXIT_OK
 
@@ -449,8 +445,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         methods = list(METHODS)
     else:
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    overrides = parse_set_values(args.set or [])
-    results = compare(methods, out_dir=args.out, overrides=overrides, **_data_flags(args))
+    results = compare(methods, out_dir=args.out, overrides=parse_set_values(args.set or []), **_data_flags(args))
     for r in results:
         print(_line(r))
     print(f"summary -> {Path(args.out).resolve() / 'summary.csv'}")

@@ -281,6 +281,10 @@ def descend(search: Search, step: Callable) -> OptimizerReport:
     return search.report(max_iterations, converged=False)
 
 
+# The generation loop's settings, shared by the methods that use it; a stagnation window of 0 never stops early.
+EVOLVE_SETTINGS = {"stagnation_window": Setting(int, 100, 0, 10**7)}
+
+
 def evolve(search: Search, size: int, generations: int, window: int, step: Callable) -> OptimizerReport:
     """The population methods' generation loop, from a seeded uniform population.
 

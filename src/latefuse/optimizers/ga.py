@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import OptimizerReport, Search, Setting, evolve
+from .common import EVOLVE_SETTINGS, OptimizerReport, Search, Setting, evolve
 
 SETTINGS = {
     "population_size": Setting(int, 100, 2, 10**5),
@@ -14,7 +14,7 @@ SETTINGS = {
     "mutation_sigma": Setting(float, 0.1, 0, 10),
     "elite_count": Setting(int, 1, 0, "population_size", "[)"),
     "max_generations": Setting(int, 1000, 1, 10**7),
-    "stagnation_window": Setting(int, 100, 0, 10**7),  # 0: never stop early
+    **EVOLVE_SETTINGS,
 }
 
 

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import OptimizerReport, Search, Setting, evolve
+from .common import EVOLVE_SETTINGS, OptimizerReport, Search, Setting, evolve
 
 SETTINGS = {
     "swarm_size": Setting(int, 300, 1, 10**5),
     "inertia": Setting(float, 0.729, 0, 10),
     "cognitive": Setting(float, 1.49445, 0, 10),
     "social": Setting(float, 1.49445, 0, 10),
-    "stagnation_window": Setting(int, 100, 0, 10**7),  # 0: never stop early
+    **EVOLVE_SETTINGS,
 }
 
 

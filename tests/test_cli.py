@@ -571,7 +571,7 @@ def test_manifest_from_dict_missing_field():
         # an echo written when the manifest had a trace field must drop that field
         pytest.param(lambda doc: {**doc, "trace": False}, "unknown field 'trace'", id="old-echo-trace"),
         pytest.param(lambda doc: {**doc, "k": "x"}, "'k' must be int", id="k-string"),
-        pytest.param(lambda doc: {**doc, "seed": -1}, "seed must be >= 0", id="seed-negative"),
+        pytest.param(lambda doc: {**doc, "seed": -1}, "seed must be in [0, inf), got -1", id="seed-negative"),
         pytest.param(
             lambda doc: {**doc, "sed": 5, "trace_": True}, "unknown field 'sed'", id="unknown-fields",
         ),
@@ -596,6 +596,90 @@ def test_run_rejects_malformed_manifest(dataset_pair, tmp_path, capsys, monkeypa
     code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "b")])
     assert code == EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+def without_out_dir(files):
+    """The artifacts with manifest.json's out_dir dropped, the one field two output directories change."""
+    doc = json.loads(files["manifest.json"])
+    del doc["out_dir"]
+    return {**files, "manifest.json": doc}
+
+
+def test_relative_manifest_is_echoed_absolute_and_reruns_from_another_directory(
+    dataset_pair, tmp_path, capsys, monkeypatch
+):
+    dev, test = dataset_pair
+
+    def relative(path):
+        return str(path.relative_to(tmp_path))
+
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({
+        "method": "tnc", "dev_paths": [relative(dev.inducer_paths[0].parent)],
+        "test_paths": [relative(test.inducer_paths[0].parent)],
+        "truth_paths": [relative(dev.truth_path), relative(test.truth_path)], "out_dir": "ignored",
+    }))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--manifest", "manifest.json", "--out", "a"]) == EXIT_OK
+    echo = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert echo["dev_paths"] == [str(dev.inducer_paths[0].parent.resolve())]
+    assert echo["truth_paths"] == [str(dev.truth_path.resolve()), str(test.truth_path.resolve())]
+    assert echo["out_dir"] == str((tmp_path / "a").resolve())
+
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", "--manifest", "../a/manifest.json", "--out", "b"]) == EXIT_OK
+    first, second = read_bytes(tmp_path / "a", ARTIFACTS), read_bytes(elsewhere / "b", ARTIFACTS)
+    assert without_out_dir(first) == without_out_dir(second)
+    capsys.readouterr()
+
+
+def test_echo_without_out_dir_reruns_with_out(dataset_pair, tmp_path, capsys):
+    out_a = tmp_path / "a"
+    assert main(["run", "--method", "lbfgsb", "--seed", "4", *data_flags(dataset_pair, out_a)]) == EXIT_OK
+    doc = json.loads((out_a / "manifest.json").read_text())
+    del doc["out_dir"]
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(doc))
+    out_b = tmp_path / "b"
+    assert main(["run", "--manifest", str(path), "--out", str(out_b)]) == EXIT_OK
+    assert without_out_dir(read_bytes(out_a, ARTIFACTS)) == without_out_dir(read_bytes(out_b, ARTIFACTS))
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--dev", "--test", "--truth", "--out"])
+@pytest.mark.parametrize("command", ["run", "compare", "run --manifest"])
+def test_an_empty_path_is_a_usage_error_before_any_file_is_read(
+    dataset_pair, tmp_path, capsys, monkeypatch, command, flag
+):
+    # an empty path would otherwise name the working directory: read its CSVs, or write the run there
+    dev, test = dataset_pair
+    paths = {
+        "--dev": [str(dev.inducer_paths[0].parent)], "--test": [str(test.inducer_paths[0].parent)],
+        "--truth": [str(dev.truth_path), str(test.truth_path)], "--out": [str(tmp_path / "o")],
+    }
+    paths[flag] = [""]
+    if command == "run --manifest":
+        # an echo holds the data paths, and its out_dir gives way to --out
+        doc = {"method": "equal", **{name[2:] + "_paths": values for name, values in paths.items() if name != "--out"},
+               "out_dir": str(tmp_path / "echo")}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        argv = ["run", "--manifest", str(path), "--out", *paths["--out"]]
+    else:
+        method = ["--method", "equal"] if command == "run" else ["--methods", "equal"]
+        argv = [command, *method, *(arg for name, values in paths.items() for arg in (name, *values))]
+    monkeypatch.setattr(cli, "read_inducer_csv", None)  # a parse would raise TypeError
+    workdir = tmp_path / "cwd"
+    workdir.mkdir()
+    (workdir / "inducer_01.csv").write_bytes(dev.inducer_paths[0].read_bytes())
+    monkeypatch.chdir(workdir)
+    assert main(argv) == EXIT_USAGE
+    field = {"--out": "out_dir"}.get(flag, flag[2:] + "_paths")
+    assert capsys.readouterr().err == f"usage error: {field} has an empty path\n"
+    assert sorted(p.name for p in workdir.iterdir()) == ["inducer_01.csv"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "echo").exists()
 
 
 def test_run_manifest_that_is_not_json_is_a_usage_error(tmp_path, capsys):

@@ -112,10 +112,12 @@ def test_readme_table_lists_every_setting():
     rows = {}
     for line in readme.read_text(encoding="utf-8").splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) == 5:
+        if len(cells) == 5 and cells[1].startswith("`"):  # a setting's row, not the header
             rows[cells[0].strip("`"), cells[1].strip("`")] = cells[2:]
     registry = [("all", k, spec) for k, spec in CONFIG_SETTINGS.items()]
     registry += [(m, k, spec) for m, method in METHODS.items() for k, spec in method.settings.items()]
+    # both ways, in order: a row the registry lacks fails too
+    assert list(rows) == [(owner, key) for owner, key, _ in registry]
     for owner, key, spec in registry:
         kind, default, interval = rows[owner, key]
         assert kind == spec.type.__name__, key
