@@ -31,16 +31,8 @@ from .ingestion import (
     load_ground_truth,
     read_inducer_csv,
 )
-from .optimizers import (
-    CONFIG_SETTINGS,
-    METHODS,
-    SEED,
-    NonFiniteObjectiveError,
-    OptimizerReport,
-    ParameterError,
-    check,
-    optimize,
-)
+from .optimizers import METHODS, check, optimize
+from .optimizers.common import CONFIG_SETTINGS, SEED, NonFiniteObjectiveError, OptimizerReport, ParameterError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -102,7 +94,10 @@ def _absolute(path: str, name: str) -> str:
     """`path` made absolute against the working directory; an empty one would name that directory."""
     if not path:
         raise UsageError(f"{name} has an empty path")
-    return str(Path(path).resolve())
+    try:
+        return str(Path(path).resolve())
+    except RuntimeError:  # Python < 3.13 raises this for a symlink loop
+        raise IngestionError(f"{name} path {path!r} is a symlink loop") from None
 
 
 def _is_json_type(value, annotation: str) -> bool:
@@ -426,7 +421,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         text = Path(args.manifest).read_text(encoding="utf-8")  # an unreadable file is a data error
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:  # the manifest stands in for the flags
+        except (json.JSONDecodeError, RecursionError) as exc:  # the manifest stands in for the flags
             raise UsageError(f"manifest {args.manifest} is not valid JSON: {exc}") from None
         if isinstance(doc, dict):
             doc["out_dir"] = args.out  # --out is required and replaces the echo's own

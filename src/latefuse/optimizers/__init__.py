@@ -14,16 +14,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from ..fusion import Objective
 from . import equal, ga, lbfgsb, nelder_mead, pso, tnc, trust_region
-from .common import (
-    CONFIG_SETTINGS,
-    SEED,
-    NonFiniteObjectiveError,
-    OptimizerReport,
-    ParameterError,
-    Search,
-    Setting,
-    projected_gradient_norm,
-)
+from .common import CONFIG_SETTINGS, SEED, OptimizerReport, ParameterError, Search, Setting
 
 
 class Method(NamedTuple):
@@ -69,16 +60,3 @@ def optimize(method: str, objective: Objective, settings: Mapping | None = None,
     SEED.check("seed", seed, {})
     return METHODS[method].run(Search(objective, method, resolved, seed))
 
-
-__all__ = [
-    "METHODS",
-    "Method",
-    "NonFiniteObjectiveError",
-    "OptimizerReport",
-    "ParameterError",
-    "Search",
-    "Setting",
-    "check",
-    "optimize",
-    "projected_gradient_norm",
-]

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import asdict
@@ -32,8 +34,8 @@ from latefuse.ingestion import (
     load_ground_truth,
     read_inducer_csv,
 )
-from latefuse.optimizers import METHODS, NonFiniteObjectiveError, optimize
-from latefuse.optimizers.common import CONFIG_SETTINGS
+from latefuse.optimizers import METHODS, optimize
+from latefuse.optimizers.common import CONFIG_SETTINGS, NonFiniteObjectiveError
 from latefuse.synth import SynthSpec, generate
 from oracles import generate_perfect_inducer
 
@@ -690,6 +692,34 @@ def test_run_manifest_that_is_not_json_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "usage error" in err and str(path) in err and "not valid JSON" in err
     assert not (tmp_path / "b").exists()
+
+
+def test_run_manifest_nested_past_the_parsers_depth_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "read_inducer_csv", None)  # a parse would raise TypeError
+    path = tmp_path / "manifest.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)  # json raises RecursionError, not JSONDecodeError
+    assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "b")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: manifest {path} is not valid JSON: maximum recursion depth exceeded")
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("flag", ["--dev", "--out"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_symlink_loop_path_is_a_data_error(dataset_pair, tmp_path, command, flag):
+    # Path.resolve raises RuntimeError on a loop before Python 3.13; the installed command must not crash
+    (tmp_path / "a").symlink_to(tmp_path / "b")
+    (tmp_path / "b").symlink_to(tmp_path / "a")
+    argv = data_flags(dataset_pair, tmp_path / "o")
+    argv[argv.index(flag) + 1] = str(tmp_path / "a")
+    method = ["--method", "equal"] if command == "run" else ["--methods", "equal"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "latefuse", command, *method, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_DATA
+    assert proc.stderr.startswith("data error:") and str(tmp_path / "a") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_manifest_that_cannot_be_read_is_a_data_error(tmp_path, capsys):

@@ -9,15 +9,8 @@ import pytest
 import oracles
 from conftest import quadratic
 from latefuse.fusion import equal_weights, make_mse_objective, mse
-from latefuse.optimizers import (
-    METHODS,
-    NonFiniteObjectiveError,
-    OptimizerReport,
-    ParameterError,
-    check,
-    optimize,
-)
-from latefuse.optimizers.common import CONFIG_SETTINGS, Search
+from latefuse.optimizers import METHODS, check, optimize
+from latefuse.optimizers.common import CONFIG_SETTINGS, NonFiniteObjectiveError, OptimizerReport, ParameterError, Search
 from oracles import planted_score_matrix, random_score_matrix
 
 SEARCH_METHODS = [m for m in METHODS if m != "equal"]

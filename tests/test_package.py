@@ -1,8 +1,9 @@
-"""The package's lazy names, the command line's BLAS thread pin, and what `src/` holds.
+"""The package's empty top level, the command line's BLAS thread pin, and what `src/` holds.
 
-The name and thread checks each run in a fresh interpreter, because both
+The import and thread checks each run in a fresh interpreter, because both
 are about what happens while modules load, which this test process did
-long ago.
+long ago.  Each name is imported from the module that defines it: no
+module re-exports another's names.
 """
 
 import ast
@@ -13,6 +14,8 @@ import subprocess
 import sys
 import tokenize
 from pathlib import Path
+
+from test_readme import library_use_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,24 +51,6 @@ def run_python(code: str, **thread_vars: str):
 
 def test_import_latefuse_loads_no_numpy():
     assert run_python("import json, sys, latefuse; print(json.dumps('numpy' in sys.modules))") is False
-
-
-def test_every_public_name_is_its_submodules_object():
-    code = """
-import importlib, json, latefuse
-star = {}
-exec("from latefuse import *", star)
-print(json.dumps({
-    name: [
-        getattr(latefuse, name) is getattr(importlib.import_module("latefuse." + latefuse._SUBMODULE[name]), name),
-        star.get(name) is getattr(latefuse, name),
-    ]
-    for name in latefuse.__all__
-}))
-"""
-    resolved = run_python(code)
-    assert len(resolved) == 22
-    assert {name: [True, True] for name in resolved} == resolved
 
 
 def test_unknown_attribute_raises_attribute_error():
@@ -129,8 +114,8 @@ def test_every_top_level_definition_in_src_has_a_caller_outside_the_tests():
     assert unused == []
 
 
-def test_every_name_a_src_module_imports_is_used_there_or_exported():
-    """An import left behind by a move (a `ChainMap`, an `asdict`) is dead code."""
+def test_every_name_a_src_module_imports_is_used_there():
+    """An import left behind by a move (a `ChainMap`, an `asdict`) is dead code, and so is a re-export."""
     unused = []
     for path in sorted((ROOT / "src" / "latefuse").rglob("*.py")):
         tree = ast.parse(path.read_text())
@@ -141,13 +126,49 @@ def test_every_name_a_src_module_imports_is_used_there_or_exported():
             for alias in node.names
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        exported = {
-            element.value
-            for node in tree.body
-            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-            and isinstance(node.value, ast.List)
-            for element in node.value.elts
-            if isinstance(element, ast.Constant)
-        }
-        unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(imported - used - exported)]
+        unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def module_file(module: str) -> Path | None:
+    """The source file of a `latefuse` module, or None if there is none."""
+    base = ROOT / "src" / Path(*module.split("."))
+    return next((p for p in (base.with_suffix(".py"), base / "__init__.py") if p.is_file()), None)
+
+
+def defined_names(path: Path) -> set[str]:
+    """The names a module's top level defines: its defs, classes and assignment targets, not its imports."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_imported_name_comes_from_the_module_that_defines_it():
+    """`from latefuse... import name` names the module that defines `name`, or `name` is its submodule."""
+    sources = [
+        (path.relative_to(ROOT), path.read_text())
+        for folder in ("src", "tests", "scripts", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    sources += [(f"README.md, library block {i}", block) for i, block in enumerate(library_use_blocks(), start=1)]
+    wrong = []
+    for where, text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module
+            if node.level:  # relative, so `where` is a file of the package
+                package = where.parent.parts[1:]
+                module = ".".join([*package[: len(package) - node.level + 1], *filter(None, [node.module])])
+            if module.split(".")[0] != "latefuse":
+                continue
+            defined = defined_names(module_file(module))
+            for alias in node.names:
+                if alias.name not in defined and module_file(f"{module}.{alias.name}") is None:
+                    wrong.append(f"{where}: from {module} import {alias.name}")
+    assert wrong == []
