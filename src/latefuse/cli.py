@@ -421,7 +421,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         text = Path(args.manifest).read_text(encoding="utf-8")  # an unreadable file is a data error
         try:
             doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # the manifest stands in for the flags
+        except (ValueError, RecursionError) as exc:  # as for bad flags: bad JSON, too deep, or an over-long int
             raise UsageError(f"manifest {args.manifest} is not valid JSON: {exc}") from None
         if isinstance(doc, dict):
             doc["out_dir"] = args.out  # --out is required and replaces the echo's own

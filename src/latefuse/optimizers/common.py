@@ -285,16 +285,17 @@ def descend(search: Search, step: Callable) -> OptimizerReport:
 EVOLVE_SETTINGS = {"stagnation_window": Setting(int, 100, 0, 10**7)}
 
 
-def evolve(search: Search, size: int, generations: int, window: int, step: Callable) -> OptimizerReport:
+def evolve(search: Search, size: int, step: Callable) -> OptimizerReport:
     """The population methods' generation loop, from a seeded uniform population.
 
     Row 0 of the first population is the equal weights.  Each generation calls
     step(rng, population, values) and keeps the (population, values) it
     returns; their best point is offered to the incumbent when it beats it.  The
-    loop stops converged after `window` generations without a `tolerance`
-    improvement (0: never), and unconverged after `generations`.
+    loop stops converged after `stagnation_window` generations without a
+    `tolerance` improvement (0: never), and unconverged after `max_iterations`.
     """
-    tolerance = search.settings["tolerance"]
+    p = search.settings
+    generations, window, tolerance = p["max_iterations"], p["stagnation_window"], p["tolerance"]
     rng = np.random.default_rng(search.seed)
     population = rng.uniform(0.0, 1.0, size=(size, search.dimension))
     population[0] = search.best_x

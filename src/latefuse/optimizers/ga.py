@@ -13,7 +13,7 @@ SETTINGS = {
     "mutation_rate": Setting(float, None, 0, 1),  # None: 1/dimension
     "mutation_sigma": Setting(float, 0.1, 0, 10),
     "elite_count": Setting(int, 1, 0, "population_size", "[)"),
-    "max_generations": Setting(int, 1000, 1, 10**7),
+    "max_iterations": Setting(int, 1000, 1, 10**7),  # generations; replaces CONFIG_SETTINGS' spec for ga
     **EVOLVE_SETTINGS,
 }
 
@@ -59,5 +59,4 @@ def optimize_ga(search: Search) -> OptimizerReport:
         mutation.clip(0.0, 1.0, out=next_pop[elite:])
         return next_pop, value_batch(next_pop)
 
-    generations = min(p["max_generations"], p["max_iterations"])
-    return evolve(search, pop_size, generations, p["stagnation_window"], step)
+    return evolve(search, pop_size, step)

@@ -45,4 +45,4 @@ def optimize_pso(search: Search) -> OptimizerReport:
         pbest_values[better] = values[better]
         return pbest, pbest_values
 
-    return evolve(search, p["swarm_size"], p["max_iterations"], p["stagnation_window"], step)
+    return evolve(search, p["swarm_size"], step)

@@ -2,9 +2,8 @@
 
 The real CLEF inducer files are not redistributable, so
 ``scripts/make_synth_data.py`` and the tests run on generated data.  A
-`SynthSpec` fixes a dataset by its seed: uniform raw scores (optionally
-rescaled per inducer) and binary labels, either thresholded from a planted
-weighted sum or balanced at random.
+`SynthSpec` fixes a dataset by its seed: raw scores uniform on [0, 1] and
+binary labels thresholded from a planted weighted sum.
 
 ``raw_matrix`` builds the dataset as one raw ``ScoreMatrix``, rows in key
 order.  ``write_dataset`` writes such a matrix in the exact ingestion
@@ -16,15 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .ingestion import INDUCER_HEADER, TRUTH_HEADER, ScoreMatrix, apply_minmax, fit_minmax
-
-LABEL_RULES = ("threshold_on_planted_fusion", "random_balanced")
 
 
 @dataclass
@@ -35,12 +32,8 @@ class SynthSpec:
     m_inducers: int
     n_videos: int
     seed: int
-    planted_weights: Sequence[float] | None = None
+    planted_weights: Sequence[float]
     noise_sigma: float = 0.0
-    label_rule: str = "threshold_on_planted_fusion"
-    # Per-inducer raw ranges; None means every column is uniform on [0, 1].
-    # Wider ranges (e.g. (-2, 5)) exercise the min-max normalization path.
-    score_ranges: list[tuple[float, float]] | None = None
     # Prepended to every video/image id; lets dev and test keys stay disjoint.
     key_prefix: str = ""
 
@@ -51,19 +44,12 @@ class SynthSpec:
             raise ValueError("need at least one inducer")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
-        if self.label_rule not in LABEL_RULES:
-            raise ValueError(f"label_rule must be one of {LABEL_RULES}")
-        if self.label_rule == "threshold_on_planted_fusion" and self.planted_weights is None:
-            raise ValueError("threshold_on_planted_fusion requires planted_weights")
-        if self.planted_weights is not None:
-            w = np.asarray(self.planted_weights, dtype=np.float64)
-            if w.shape != (self.m_inducers,):
-                raise ValueError("planted_weights length must equal m_inducers")
-            if np.any(w < 0) or np.any(w > 1):
-                raise ValueError("planted_weights must lie in [0, 1]")
-            self.planted_weights = w.tolist()  # plain floats, so asdict(spec) is the JSON sidecar
-        if self.score_ranges is not None and len(self.score_ranges) != self.m_inducers:
-            raise ValueError("score_ranges length must equal m_inducers")
+        w = np.asarray(self.planted_weights, dtype=np.float64)
+        if w.shape != (self.m_inducers,):
+            raise ValueError("planted_weights length must equal m_inducers")
+        if np.any(w < 0) or np.any(w > 1):
+            raise ValueError("planted_weights must lie in [0, 1]")
+        self.planted_weights = w.tolist()  # plain floats, so asdict(spec) is the JSON sidecar
 
 
 @dataclass
@@ -71,7 +57,6 @@ class GeneratedDataset:
     inducer_paths: list[Path]
     truth_path: Path
     sidecar_path: Path
-    inducer_names: list[str] = field(default_factory=list)
 
 
 def sample_keys(n_samples: int, n_videos: int, prefix: str = "") -> list[tuple[str, str]]:
@@ -89,26 +74,6 @@ def sample_keys(n_samples: int, n_videos: int, prefix: str = "") -> list[tuple[s
     return keys
 
 
-def _raw_scores(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
-    scores = rng.uniform(0.0, 1.0, size=(spec.n_samples, spec.m_inducers))
-    if spec.score_ranges is not None:
-        for j, (lo, hi) in enumerate(spec.score_ranges):
-            scores[:, j] = lo + scores[:, j] * (hi - lo)
-    return scores
-
-
-def _labels(spec: SynthSpec, normalized: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if spec.label_rule == "random_balanced":
-        labels = np.zeros(spec.n_samples)
-        labels[: (spec.n_samples + 1) // 2] = 1.0
-        return rng.permutation(labels)
-    w = np.asarray(spec.planted_weights, dtype=np.float64)
-    fused = normalized @ w
-    if spec.noise_sigma > 0:
-        fused = fused + rng.normal(0.0, spec.noise_sigma, size=spec.n_samples)
-    return (fused >= np.median(fused)).astype(np.float64)
-
-
 def _normalized(matrix: ScoreMatrix) -> ScoreMatrix:
     """Each column rescaled by its own min-max; a constant column maps to 0."""
     return apply_minmax(fit_minmax(matrix), matrix)
@@ -120,9 +85,13 @@ def raw_matrix(spec: SynthSpec) -> ScoreMatrix:
     keys = sample_keys(spec.n_samples, spec.n_videos, spec.key_prefix)
     width = len(str(spec.m_inducers))
     names = [f"inducer_{j + 1:0{width}d}" for j in range(spec.m_inducers)]
-    matrix = ScoreMatrix(keys, np.zeros(spec.n_samples), names, _raw_scores(spec, rng))
+    scores = rng.uniform(0.0, 1.0, size=(spec.n_samples, spec.m_inducers))
+    matrix = ScoreMatrix(keys, np.zeros(spec.n_samples), names, scores)
     # Normalize a private copy only to derive labels; files keep raw scores.
-    matrix.labels = _labels(spec, _normalized(matrix).scores, rng)
+    fused = _normalized(matrix).scores @ np.asarray(spec.planted_weights, dtype=np.float64)
+    if spec.noise_sigma > 0:
+        fused = fused + rng.normal(0.0, spec.noise_sigma, size=spec.n_samples)
+    matrix.labels = (fused >= np.median(fused)).astype(np.float64)
     return matrix
 
 
@@ -151,7 +120,7 @@ def write_dataset(matrix: ScoreMatrix, sidecar: dict, out_dir: str | Path) -> Ge
     truth_path = write("ground_truth.csv", TRUTH_HEADER, videos, images, matrix.labels.astype(int).tolist())
     sidecar_path = out / "synth_spec.json"
     sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
-    return GeneratedDataset(inducer_paths, truth_path, sidecar_path, list(matrix.inducer_names))
+    return GeneratedDataset(inducer_paths, truth_path, sidecar_path)
 
 
 def generate(spec: SynthSpec, out_dir: str | Path) -> GeneratedDataset:

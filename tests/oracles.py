@@ -22,17 +22,17 @@ results bit for bit:
 The parser decodes bytes as before, so it names the wrong line for invalid
 UTF-8 after a break other than ``\\n``; compare it on valid text only.
 
-A fixture builds test data and may call the package: `random_score_matrix`,
-`planted_score_matrix` and `build_tables` in memory, from
-`synth.raw_matrix`, and `generate_perfect_inducer` and `small_disk_pair` on
-disk.  `golden_run` runs the compare whose artifacts `tests/golden/` holds.
+A fixture builds test data and may call the package: `balanced_matrix`,
+whose labels are balanced at random, and `random_score_matrix` from it, and
+`planted_score_matrix` and `build_tables` from `synth.raw_matrix`, in
+memory; `generate_perfect_inducer` and `small_disk_pair` on disk.
+`golden_run` runs the compare whose artifacts `tests/golden/` holds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict
 from pathlib import Path
 from typing import IO, Callable, NamedTuple, Sequence, TypeVar
 
@@ -53,7 +53,7 @@ from latefuse.ingestion import (
 )
 from latefuse.optimizers import METHODS
 from latefuse.optimizers.common import OptimizerReport, Search, evolve
-from latefuse.synth import GeneratedDataset, SynthSpec, generate, raw_matrix, write_dataset
+from latefuse.synth import GeneratedDataset, SynthSpec, generate, raw_matrix, sample_keys, write_dataset
 
 T = TypeVar("T")
 
@@ -153,8 +153,7 @@ def optimize_ga(search: Search) -> OptimizerReport:
         next_pop[elite:] = np.clip(children + mutate * noise, 0.0, 1.0)
         return next_pop, search.value_batch(next_pop)
 
-    generations = min(p["max_generations"], p["max_iterations"])
-    return evolve(search, pop_size, generations, p["stagnation_window"], step)
+    return evolve(search, pop_size, step)
 
 
 def optimize_pso(search: Search) -> OptimizerReport:
@@ -181,7 +180,7 @@ def optimize_pso(search: Search) -> OptimizerReport:
         pbest_values[better] = values[better]
         return pbest, pbest_values
 
-    return evolve(search, p["swarm_size"], p["max_iterations"], p["stagnation_window"], step)
+    return evolve(search, p["swarm_size"], step)
 
 
 class GridResult(NamedTuple):
@@ -288,9 +287,20 @@ def normalized(matrix: ScoreMatrix) -> ScoreMatrix:
     return apply_minmax(fit_minmax(matrix), matrix)
 
 
+def balanced_matrix(n_samples: int, m_inducers: int, n_videos: int, seed: int, key_prefix: str = "") -> ScoreMatrix:
+    """Raw matrix of uniform scores on [0, 1], labelled 1 at ceil(n/2) random rows; drawn in that order."""
+    rng = np.random.default_rng(seed)
+    width = len(str(m_inducers))
+    names = [f"inducer_{j + 1:0{width}d}" for j in range(m_inducers)]
+    scores = rng.uniform(0.0, 1.0, size=(n_samples, m_inducers))
+    labels = np.zeros(n_samples)
+    labels[: (n_samples + 1) // 2] = 1.0
+    return ScoreMatrix(sample_keys(n_samples, n_videos, key_prefix), rng.permutation(labels), names, scores)
+
+
 def random_score_matrix(n_samples: int, m_inducers: int, seed: int, n_videos: int = 1) -> ScoreMatrix:
     """Normalized matrix with balanced random binary labels."""
-    return normalized(raw_matrix(SynthSpec(n_samples, m_inducers, n_videos, seed, label_rule="random_balanced")))
+    return normalized(balanced_matrix(n_samples, m_inducers, n_videos, seed))
 
 
 def planted_score_matrix(
@@ -330,10 +340,13 @@ def generate_perfect_inducer(
     The basis vector on that inducer then fuses to the labels with zero MSE,
     giving a file-backed instance with known optimal objective value 0.
     """
-    spec = SynthSpec(n_samples, m_inducers, n_videos, seed, label_rule="random_balanced", key_prefix=key_prefix)
-    matrix = raw_matrix(spec)
+    matrix = balanced_matrix(n_samples, m_inducers, n_videos, seed, key_prefix)
     matrix.scores[:, 0] = matrix.labels
-    return write_dataset(matrix, {**asdict(spec), "perfect_inducer": matrix.inducer_names[0]}, out_dir)
+    sidecar = {
+        "n_samples": n_samples, "m_inducers": m_inducers, "n_videos": n_videos, "seed": seed,
+        "key_prefix": key_prefix, "perfect_inducer": matrix.inducer_names[0],
+    }
+    return write_dataset(matrix, sidecar, out_dir)
 
 
 def small_disk_pair(root: Path) -> tuple[GeneratedDataset, GeneratedDataset]:

@@ -44,7 +44,7 @@ def _criterion(num: int, ok: bool, detail: str) -> None:
 def small_budget(method: str) -> dict:
     return {
         "pso": {"swarm_size": 40, "stagnation_window": 20},
-        "ga": {"population_size": 30, "stagnation_window": 20, "max_generations": 100},
+        "ga": {"population_size": 30, "stagnation_window": 20, "max_iterations": 100},
     }.get(method, {})
 
 
@@ -287,7 +287,7 @@ def test_10_fuzzed_runs_respect_bounds_and_trace_order():
         matrix = random_score_matrix(n, m, seed=int(rng.integers(0, 2**31)))
         params = {
             "pso": {"swarm_size": 12, "stagnation_window": 5},
-            "ga": {"population_size": 12, "stagnation_window": 5, "max_generations": 20},
+            "ga": {"population_size": 12, "stagnation_window": 5},
         }.get(method, {})
         seed = int(rng.integers(0, 2**31))
         settings = {**params, "max_iterations": int(rng.integers(1, 50))}

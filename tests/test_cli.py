@@ -288,6 +288,22 @@ def test_usage_error_unknown_set_key(dataset_pair, tmp_path, capsys):
     assert "swarm" in capsys.readouterr().err
 
 
+def test_ga_budget_is_its_max_iterations(dataset_pair, tmp_path, capsys):
+    # ga has one budget: max_generations is not a key, and max_iterations defaults to 1000 generations
+    code = main(["compare", "--methods", "ga", "--set", "ga.max_generations=5", *data_flags(dataset_pair, tmp_path / "o")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unknown method parameter 'max_generations' for method 'ga'; valid keys: [" in err
+    assert "'max_iterations'" in err and not (tmp_path / "o").exists()
+    out = tmp_path / "ga"
+    code = main(["run", "--method", "ga", "--set", "stagnation_window=0", "--set", "population_size=4",
+                 *data_flags(dataset_pair, out)])
+    assert code == EXIT_OK
+    report = json.loads((out / "optimizer_report.json").read_text())
+    assert report["config"]["max_iterations"] == 1000
+    assert (report["iterations"], report["converged"], report["function_evaluations"]) == (1000, False, 4 * 1001)
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize(
     "setting",  # `method.key=value`; an unscoped key is a pso setting
@@ -704,6 +720,18 @@ def test_run_manifest_nested_past_the_parsers_depth_is_a_usage_error(tmp_path, c
     assert not (tmp_path / "b").exists()
 
 
+def test_run_manifest_with_an_integer_past_the_digit_limit_is_a_usage_error(dataset_pair, tmp_path, capsys):
+    assert main(["run", "--method", "equal", *data_flags(dataset_pair, tmp_path / "a")]) == EXIT_OK
+    text = (tmp_path / "a" / "manifest.json").read_text()
+    path = tmp_path / "manifest.json"
+    path.write_text(text.replace('"seed": 0', '"seed": ' + "1" * 5000))  # json raises a plain ValueError
+    capsys.readouterr()
+    assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "b")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: manifest {path} is not valid JSON: Exceeds the limit")
+    assert not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize("flag", ["--dev", "--out"])
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_a_symlink_loop_path_is_a_data_error(dataset_pair, tmp_path, command, flag):
@@ -744,7 +772,7 @@ def compare_out(dataset_pair, tmp_path, capsys):
         ["compare", "--methods", "all", "--seed", "3",
          "--set", "pso.swarm_size=30", "--set", "pso.stagnation_window=15",
          "--set", "ga.population_size=30", "--set", "ga.stagnation_window=15",
-         "--set", "ga.max_generations=120",
+         "--set", "ga.max_iterations=120",
          *data_flags(dataset_pair, out)]
     )
     assert code == EXIT_OK
@@ -850,7 +878,7 @@ def test_compare_directories_match_single_runs(compare_out, dataset_pair, tmp_pa
     scoped = {
         "pso": ["--set", "swarm_size=30", "--set", "stagnation_window=15"],
         "ga": ["--set", "population_size=30", "--set", "stagnation_window=15",
-               "--set", "max_generations=120"],
+               "--set", "max_iterations=120"],
     }
     for method in ["equal", "pso", "ga", "nelder-mead", "trust-region", "lbfgsb", "tnc"]:
         out = tmp_path / "single" / method

@@ -28,7 +28,7 @@ def cheap_params(method):
     """Small budgets so the whole matrix of method tests stays fast."""
     return {
         "pso": {"swarm_size": 40, "stagnation_window": 30},
-        "ga": {"population_size": 40, "stagnation_window": 30, "max_generations": 400},
+        "ga": {"population_size": 40, "stagnation_window": 30, "max_iterations": 400},
         "nelder-mead": {},
         "trust-region": {},
         "lbfgsb": {},
@@ -261,13 +261,6 @@ def test_population_stagnation_stops_converged_after_window(method):
     assert report.trace == [(0, 1.0)]
 
 
-def test_ga_budget_is_the_smaller_of_generations_and_iterations():
-    objective = make_mse_objective(random_score_matrix(60, 4, seed=9))
-    params = {"stagnation_window": 0, "max_generations": 6, "max_iterations": 50}
-    report = optimize("ga", objective, population_settings("ga", 8, params))
-    assert (report.iterations, report.converged, report.function_evaluations) == (6, False, 56)
-
-
 # ---------------------------------------------------------------- incumbent
 
 def one_ulp_low(objective):
@@ -347,7 +340,7 @@ def test_population_steps_match_their_references_bit_for_bit(method, m, params, 
 
 def test_ga_dominates_seeded_equal_vector():
     matrix = random_score_matrix(70, 4, seed=10)
-    settings = {"population_size": 20, "max_generations": 50, "stagnation_window": 10}
+    settings = {"population_size": 20, "max_iterations": 50, "stagnation_window": 10}
     report = optimize("ga", make_mse_objective(matrix), settings, seed=3)
     assert report.best_objective <= mse(equal_weights(4), matrix)
 

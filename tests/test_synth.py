@@ -11,9 +11,10 @@ import pytest
 
 from latefuse.fusion import fuse, mse
 from latefuse.ingestion import InducerTable, assemble, load_ground_truth, read_inducer_csv
-from latefuse.synth import SynthSpec, _labels, _raw_scores, generate, sample_keys
+from latefuse.synth import SynthSpec, generate, raw_matrix, sample_keys, write_dataset
 from oracles import (
     ap_oracle,
+    balanced_matrix,
     build_tables,
     generate_perfect_inducer,
     grid_oracle,
@@ -31,16 +32,14 @@ def read_back(dataset):
 # ---------------------------------------------------------------- spec validation
 
 def test_spec_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        SynthSpec(n_samples=3, m_inducers=2, n_videos=5, seed=0, label_rule="random_balanced")
-    with pytest.raises(ValueError):
-        SynthSpec(n_samples=5, m_inducers=0, n_videos=1, seed=0, label_rule="random_balanced")
-    with pytest.raises(ValueError):
-        SynthSpec(n_samples=5, m_inducers=2, n_videos=1, seed=0, label_rule="nope")
+    with pytest.raises(ValueError, match="n_samples >= n_videos"):
+        SynthSpec(n_samples=3, m_inducers=2, n_videos=5, seed=0, planted_weights=[0.5, 0.5])
+    with pytest.raises(ValueError, match="at least one inducer"):
+        SynthSpec(n_samples=5, m_inducers=0, n_videos=1, seed=0, planted_weights=[])
 
 
 def test_spec_requires_weights_for_threshold_rule():
-    with pytest.raises(ValueError, match="planted_weights"):
+    with pytest.raises(TypeError, match="planted_weights"):
         SynthSpec(n_samples=5, m_inducers=2, n_videos=1, seed=0)
     with pytest.raises(ValueError, match="length"):
         SynthSpec(n_samples=5, m_inducers=2, n_videos=1, seed=0, planted_weights=[0.5])
@@ -67,7 +66,7 @@ def test_sample_keys_prefix_keeps_splits_disjoint():
 # ---------------------------------------------------------------- generate
 
 def test_generate_is_deterministic(tmp_path):
-    spec = SynthSpec(n_samples=10, m_inducers=2, n_videos=2, seed=7, label_rule="random_balanced")
+    spec = SynthSpec(n_samples=10, m_inducers=2, n_videos=2, seed=7, planted_weights=[0.3, 0.6])
     first = generate(spec, tmp_path / "one")
     second = generate(spec, tmp_path / "two")
     for a, b in zip(first.inducer_paths, second.inducer_paths):
@@ -87,7 +86,7 @@ def test_generate_planted_basis_vector_thresholds_single_column(tmp_path):
 
 
 def test_generate_sidecar_echoes_spec(tmp_path):
-    spec = SynthSpec(n_samples=6, m_inducers=2, n_videos=2, seed=3, label_rule="random_balanced")
+    spec = SynthSpec(n_samples=6, m_inducers=2, n_videos=2, seed=3, planted_weights=[0.3, 0.6])
     dataset = generate(spec, tmp_path)
     doc = json.loads(dataset.sidecar_path.read_text())
     assert doc == asdict(spec)
@@ -108,8 +107,7 @@ def test_generate_full_scale_shapes(tmp_path):
 
 
 def test_generate_balanced_labels(tmp_path):
-    spec = SynthSpec(n_samples=30, m_inducers=2, n_videos=3, seed=5, label_rule="random_balanced")
-    matrix = read_back(generate(spec, tmp_path))
+    matrix = read_back(write_dataset(balanced_matrix(30, 2, 3, seed=5), {}, tmp_path))
     assert matrix.labels.sum() == 15
 
 
@@ -200,7 +198,7 @@ def test_ap_oracle_rejects_bad_k():
 
 
 def test_generate_class_column_is_binary(tmp_path):
-    spec = SynthSpec(n_samples=25, m_inducers=3, n_videos=5, seed=31, label_rule="random_balanced")
+    spec = SynthSpec(n_samples=25, m_inducers=3, n_videos=5, seed=31, planted_weights=[0.2, 0.5, 0.8])
     dataset = generate(spec, tmp_path)
     assert len(dataset.inducer_paths) == 3
     for path in dataset.inducer_paths:
@@ -247,37 +245,62 @@ def reference_own_range(raw):
     return (raw - mins) / span
 
 
-def reference_dataset(spec, out, perfect=False):
-    """The dataset files as the previous generator wrote them, field by field."""
+def reference_draw(n_samples, m_inducers, seed, planted_weights=None, noise_sigma=0.0):
+    """Raw scores and labels drawn from the seed: uniform scores on [0, 1], then labels
+    thresholded at the median of the planted fusion of the own-range scores, plus noise,
+    or, with no planted weights, ceil(n/2) ones at random rows."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.0, 1.0, size=(n_samples, m_inducers))
+    if planted_weights is None:
+        labels = np.zeros(n_samples)
+        labels[: (n_samples + 1) // 2] = 1.0
+        return raw, rng.permutation(labels)
+    fused = reference_own_range(raw) @ np.asarray(planted_weights, dtype=np.float64)
+    if noise_sigma > 0:
+        fused = fused + rng.normal(0.0, noise_sigma, size=n_samples)
+    return raw, (fused >= np.median(fused)).astype(np.float64)
+
+
+def rescale(raw, ranges):
+    """Each column j of the uniform raw scores stretched onto ranges[j]; a range of width 0 is constant."""
+    for j, (lo, hi) in enumerate(ranges):
+        raw[:, j] = lo + raw[:, j] * (hi - lo)
+
+
+def reference_dataset(sidecar, out, ranges=None, perfect=False):
+    """The dataset files of a sidecar's recipe as the previous generator wrote them, field by field."""
     out.mkdir(parents=True)
-    rng = np.random.default_rng(spec.seed)
-    keys = sample_keys(spec.n_samples, spec.n_videos, spec.key_prefix)
-    raw = _raw_scores(spec, rng)
-    labels = _labels(spec, reference_own_range(raw), rng)
+    keys = sample_keys(sidecar["n_samples"], sidecar["n_videos"], sidecar["key_prefix"])
+    raw, labels = reference_draw(
+        sidecar["n_samples"], sidecar["m_inducers"], sidecar["seed"],
+        sidecar.get("planted_weights"), sidecar.get("noise_sigma", 0.0),
+    )
+    if ranges is not None:
+        rescale(raw, ranges)
     if perfect:
         raw[:, 0] = labels
     calls = reference_own_range(raw) >= 0.5
-    width = len(str(spec.m_inducers))
-    names = [f"inducer_{j + 1:0{width}d}" for j in range(spec.m_inducers)]
+    width = len(str(sidecar["m_inducers"]))
+    names = [f"inducer_{j + 1:0{width}d}" for j in range(sidecar["m_inducers"])]
     for j, name in enumerate(names):
         reference_write_inducer_csv(out / f"{name}.csv", InducerTable(name, keys, raw[:, j].copy()), calls[:, j])
     reference_write_ground_truth_csv(
         out / "ground_truth.csv", {key: int(label) for key, label in zip(keys, labels)}, keys=keys
     )
-    sidecar = {
+    (out / "synth_spec.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+
+
+def spec_sidecar(spec):
+    """The sidecar that `generate` writes for a spec, field by field."""
+    return {
         "n_samples": spec.n_samples,
         "m_inducers": spec.m_inducers,
         "n_videos": spec.n_videos,
         "seed": spec.seed,
-        "planted_weights": None if spec.planted_weights is None else [float(x) for x in spec.planted_weights],
+        "planted_weights": [float(x) for x in spec.planted_weights],
         "noise_sigma": spec.noise_sigma,
-        "label_rule": spec.label_rule,
-        "score_ranges": spec.score_ranges,
         "key_prefix": spec.key_prefix,
     }
-    if perfect:
-        sidecar["perfect_inducer"] = names[0]
-    (out / "synth_spec.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
 
 
 def assert_same_files(got, expected):
@@ -287,31 +310,42 @@ def assert_same_files(got, expected):
         assert (got / name).read_bytes() == (expected / name).read_bytes(), name
 
 
+# "constant-column" writes a planted matrix rescaled onto wide ranges and one constant column,
+# so the `class` column of `write_dataset` is checked off [0, 1] and on a column of one value.
+WIDE_RANGES = [(-2.0, 5.0), (3.0, 3.0), (0.0, 1.0), (10, 20)]
 BYTE_SPECS = {
-    "constant-column": SynthSpec(
-        40, 4, 5, seed=3, planted_weights=[0.2, 0.5, 0.9, 0.1], noise_sigma=0.05,
-        score_ranges=[(-2.0, 5.0), (3.0, 3.0), (0.0, 1.0), (10, 20)],
-    ),
+    "constant-column": SynthSpec(40, 4, 5, seed=3, planted_weights=[0.2, 0.5, 0.9, 0.1], noise_sigma=0.05),
     "prefix-m12-noise": SynthSpec(
         123, 12, 11, seed=7, planted_weights=np.linspace(0.05, 0.95, 12), noise_sigma=0.1, key_prefix="t"
     ),
-    "balanced": SynthSpec(30, 3, 3, seed=5, label_rule="random_balanced", key_prefix="d"),
+    "balanced": {"n_samples": 30, "m_inducers": 3, "n_videos": 3, "seed": 5, "key_prefix": "d"},
 }
 
 
 @pytest.mark.parametrize("name", BYTE_SPECS)
 def test_generate_writes_the_reference_bytes(tmp_path, name):
-    spec = BYTE_SPECS[name]
-    generate(spec, tmp_path / "got")
-    reference_dataset(spec, tmp_path / "expected")
+    spec, ranges = BYTE_SPECS[name], None
+    if name == "balanced":
+        sidecar = spec
+        write_dataset(balanced_matrix(**spec), sidecar, tmp_path / "got")
+    elif name == "constant-column":
+        sidecar, ranges = spec_sidecar(spec), WIDE_RANGES
+        matrix = raw_matrix(spec)
+        rescale(matrix.scores, ranges)
+        write_dataset(matrix, asdict(spec), tmp_path / "got")
+    else:
+        sidecar = spec_sidecar(spec)
+        generate(spec, tmp_path / "got")
+    reference_dataset(sidecar, tmp_path / "expected", ranges)
     assert_same_files(tmp_path / "got", tmp_path / "expected")
 
 
 @pytest.mark.parametrize("m, prefix", [(3, "p"), (11, "")])
 def test_generate_perfect_inducer_writes_the_reference_bytes(tmp_path, m, prefix):
     generate_perfect_inducer(60, m, 6, seed=9, out_dir=tmp_path / "got", key_prefix=prefix)
-    spec = SynthSpec(60, m, 6, seed=9, label_rule="random_balanced", key_prefix=prefix)
-    reference_dataset(spec, tmp_path / "expected", perfect=True)
+    sidecar = {"n_samples": 60, "m_inducers": m, "n_videos": 6, "seed": 9, "key_prefix": prefix,
+               "perfect_inducer": f"inducer_{1:0{len(str(m))}d}"}
+    reference_dataset(sidecar, tmp_path / "expected", perfect=True)
     assert_same_files(tmp_path / "got", tmp_path / "expected")
 
 
@@ -329,7 +363,7 @@ def test_make_synth_data_writes_the_reference_bytes(tmp_path, monkeypatch, capsy
         "test": SynthSpec(40, 10, 3, seed=5, planted_weights=w_star, noise_sigma=0.05, key_prefix="t"),
     }
     for split, spec in specs.items():
-        reference_dataset(spec, tmp_path / "expected" / split)
+        reference_dataset(spec_sidecar(spec), tmp_path / "expected" / split)
         assert_same_files(tmp_path / "got" / split, tmp_path / "expected" / split)
 
 
