@@ -60,7 +60,7 @@ class RunManifest:
     def __post_init__(self) -> None:
         try:
             check(self.method, self.overrides)
-            SEED.check("seed", self.seed, {})
+            SEED.check("seed", self.seed)
         except ParameterError as exc:
             raise UsageError(str(exc)) from None
         if self.k < 1:
@@ -334,7 +334,7 @@ def compare(
 
 
 def parse_set_values(pairs: list[str]) -> dict:
-    """Parse repeated --set key=value flags; values are int or float."""
+    """Parse repeated --set key=value flags; values are int or float, and an integer int() refuses is an error."""
     overrides: dict = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
@@ -343,7 +343,9 @@ def parse_set_values(pairs: list[str]) -> dict:
             raise UsageError(f"--set expects key=value, got {pair!r}")
         try:
             value: float = int(raw)
-        except ValueError:
+        except ValueError as exc:
+            if raw.lstrip("+-").replace("_", "").isdecimal():  # an integer int() refuses, past its digit limit
+                raise UsageError(f"--set value for {key!r} is not a readable integer: {exc}") from None
             try:
                 value = float(raw)
             except ValueError:

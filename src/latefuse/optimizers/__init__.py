@@ -26,10 +26,10 @@ METHODS = {
     "equal": Method(equal.optimize_equal, {}),
     "pso": Method(pso.optimize_pso, pso.SETTINGS),
     "ga": Method(ga.optimize_ga, ga.SETTINGS),
-    "nelder-mead": Method(nelder_mead.optimize_nelder_mead, nelder_mead.SETTINGS),
-    "trust-region": Method(trust_region.optimize_trust_region, trust_region.SETTINGS),
-    "lbfgsb": Method(lbfgsb.optimize_lbfgsb, lbfgsb.SETTINGS),
-    "tnc": Method(tnc.optimize_tnc, tnc.SETTINGS),
+    "nelder-mead": Method(nelder_mead.optimize_nelder_mead, {}),
+    "trust-region": Method(trust_region.optimize_trust_region, {}),
+    "lbfgsb": Method(lbfgsb.optimize_lbfgsb, {}),
+    "tnc": Method(tnc.optimize_tnc, {}),
 }
 
 
@@ -37,26 +37,22 @@ def check(method: str, settings: Mapping) -> dict:
     """Check a run's method and settings (key, type, finiteness, range) before any work.
 
     The settings are checked against CONFIG_SETTINGS plus the method's own;
-    returns them resolved: each given value, else its default.  A default is
-    checked too where its interval names another setting.
+    returns them resolved: each given value, else its default.
     """
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}; choose one of {sorted(METHODS)}")
     specs = {**CONFIG_SETTINGS, **METHODS[method].settings}
-    for key in settings:
+    for key, value in settings.items():
         if key not in specs:
             raise ParameterError(
                 f"unknown method parameter {key!r} for method {method!r}; valid keys: {sorted(specs)}"
             )
-    resolved = {key: settings.get(key, spec.default) for key, spec in specs.items()}
-    for key, spec in specs.items():
-        if key in settings or isinstance(spec.low, str) or isinstance(spec.high, str):
-            spec.check(key, resolved[key], resolved, key in settings)
-    return resolved
+        specs[key].check(key, value)
+    return {key: settings.get(key, spec.default) for key, spec in specs.items()}
 
 
 def optimize(method: str, objective: Objective, settings: Mapping | None = None, seed: int = 0) -> OptimizerReport:
     resolved = check(method, settings or {})
-    SEED.check("seed", seed, {})
+    SEED.check("seed", seed)
     return METHODS[method].run(Search(objective, method, resolved, seed))
 

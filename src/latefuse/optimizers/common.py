@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,26 +44,20 @@ class ParameterError(ValueError):
 class Setting(NamedTuple):
     """One optimizer setting: its type, its default and the interval it must lie in.
 
-    A ``None`` default is derived from the dimension by the optimizer.  An end
-    may name another setting, whose value then bounds this one.  ``interval``
-    holds the brackets: "[" and "]" include an end, "(" and ")" exclude it.
+    ``interval`` holds the brackets: "[" and "]" include an end, "(" and ")" exclude it.
     """
 
     type: type
-    default: int | float | None
-    low: float | str
-    high: float | str
+    default: int | float
+    low: float
+    high: float
     interval: str = "[]"
 
     def describe(self) -> str:
         return f"{self.interval[0]}{self.low}, {self.high}{self.interval[1]}"
 
-    def check(self, key: str, value, resolved: Mapping, given: bool = True) -> None:
-        """Reject a value of the wrong type, a non-finite real or one outside the interval.
-
-        The interval message says when the value is the default (``given``
-        false) and gives the resolved value of each end that names a setting.
-        """
+    def check(self, key: str, value) -> None:
+        """Reject a value of the wrong type, a non-finite real or one outside the interval."""
         integral = self.type is int
         wanted = numbers.Integral if integral else numbers.Real
         if isinstance(value, bool) or not isinstance(value, wanted):
@@ -76,14 +70,10 @@ class Setting(NamedTuple):
             finite = False
         if not finite:
             raise ParameterError(f"{key} must be finite, got {value!r}")
-        low, high = (resolved[end] if isinstance(end, str) else end for end in (self.low, self.high))
-        above = low < value if self.interval[0] == "(" else low <= value
-        below = value < high if self.interval[1] == ")" else value <= high
+        above = self.low < value if self.interval[0] == "(" else self.low <= value
+        below = value < self.high if self.interval[1] == ")" else value <= self.high
         if not (above and below):
-            notes = [] if given else ["the default"]
-            notes += [f"{end} is {resolved[end]!r}" for end in (self.low, self.high) if isinstance(end, str)]
-            note = f" ({'; '.join(notes)})" if notes else ""
-            raise ParameterError(f"{key} must be in {self.describe()}, got {value!r}{note}")
+            raise ParameterError(f"{key} must be in {self.describe()}, got {value!r}")
 
 
 # The settings that every method takes, next to its own.
@@ -213,11 +203,9 @@ def free_set(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return ((x > 0.0) & (x < 1.0)) | ((x <= 0.0) & (g < 0)) | ((x >= 1.0) & (g > 0))
 
 
-# The Armijo line search's settings, shared by the methods that use it.
-LINE_SEARCH_SETTINGS = {
-    "armijo_c": Setting(float, 1e-4, 0, 1, "()"),
-    "max_backtracks": Setting(int, 60, 1, 1000),
-}
+# The Armijo line search's sufficient-decrease constant and its cap on trial steps per direction.
+ARMIJO_C = 1e-4
+MAX_BACKTRACKS = 60
 
 
 def line_search(
@@ -233,15 +221,13 @@ def line_search(
     d is `direction` when it descends, then `steepest` when `direction` does
     not descend or finds no step; `direction is steepest` is tried once.
     Sufficient decrease is measured against the realized (projected) step,
-    with the search's `LINE_SEARCH_SETTINGS`.
+    with `ARMIJO_C`; each direction tries at most `MAX_BACKTRACKS` step lengths.
     Returns (trial, f_trial, fell_back), or None when neither finds a step.
     """
-    p = search.settings
-    c = float(p["armijo_c"])
     descends = direction is not steepest and float(g @ direction) < 0.0
     for d in (direction, steepest) if descends else (steepest,):
         alpha = 1.0
-        for _ in range(p["max_backtracks"]):
+        for _ in range(MAX_BACKTRACKS):
             trial = np.clip(x + alpha * d, 0.0, 1.0)
             step = trial - x
             if not np.any(step):
@@ -249,7 +235,7 @@ def line_search(
             slope = float(g @ step)
             if slope < 0.0:
                 f_trial = search.value(trial)
-                if f_trial <= f + c * slope:
+                if f_trial <= f + ARMIJO_C * slope:
                     return trial, f_trial, d is not direction
             alpha *= 0.5
     return None

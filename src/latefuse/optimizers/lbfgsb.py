@@ -6,9 +6,10 @@ from collections import deque
 
 import numpy as np
 
-from .common import LINE_SEARCH_SETTINGS, OptimizerReport, Search, Setting, descend, line_search
+from .common import OptimizerReport, Search, descend, line_search
 
-SETTINGS = {"history": Setting(int, 10, 1, 1000), **LINE_SEARCH_SETTINGS}
+# The curvature pairs kept for the two-loop product.
+HISTORY = 10
 
 
 def _two_loop(g: np.ndarray, pairs: deque, free: np.ndarray) -> np.ndarray:
@@ -42,7 +43,7 @@ def _two_loop(g: np.ndarray, pairs: deque, free: np.ndarray) -> np.ndarray:
 
 
 def optimize_lbfgsb(search: Search) -> OptimizerReport:
-    pairs: deque = deque(maxlen=search.settings["history"])
+    pairs: deque = deque(maxlen=HISTORY)
 
     def step(x, f, g, free):
         # Kim, Sra & Dhillon's projected quasi-Newton step: variables held on a

@@ -6,15 +6,15 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .common import OptimizerReport, Search, Setting
+from .common import OptimizerReport, Search
 
-SETTINGS = {
-    "initial_step": Setting(float, 0.05, 0, 1, "(]"),
-    "reflection": Setting(float, 1.0, 0, 10, "(]"),
-    "expansion": Setting(float, 2.0, 1, 10, "(]"),
-    "contraction": Setting(float, 0.5, 0, 1, "()"),
-    "shrink": Setting(float, 0.5, 0, 1, "()"),
-}
+# How far each initial vertex lies from the equal weights, and the standard
+# reflection, expansion, contraction and shrink coefficients.
+INITIAL_STEP = 0.05
+REFLECTION = 1.0
+EXPANSION = 2.0
+CONTRACTION = 0.5
+SHRINK = 0.5
 
 
 def _initial_simplex(x0: np.ndarray, step: float) -> np.ndarray:
@@ -36,20 +36,15 @@ def _sort(simplex: np.ndarray, values: list[float]) -> None:
 
 
 def optimize_nelder_mead(search: Search) -> OptimizerReport:
-    p = search.settings
-    alpha = float(p["reflection"])
-    gamma = float(p["expansion"])
-    beta = float(p["contraction"])
-    delta = float(p["shrink"])
     m = search.dimension
-    max_iterations, tolerance = p["max_iterations"], p["tolerance"]
+    max_iterations, tolerance = search.settings["max_iterations"], search.settings["tolerance"]
     value, reduce = search.value, np.add.reduce
 
     # Rows stay sorted by value, ties in the order a stable sort would keep:
     # a new vertex goes after the vertices it ties with, and only a shrink
     # re-sorts the whole simplex.  Rows move only in place, so the views
     # `best`, `head` (all but the worst) and `worst` stay valid.
-    simplex = _initial_simplex(search.best_x, float(p["initial_step"]))
+    simplex = _initial_simplex(search.best_x, INITIAL_STEP)
     values = [value(v) for v in simplex]
     _sort(simplex, values)
     best, head, worst = simplex[0], simplex[:-1], simplex[-1]
@@ -69,13 +64,13 @@ def optimize_nelder_mead(search: Search) -> OptimizerReport:
         centroid = reduce(head, axis=0)
         centroid /= m  # bit-equal to .mean(axis=0)
         toward = centroid - worst
-        reflected = alpha * toward
+        reflected = REFLECTION * toward
         reflected += centroid
         reflected.clip(0.0, 1.0, out=reflected)
         f_reflected = value(reflected)
 
         if f_reflected < values[0]:
-            expanded = gamma * toward
+            expanded = EXPANSION * toward
             expanded += centroid
             expanded.clip(0.0, 1.0, out=expanded)
             f_expanded = value(expanded)
@@ -87,14 +82,14 @@ def optimize_nelder_mead(search: Search) -> OptimizerReport:
             vertex, f_vertex = reflected, f_reflected
         else:
             if f_reflected < values[-1]:
-                vertex = (centroid + beta * toward).clip(0.0, 1.0)
+                vertex = (centroid + CONTRACTION * toward).clip(0.0, 1.0)
             else:
-                vertex = (centroid - beta * toward).clip(0.0, 1.0)
+                vertex = (centroid - CONTRACTION * toward).clip(0.0, 1.0)
             f_vertex = value(vertex)
             if not f_vertex < min(f_reflected, values[-1]):
                 vertex = None
                 for i in range(1, m + 1):
-                    simplex[i] = (best + delta * (simplex[i] - best)).clip(0.0, 1.0)
+                    simplex[i] = (best + SHRINK * (simplex[i] - best)).clip(0.0, 1.0)
                     values[i] = value(simplex[i])
                 _sort(simplex, values)
 

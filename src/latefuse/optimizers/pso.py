@@ -6,18 +6,14 @@ import numpy as np
 
 from .common import EVOLVE_SETTINGS, OptimizerReport, Search, Setting, evolve
 
-SETTINGS = {
-    "swarm_size": Setting(int, 300, 1, 10**5),
-    "inertia": Setting(float, 0.729, 0, 10),
-    "cognitive": Setting(float, 1.49445, 0, 10),
-    "social": Setting(float, 1.49445, 0, 10),
-    **EVOLVE_SETTINGS,
-}
+SETTINGS = {"swarm_size": Setting(int, 300, 1, 10**5), **EVOLVE_SETTINGS}
+
+# Clerc & Kennedy's constriction coefficients: the velocity's inertia and the pulls toward the bests.
+INERTIA = 0.729
+COGNITIVE = SOCIAL = 1.49445
 
 
 def optimize_pso(search: Search) -> OptimizerReport:
-    p = search.settings
-    inertia, cognitive, social = p["inertia"], p["cognitive"], p["social"]
     value_batch = search.value_batch
     positions = velocities = None
 
@@ -28,11 +24,11 @@ def optimize_pso(search: Search) -> OptimizerReport:
             positions, velocities = pbest.copy(), np.zeros_like(pbest)
         # in place, in the order of inertia*v + cognitive*r1*(pbest - x) + social*r2*(best - x)
         r1, r2 = rng.random((2, *pbest.shape))
-        velocities *= inertia
-        r1 *= cognitive
+        velocities *= INERTIA
+        r1 *= COGNITIVE
         r1 *= pbest - positions
         velocities += r1
-        r2 *= social
+        r2 *= SOCIAL
         r2 *= search.best_x - positions
         velocities += r2
         velocities.clip(-1.0, 1.0, out=velocities)  # at most the box's width per step
@@ -45,4 +41,4 @@ def optimize_pso(search: Search) -> OptimizerReport:
         pbest_values[better] = values[better]
         return pbest, pbest_values
 
-    return evolve(search, p["swarm_size"], step)
+    return evolve(search, search.settings["swarm_size"], step)

@@ -10,9 +10,7 @@ import math
 
 import numpy as np
 
-from .common import LINE_SEARCH_SETTINGS, OptimizerReport, Search, descend, line_search
-
-SETTINGS = LINE_SEARCH_SETTINGS
+from .common import OptimizerReport, Search, descend, line_search
 
 _SQRT_EPS = math.sqrt(np.finfo(np.float64).eps)
 

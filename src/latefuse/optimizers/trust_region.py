@@ -6,14 +6,12 @@ import math
 
 import numpy as np
 
-from .common import OptimizerReport, Search, Setting, descend
+from .common import OptimizerReport, Search, descend
 
-SETTINGS = {
-    "initial_radius": Setting(float, 1.0, 0, math.inf, "()"),
-    "max_radius": Setting(float, None, 0, math.inf, "()"),  # None: sqrt(dimension), the box's diagonal
-    "acceptance_threshold": Setting(float, 1e-4, 0, 0.25, "[)"),
-}
-
+# The first radius; the radius never exceeds sqrt(m), the box's diagonal, which is at least 1.
+INITIAL_RADIUS = 1.0
+# The least actual-to-predicted reduction ratio at which a trial point is taken.
+ACCEPTANCE_THRESHOLD = 1e-4
 _MIN_RADIUS = 1e-14
 
 
@@ -49,13 +47,9 @@ def _dogleg(g: np.ndarray, hessian: np.ndarray, radius: float) -> np.ndarray:
 
 
 def optimize_trust_region(search: Search) -> OptimizerReport:
-    p = search.settings
     m = search.dimension
-    max_radius = p["max_radius"]
-    if max_radius is None:
-        max_radius = math.sqrt(m)
-    radius = min(float(p["initial_radius"]), max_radius)  # the cap holds from the first step
-    eta = float(p["acceptance_threshold"])
+    max_radius = math.sqrt(m)
+    radius = INITIAL_RADIUS
     hessian = np.eye(m)
 
     def step(x, f, g, free):
@@ -80,7 +74,7 @@ def optimize_trust_region(search: Search) -> OptimizerReport:
         elif rho > 0.75 and float(np.linalg.norm(realized)) >= 0.99 * radius:
             radius = min(2.0 * radius, max_radius)
 
-        if not (rho > eta and actual > 0):
+        if not (rho > ACCEPTANCE_THRESHOLD and actual > 0):
             return None if radius < _MIN_RADIUS else (x, f, g)
         g_trial = search.gradient(trial)
         y = g_trial - g

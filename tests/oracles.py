@@ -17,7 +17,8 @@ results bit for bit:
   that checked one line at a time, which has since gained the one rule added
   to both parsers, that no id is empty;
 - `optimize_ga` and `optimize_pso`: the generation steps before their draws
-  were merged and their arithmetic was done in place.
+  were merged and their arithmetic was done in place, with the methods'
+  constants written as literals.
 
 The parser decodes bytes as before, so it names the wrong line for invalid
 UTF-8 after a break other than ``\\n``; compare it on valid text only.
@@ -117,15 +118,9 @@ def parse_ground_truth(source: IO[bytes] | IO[str], name: str = "ground truth") 
 
 
 def optimize_ga(search: Search) -> OptimizerReport:
-    p = search.settings
-    pop_size = p["population_size"]
-    tournament = p["tournament_size"]
-    elite = p["elite_count"]
+    pop_size = search.settings["population_size"]
+    elite = 1
     m = search.dimension
-    mutation_rate = p["mutation_rate"]
-    if mutation_rate is None:
-        mutation_rate = 1.0 / m
-    sigma = float(p["mutation_sigma"])
     n_children = pop_size - elite
 
     def step(rng, population, fitness):
@@ -133,7 +128,7 @@ def optimize_ga(search: Search) -> OptimizerReport:
         next_pop = np.empty_like(population)
         next_pop[:elite] = population[order[:elite]]
 
-        contenders = rng.integers(0, pop_size, size=(2, n_children, tournament))
+        contenders = rng.integers(0, pop_size, size=(2, n_children, 3))
         winners = contenders[
             np.arange(2)[:, None],
             np.arange(n_children)[None, :],
@@ -142,14 +137,14 @@ def optimize_ga(search: Search) -> OptimizerReport:
         parents_a = population[winners[0]]
         parents_b = population[winners[1]]
 
-        cross = rng.random(n_children) < p["crossover_rate"]
+        cross = rng.random(n_children) < 0.9
         take_b = rng.random((n_children, m)) < 0.5
         children = parents_a.copy()
         swap = cross[:, None] & take_b
         children[swap] = parents_b[swap]
 
-        mutate = rng.random((n_children, m)) < mutation_rate
-        noise = rng.normal(0.0, sigma, size=(n_children, m))
+        mutate = rng.random((n_children, m)) < 1.0 / m
+        noise = rng.normal(0.0, 0.1, size=(n_children, m))
         next_pop[elite:] = np.clip(children + mutate * noise, 0.0, 1.0)
         return next_pop, search.value_batch(next_pop)
 
@@ -157,7 +152,6 @@ def optimize_ga(search: Search) -> OptimizerReport:
 
 
 def optimize_pso(search: Search) -> OptimizerReport:
-    p = search.settings
     positions = velocities = None
 
     def step(rng, pbest, pbest_values):
@@ -167,9 +161,9 @@ def optimize_pso(search: Search) -> OptimizerReport:
         r1 = rng.random(pbest.shape)
         r2 = rng.random(pbest.shape)
         velocities = (
-            p["inertia"] * velocities
-            + p["cognitive"] * r1 * (pbest - positions)
-            + p["social"] * r2 * (search.best_x - positions)
+            0.729 * velocities
+            + 1.49445 * r1 * (pbest - positions)
+            + 1.49445 * r2 * (search.best_x - positions)
         )
         np.clip(velocities, -1.0, 1.0, out=velocities)
         positions = np.clip(positions + velocities, 0.0, 1.0)
@@ -180,7 +174,7 @@ def optimize_pso(search: Search) -> OptimizerReport:
         pbest_values[better] = values[better]
         return pbest, pbest_values
 
-    return evolve(search, p["swarm_size"], step)
+    return evolve(search, search.settings["swarm_size"], step)
 
 
 class GridResult(NamedTuple):

@@ -317,9 +317,12 @@ def test_ga_budget_is_its_max_iterations(dataset_pair, tmp_path, capsys):
         "lbfgsb.history=0", "ga.crossover_rate=5", "ga.mutation_rate=-3",
         "nelder-mead.initial_step=-1", "nelder-mead.shrink=0",
         "ga.tournament_size=101", "ga.elite_count=100",
+        "stagnation_window=-1",
     ],
 )
 def test_usage_error_bad_numeric_setting(dataset_pair, tmp_path, capsys, command, setting):
+    # inertia through tournament_size are method constants, not settings: whatever the
+    # value, the key is unknown and the message lists the method's keys
     scoped, value = setting.split("=")
     method, _, key = scoped.rpartition(".")
     method = method or "pso"
@@ -331,8 +334,11 @@ def test_usage_error_bad_numeric_setting(dataset_pair, tmp_path, capsys, command
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert key in err
-    spec = {**CONFIG_SETTINGS, **METHODS[method].settings}[key]
-    if value.lstrip("-") in ("nan", "inf"):
+    specs = {**CONFIG_SETTINGS, **METHODS[method].settings}
+    spec = specs.get(key)
+    if spec is None:
+        assert f"unknown method parameter {key!r} for method {method!r}; valid keys: {sorted(specs)}" in err
+    elif value.lstrip("-") in ("nan", "inf"):
         assert "must be finite" in err
     elif spec.type is int and not value.lstrip("-").isdigit():
         assert "must be an integer" in err
@@ -365,31 +371,21 @@ def test_compare_bad_setting_parses_and_fits_nothing(dataset_pair, tmp_path, cap
     monkeypatch.setattr(cli, "optimize", counting_optimize)
     monkeypatch.setattr(cli, "read_inducer_csv", counting_read)
     code = main(
-        ["compare", "--methods", "all", "--set", "ga.elite_count=-1",
+        ["compare", "--methods", "all", "--set", "ga.population_size=1",
          *data_flags(dataset_pair, tmp_path / "o")]
     )
     assert code == EXIT_USAGE
-    assert "elite_count must be in [0, population_size)" in capsys.readouterr().err
+    assert "population_size must be in [2, 100000], got 1" in capsys.readouterr().err
     assert calls == []
 
 
-@pytest.mark.parametrize(
-    "settings, message",
-    [
-        (["ga.population_size=2"], "got 3 (the default; population_size is 2)"),
-        (["ga.population_size=2", "ga.tournament_size=5"], "got 5 (population_size is 2)"),
-    ],
-    ids=["default", "given"],
-)
-def test_a_bound_named_by_another_setting_is_reported_with_its_value(
-    dataset_pair, tmp_path, capsys, settings, message
-):
-    # only population_size is set in the first case: the message must not read as if the
-    # user had given tournament_size
-    flags = [flag for setting in settings for flag in ("--set", setting)]
-    code = main(["compare", "--methods", "all", *flags, *data_flags(dataset_pair, tmp_path / "o")])
-    assert code == EXIT_USAGE
-    assert f"usage error: tournament_size must be in [1, population_size], {message}\n" in capsys.readouterr().err
+def test_ga_runs_with_its_smallest_population(dataset_pair, tmp_path):
+    # one elite and one child; the tournaments of three draw their contenders with replacement
+    out = tmp_path / "o"
+    code = main(["run", "--method", "ga", "--set", "population_size=2", *data_flags(dataset_pair, out)])
+    assert code == EXIT_OK
+    report = json.loads((out / "optimizer_report.json").read_text())
+    assert report["function_evaluations"] == 2 * (report["iterations"] + 1)
 
 
 def test_data_error_missing_file(dataset_pair, tmp_path, capsys):
@@ -757,10 +753,14 @@ def test_run_manifest_that_cannot_be_read_is_a_data_error(tmp_path, capsys):
 
 
 def test_parse_set_values():
-    parsed = parse_set_values(["swarm_size=40", "tolerance=1e-6", "pso.inertia=0.5"])
-    assert parsed == {"swarm_size": 40.0, "tolerance": 1e-6, "pso.inertia": 0.5}
+    parsed = parse_set_values(["swarm_size=40", "tolerance=1e-6", "pso.tolerance=0.5"])
+    assert parsed == {"swarm_size": 40.0, "tolerance": 1e-6, "pso.tolerance": 0.5}
     with pytest.raises(UsageError):
         parse_set_values(["swarm_size"])
+    # int() refuses more than 4300 digits, which float() would read as inf
+    with pytest.raises(UsageError, match="^--set value for 'max_iterations' is not a readable integer: ") as error:
+        parse_set_values(["max_iterations=" + "1" * 5000])
+    assert "inf" not in str(error.value)
 
 
 # ---------------------------------------------------------------- compare

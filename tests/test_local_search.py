@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import quadratic
 from latefuse.fusion import equal_weights, make_mse_objective
 from latefuse.ingestion import apply_minmax, assemble, fit_minmax
-from latefuse.optimizers import METHODS, check, optimize
+from latefuse.optimizers import check, common, optimize
 from latefuse.optimizers.common import (
     Search,
     free_set,
@@ -25,14 +25,14 @@ from oracles import build_tables
 def _reference_nelder_mead(objective, settings):
     """Nelder-Mead as it was before the simplex was kept sorted: a stable argsort every iteration.
 
-    Like the method, its search state starts from the equal weights.
+    Like the method, its search state starts from the equal weights, and it takes
+    the standard coefficients: reflection 1, expansion 2, contraction and shrink 1/2.
     """
     p = check("nelder-mead", settings)
-    alpha, gamma = float(p["reflection"]), float(p["expansion"])
-    beta, delta = float(p["contraction"]), float(p["shrink"])
+    alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
     search = Search(objective, "nelder-mead", p)
 
-    simplex = _initial_simplex(equal_weights(objective.dimension), float(p["initial_step"]))
+    simplex = _initial_simplex(equal_weights(objective.dimension), 0.05)
     values = np.array([search.value(v) for v in simplex])
     b = int(np.argmin(values))
     search.consider(simplex[b], 0)
@@ -86,17 +86,6 @@ def _reference_nelder_mead(objective, settings):
     return search.report(iterations, converged)
 
 
-def _setting_value(spec):
-    """Any value in a setting's declared interval."""
-    return st.floats(
-        min_value=spec.low,
-        max_value=spec.high,
-        exclude_min=spec.interval[0] == "(",
-        exclude_max=spec.interval[1] == ")",
-        allow_nan=False,
-    )
-
-
 def _quantised_quadratic(center, scales, step):
     """A separable quadratic rounded to multiples of ``step``, so vertex values tie.
 
@@ -121,11 +110,10 @@ def _quantised_quadratic(center, scales, step):
     tolerance=st.sampled_from([1e-12, 1e-8, 1e-4, 1e-2]),
 )
 def test_nelder_mead_matches_argsort_every_iteration(m, data, step, max_iterations, tolerance):
-    params = {key: data.draw(_setting_value(spec), label=key) for key, spec in METHODS["nelder-mead"].settings.items()}
     center = np.array(data.draw(st.lists(st.floats(-0.5, 1.5), min_size=m, max_size=m), label="center"))
     scales = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m), label="scales"))
     objective = _quantised_quadratic(center, scales, step)
-    settings = {"max_iterations": max_iterations, "tolerance": tolerance, **params}
+    settings = {"max_iterations": max_iterations, "tolerance": tolerance}
 
     expected = _reference_nelder_mead(objective, settings)
     got = optimize("nelder-mead", objective, settings)
@@ -280,13 +268,10 @@ def test_gradient_methods_stop_unconverged_without_a_step(method, max_iterations
 
 # ---------------------------------------------------------------- line search
 
-_ARMIJO = {"armijo_c": 1e-4, "max_backtracks": 5}
-
-
 def _line_search_state(g_sign=1.0):
     """A Search on |x - (0.2, 0.4)|^2 in [0, 1]^2 at x = (0.5, 0.5), with f and g_sign times the gradient."""
     c = np.array([0.2, 0.4])
-    search = Search(quadratic(np.eye(2), c, c @ c), "lbfgsb", check("lbfgsb", _ARMIJO))
+    search = Search(quadratic(np.eye(2), c, c @ c), "lbfgsb", check("lbfgsb", {}))
     x = np.array([0.5, 0.5])
     return search, x, float(np.sum((x - c) ** 2)), g_sign * 2.0 * (x - c)
 
@@ -300,15 +285,20 @@ def test_line_search_falls_back_when_the_direction_climbs():
     assert search.function_evaluations == 1  # the climbing direction cost no evaluation
 
 
-def test_line_search_tries_steepest_once():
+# At the cap of 60 trials the trial point would round back to x after 54 halvings, so the
+# tests that count the cap lower it to 5.
+
+def test_line_search_tries_steepest_once(monkeypatch):
+    monkeypatch.setattr(common, "MAX_BACKTRACKS", 5)
     search, x, f, g = _line_search_state(g_sign=-1.0)  # every trial climbs
     steepest = -g
     assert line_search(search, x, f, g, steepest, steepest) is None
-    assert search.function_evaluations == _ARMIJO["max_backtracks"]
+    assert search.function_evaluations == common.MAX_BACKTRACKS
 
 
-def test_line_search_without_a_step_in_either_direction():
+def test_line_search_without_a_step_in_either_direction(monkeypatch):
+    monkeypatch.setattr(common, "MAX_BACKTRACKS", 5)
     search, x, f, g = _line_search_state(g_sign=-1.0)
     steepest = -g
     assert line_search(search, x, f, g, steepest.copy(), steepest) is None
-    assert search.function_evaluations == 2 * _ARMIJO["max_backtracks"]  # equal values, two directions
+    assert search.function_evaluations == 2 * common.MAX_BACKTRACKS  # equal values, two directions
