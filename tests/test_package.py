@@ -1,12 +1,17 @@
-"""The package's empty top level, the command line's BLAS thread pin, and what `src/` holds.
+"""The package's empty top level, what the command line sets for its process, and what `src/` holds.
 
-The import and thread checks each run in a fresh interpreter, because both
-are about what happens while modules load, which this test process did
-long ago.  Each name is imported from the module that defines it: no
-module re-exports another's names.
+The import, thread and OpenSSL checks each run in a fresh interpreter,
+because all are about what happens while modules load, which this test
+process did long ago.  The command line pins BLAS to one thread and,
+unless this CPython lacks one of hashlib's builtin hash modules, keeps
+`_hashlib` and so OpenSSL's libcrypto unloaded; a library import does
+neither.  Without OpenSSL a compare writes the same bytes, and a run of a
+deterministic method loads no `numpy.random`.  Each name is imported from
+the module that defines it: no module re-exports another's names.
 """
 
 import ast
+import importlib.util
 import io
 import json
 import os
@@ -15,6 +20,9 @@ import sys
 import tokenize
 from pathlib import Path
 
+import pytest
+
+from oracles import golden_run
 from test_readme import library_use_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,11 +49,27 @@ print(json.dumps({{"at_numpy_load": seen, "after": after}}))
 """
 
 
+# After `setup` and one draw from a seeded generator, which imports numpy.random and its
+# `secrets`, whether `_hashlib` is blocked or loaded and whether libcrypto is mapped.
+OPENSSL_AFTER_A_DRAW = """
+import json, sys
+{setup}
+import numpy
+numpy.random.default_rng(0).random()
+maps = open("/proc/self/maps").read() if sys.platform == "linux" else ""
+hashlib = sys.modules.get("_hashlib", "absent")
+print(json.dumps({{"blocked": hashlib is None, "loaded": hashlib not in (None, "absent"), "libcrypto": "libcrypto" in maps}}))
+"""
+
+
 def run_python(code: str, **thread_vars: str):
-    """Run `code` in a new interpreter with only `thread_vars` of the three set; parse its JSON output."""
+    """Run `code` in a new interpreter with only `thread_vars` of the three set; parse its JSON output.
+
+    The interpreter must exit 0 and write nothing to stderr.
+    """
     env = {name: value for name, value in os.environ.items() if name not in THREAD_VARS} | thread_vars
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     return json.loads(proc.stdout)
 
 
@@ -83,6 +107,68 @@ import latefuse.cli, latefuse.optimizers
 print(json.dumps({{var: os.environ.get(var) for var in {THREAD_VARS!r}}}))
 """
     assert run_python(code) == {var: None for var in THREAD_VARS}
+
+
+def test_entry_point_keeps_openssl_unloaded():
+    seen = run_python(OPENSSL_AFTER_A_DRAW.format(setup="import latefuse.__main__"))
+    assert seen == {"blocked": True, "loaded": False, "libcrypto": False}
+
+
+@pytest.mark.parametrize(
+    "setup",
+    # without `_md5`, a blocked `_hashlib` would make `import hashlib` log an error per algorithm,
+    # and run_python fails on any stderr output
+    ["import latefuse.cli", 'sys.modules["_md5"] = None\nimport latefuse.__main__'],
+    ids=["library-import", "entry-point-without-a-builtin-hash-module"],
+)
+def test_hashlib_loads_as_usual(setup):
+    seen = run_python(OPENSSL_AFTER_A_DRAW.format(setup=setup))
+    assert not seen["blocked"]
+    assert seen["loaded"] == (importlib.util.find_spec("_hashlib") is not None)
+
+
+def test_compare_without_openssl_writes_what_the_library_writes(tmp_path):
+    in_process = golden_run(tmp_path)  # the suite's 150x5 data under tmp_path / "data"
+    data = tmp_path / "data"
+    command = tmp_path / "command"
+    proc = subprocess.run(
+        [sys.executable, "-m", "latefuse", "compare", "--methods", "all", "--seed", "0",
+         "--dev", str(data / "dev"), "--test", str(data / "test"),
+         "--truth", str(data / "dev" / "ground_truth.csv"), str(data / "test" / "ground_truth.csv"),
+         "--out", str(command)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+    def written(out):
+        """Each file's bytes, without the manifests' out_dir and the summaries' wall_time."""
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        for name in [name for name in files if name.endswith("/manifest.json")]:
+            files[name] = b"".join(line for line in files[name].splitlines(True) if b'"out_dir"' not in line)
+        csv = files.pop("summary.csv").decode()
+        files["summary.csv"] = [line.rpartition(",")[0] for line in csv.splitlines()]  # wall_time is last
+        rows = json.loads(files.pop("summary.json"))
+        files["summary.json"] = [{k: v for k, v in row.items() if k != "wall_time"} for row in rows]
+        return files
+
+    assert written(command) == written(in_process)
+
+
+def test_deterministic_runs_load_no_numpy_random(dataset_pair, tmp_path):
+    """numpy loads `random` lazily, and only pso and ga draw: the others save its 2.4 MB of peak RSS."""
+    dev, test = dataset_pair
+    argv = ["--dev", str(dev.inducer_paths[0].parent), "--test", str(test.inducer_paths[0].parent),
+            "--truth", str(dev.truth_path), str(test.truth_path)]
+    code = f"""
+import contextlib, io, json, sys
+from latefuse.__main__ import main
+codes = []
+for method in ("equal", "nelder-mead", "trust-region", "lbfgsb", "tnc"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(["run", "--method", method, *{argv!r}, "--out", {str(tmp_path)!r} + "/" + method]))
+print(json.dumps({{"codes": codes, "numpy.random": "numpy.random" in sys.modules}}))
+"""
+    assert run_python(code) == {"codes": [0] * 5, "numpy.random": False}
 
 
 def test_every_top_level_definition_in_src_has_a_caller_outside_the_tests():
