@@ -1,6 +1,8 @@
 """Command-line pipeline: ingest, normalize, search weights, evaluate, report.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 optimization abort.
+Exit codes: 0 success, 2 usage error (`ParameterError`), 3 data error
+(`IngestionError`, or a `ValueError` or `OSError`), 4 optimization abort
+(`NonFiniteObjectiveError`).
 Every artifact's fields are laid out in one place, `_artifacts`, and rendered
 by one JSON and one CSV helper.  All artifacts are written atomically (temp
 file then rename) and a failed run removes whatever it had already written
@@ -42,10 +44,6 @@ EXIT_ABORT = 4
 GROUND_TRUTH_BASENAME = "ground_truth.csv"
 
 
-class UsageError(ValueError):
-    """Bad flags or option values; maps to exit code 2."""
-
-
 @dataclass
 class RunManifest:
     method: str
@@ -58,15 +56,12 @@ class RunManifest:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        try:
-            check(self.method, self.overrides)
-            SEED.check("seed", self.seed)
-        except ParameterError as exc:
-            raise UsageError(str(exc)) from None
+        check(self.method, self.overrides)
+        SEED.check("seed", self.seed)
         if self.k < 1:
-            raise UsageError("k must be >= 1")
+            raise ParameterError("k must be >= 1")
         if not self.dev_paths or not self.test_paths or not self.truth_paths:
-            raise UsageError("dev, test, and truth paths are all required")
+            raise ParameterError("dev, test, and truth paths are all required")
         for name in ("dev_paths", "test_paths", "truth_paths"):
             setattr(self, name, [_absolute(path, name) for path in getattr(self, name)])
         self.out_dir = _absolute(self.out_dir, "out_dir")
@@ -75,25 +70,25 @@ class RunManifest:
     def from_dict(cls, doc) -> "RunManifest":
         """Rebuild a manifest from its JSON echo; each field must be known and have its JSON type."""
         if not isinstance(doc, dict):
-            raise UsageError(f"manifest must be a JSON object, got {type(doc).__name__}")
+            raise ParameterError(f"manifest must be a JSON object, got {type(doc).__name__}")
         unknown = [key for key in doc if key not in {f.name for f in fields(cls)}]
         if unknown:
-            raise UsageError(f"manifest has unknown field {unknown[0]!r}")
+            raise ParameterError(f"manifest has unknown field {unknown[0]!r}")
         values = {}
         for f in fields(cls):
             if f.name in doc:
                 if not _is_json_type(doc[f.name], f.type):
-                    raise UsageError(f"manifest field {f.name!r} must be {f.type}, got {doc[f.name]!r}")
+                    raise ParameterError(f"manifest field {f.name!r} must be {f.type}, got {doc[f.name]!r}")
                 values[f.name] = doc[f.name]
             elif f.default is MISSING and f.default_factory is MISSING:
-                raise UsageError(f"manifest is missing field {f.name!r}")
+                raise ParameterError(f"manifest is missing field {f.name!r}")
         return cls(**values)
 
 
 def _absolute(path: str, name: str) -> str:
     """`path` made absolute against the working directory; an empty one would name that directory."""
     if not path:
-        raise UsageError(f"{name} has an empty path")
+        raise ParameterError(f"{name} has an empty path")
     try:
         return str(Path(path).resolve())
     except RuntimeError:  # Python < 3.13 raises this for a symlink loop
@@ -313,13 +308,13 @@ def compare(
     checked before any file is read, and every fit succeeds before any write.
     """
     if not methods:
-        raise UsageError("no methods selected")
+        raise ParameterError("no methods selected")
     methods = list(dict.fromkeys(methods))
     overrides = overrides or {}
     for key in overrides:
         head, sep, _ = key.partition(".")
         if sep and head in METHODS and head not in methods:
-            raise UsageError(f"--set {key!r} targets a method not selected for this compare")
+            raise ParameterError(f"--set {key!r} targets a method not selected for this compare")
     out = Path(_absolute(str(out_dir), "out_dir"))
     manifests = [
         RunManifest(m, dev_paths, test_paths, truth_paths, str(out / m), k, seed, _scoped_overrides(m, overrides))
@@ -340,16 +335,16 @@ def parse_set_values(pairs: list[str]) -> dict:
         key, sep, raw = pair.partition("=")
         key, raw = key.strip(), raw.strip()
         if not sep or not key or not raw:
-            raise UsageError(f"--set expects key=value, got {pair!r}")
+            raise ParameterError(f"--set expects key=value, got {pair!r}")
         try:
             value: float = int(raw)
         except ValueError as exc:
             if raw.lstrip("+-").replace("_", "").isdecimal():  # an integer int() refuses, past its digit limit
-                raise UsageError(f"--set value for {key!r} is not a readable integer: {exc}") from None
+                raise ParameterError(f"--set value for {key!r} is not a readable integer: {exc}") from None
             try:
                 value = float(raw)
             except ValueError:
-                raise UsageError(f"--set value for {key!r} must be numeric, got {raw!r}") from None
+                raise ParameterError(f"--set value for {key!r} must be numeric, got {raw!r}") from None
         overrides[key] = value
     return overrides
 
@@ -419,18 +414,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.manifest:
         given = [f"--{flag}" for flag in _MANIFEST_FLAGS if getattr(args, flag) is not None]
         if given:
-            raise UsageError(f"--manifest cannot be combined with {', '.join(given)}; only --out may be")
-        text = Path(args.manifest).read_text(encoding="utf-8")  # an unreadable file is a data error
+            raise ParameterError(f"--manifest cannot be combined with {', '.join(given)}; only --out may be")
+        data = Path(args.manifest).read_bytes()  # an unreadable file is a data error
         try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # as for bad flags: bad JSON, too deep, or an over-long int
-            raise UsageError(f"manifest {args.manifest} is not valid JSON: {exc}") from None
+            doc = json.loads(data.decode("utf-8"))  # bytes would let json guess UTF-16 or UTF-32
+        except (ValueError, RecursionError) as exc:  # as for bad flags: not UTF-8, bad JSON, too deep, an over-long int
+            raise ParameterError(f"manifest {args.manifest} is not valid JSON: {exc}") from None
         if isinstance(doc, dict):
             doc["out_dir"] = args.out  # --out is required and replaces the echo's own
         manifest = RunManifest.from_dict(doc)
     else:
         if not args.method:
-            raise UsageError("either --method or --manifest is required")
+            raise ParameterError("either --method or --manifest is required")
         manifest = RunManifest(args.method, out_dir=args.out, overrides=parse_set_values(args.set or []),
                                **_data_flags(args))
     print(f"{_line(run(manifest))} -> {manifest.out_dir}")
@@ -456,13 +451,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_compare(args)
-    except (UsageError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonFiniteObjectiveError as exc:
         print(f"optimization aborted: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    except (IngestionError, ValueError, OSError) as exc:  # UndefinedMetricError is a ValueError
+    except (IngestionError, ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -16,10 +16,6 @@ import numpy as np
 from .ingestion import ScoreMatrix
 
 
-class UndefinedMetricError(ValueError):
-    """Every group has zero relevant items, so the mean AP has no terms."""
-
-
 @dataclass
 class EvalReport:
     map_at_k: float
@@ -83,5 +79,5 @@ def map_at_k(fused: np.ndarray | Sequence[float], matrix: ScoreMatrix, k: int = 
     per_group = list(zip(videos, ap.tolist(), num_relevant.tolist()))
     included = [value for _, value, relevant in per_group if relevant >= 1]
     if not included:
-        raise UndefinedMetricError("no group has a relevant item; MAP@k is undefined")
+        raise ValueError("no group has a relevant item; MAP@k is undefined")
     return EvalReport(sum(included) / len(included), k, per_group)

@@ -4,7 +4,8 @@ Between the files and the matrix everything is plain data: an inducer file
 parses into an ``InducerTable``, the truth files into one
 ``{(video_id, image_id): label}`` dict, and ``fit_minmax`` returns each
 inducer's ``(min, max)`` by name, the dict that ``apply_minmax`` applies.
-A file read by path is named by that path in its parse errors.
+Every fault of the files raises ``IngestionError``, and a file read by
+path is named by that path in its message.
 
 An inducer file is a UTF-8 CSV headed ``video_id,image_id,class,score``, a
 ground-truth file one headed ``video_id,image_id,label``; the README's "Data
@@ -28,23 +29,7 @@ Key = tuple[str, str]
 
 
 class IngestionError(Exception):
-    """Base class for everything that can go wrong between files and matrix."""
-
-
-class ParseError(IngestionError):
-    """Malformed line; message carries the 1-based line number."""
-
-
-class DuplicateKeyError(IngestionError):
-    """A (video_id, image_id) pair appeared twice in one source."""
-
-
-class AlignmentError(IngestionError):
-    """Inducer tables do not cover an identical key set."""
-
-
-class MissingLabelError(IngestionError):
-    """A sample has scores but no ground-truth label."""
+    """Anything wrong between files and matrix: a bad line, a repeated key, a key set mismatch, a missing label."""
 
 
 @dataclass
@@ -84,7 +69,7 @@ def _read_rows(
 
     One columnar pass: one leading U+FEFF (a UTF-8 byte-order mark) is
     dropped, blank lines are skipped and each check reads a whole column.
-    Raises ParseError naming the first faulty line, or DuplicateKeyError.
+    Raises IngestionError naming the first faulty line.
     An id that is empty after stripping is a fault of its line.
     """
     data = source.read()
@@ -93,14 +78,14 @@ def _read_rows(
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:  # the bad byte's line, by the splitlines rule
             lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-            raise ParseError(f"{where}: not valid UTF-8 at line {lineno}") from None
+            raise IngestionError(f"{where}: not valid UTF-8 at line {lineno}") from None
     lines = data.removeprefix("\ufeff").splitlines()
     if not lines:
-        raise ParseError(f"{where}: empty file, expected header {header!r}")
+        raise IngestionError(f"{where}: empty file, expected header {header!r}")
     if lines[0].strip() != header:
-        raise ParseError(f"{where}: bad header at line 1: {lines[0]!r}")
+        raise IngestionError(f"{where}: bad header at line 1: {lines[0]!r}")
 
-    # A fault is (row, error type, what, detail).  Each check reads only the rows before the last fault
+    # A fault is (row, what, detail).  Each check reads only the rows before the last fault
     # found (`flags` is cut there), so that fault is the first line's, and in a line the earlier check's.
     n = header.count(",") + 1
     rows = list(filter(None, map(str.strip, lines[1:])))
@@ -108,36 +93,36 @@ def _read_rows(
     commas = list(map(str.count, rows, repeat(",")))
     if commas.count(n - 1) != len(rows):
         i = next(i for i, c in enumerate(commas) if c != n - 1)
-        fault, rows = (i, ParseError, f"expected {n} fields, got {commas[i] + 1}", ""), rows[:i]
+        fault, rows = (i, f"expected {n} fields, got {commas[i] + 1}", ""), rows[:i]
     cells = list(map(str.strip, ",".join(rows).split(","))) if rows else []
     flags = cells[2::n]
     if not {"0", "1"}.issuperset(flags):
         i = next(i for i, flag in enumerate(flags) if flag not in ("0", "1"))
-        fault, flags = (i, ParseError, header.split(",")[2] + " out of {0,1}", f": {flags[i]!r}"), flags[:i]
+        fault, flags = (i, header.split(",")[2] + " out of {0,1}", f": {flags[i]!r}"), flags[:i]
     tokens = cells[3 : n * len(flags) : n] if n == 4 else []
     numbers: list[float] = []
     try:
         numbers.extend(map(float, tokens))  # keeps the numbers before a token that is not one
     except ValueError:
         i = len(numbers)
-        fault, flags = (i, ParseError, "non-numeric score", f": {tokens[i]!r}"), flags[:i]
+        fault, flags = (i, "non-numeric score", f": {tokens[i]!r}"), flags[:i]
     scores = np.array(numbers, dtype=np.float64)
     if not (finite := np.isfinite(scores)).all():
         i = int(finite.argmin())
-        fault, flags = (i, ParseError, "non-finite score", f": {tokens[i]!r}"), flags[:i]
+        fault, flags = (i, "non-finite score", f": {tokens[i]!r}"), flags[:i]
     end = n * len(flags)
     keys = list(zip(cells[0:end:n], cells[1:end:n]))
     if "" in cells[0:end:n] or "" in cells[1:end:n]:  # fresh slices: kept ones would raise the memory peak
         i = next(i for i, key in enumerate(keys) if "" in key)
-        fault, keys = (i, ParseError, "empty " + ("image_id" if keys[i][0] else "video_id"), ""), keys[:i]
+        fault, keys = (i, "empty " + ("image_id" if keys[i][0] else "video_id"), ""), keys[:i]
     if len(set(keys)) != len(keys):
         first: dict[Key, int] = {}
         i = next(i for i, key in enumerate(keys) if first.setdefault(key, i) != i)
-        fault = (i, DuplicateKeyError, f"duplicate key {keys[i]}", "")
+        fault = (i, f"duplicate key {keys[i]}", "")
     if fault is not None:
-        i, error, what, detail = fault
+        i, what, detail = fault
         lineno = [no for no, line in enumerate(lines[1:], start=2) if line.strip()][i]
-        raise error(f"{where}: {what} at line {lineno}{detail}")
+        raise IngestionError(f"{where}: {what} at line {lineno}{detail}")
     return keys, flags, scores
 
 
@@ -177,7 +162,7 @@ def load_ground_truth(paths: Sequence[str | Path]) -> dict[Key, int]:
         for key, label in labels.items():
             if key in merged:
                 first = next(earlier for earlier, seen in loaded if key in seen)
-                raise DuplicateKeyError(f"key {key} of truth file {path} already appears in {first}")
+                raise IngestionError(f"key {key} of truth file {path} already appears in {first}")
             merged[key] = label
         loaded.append((path, labels))
     return merged
@@ -190,14 +175,14 @@ def assemble(tables: Sequence[InducerTable], truth: dict[Key, int]) -> ScoreMatr
     files are identical regardless of record order in the sources.
     """
     if not tables:
-        raise AlignmentError("need at least one inducer table")
+        raise IngestionError("need at least one inducer table")
 
     reference = set(tables[0].keys)
     for table in tables[1:]:
         diff = reference.symmetric_difference(table.keys)
         if diff:
             offending = sorted(diff)[:10]
-            raise AlignmentError(
+            raise IngestionError(
                 f"inducers {tables[0].inducer_name!r} and {table.inducer_name!r} "
                 f"disagree on {len(diff)} keys, e.g. {offending}"
             )
@@ -205,7 +190,7 @@ def assemble(tables: Sequence[InducerTable], truth: dict[Key, int]) -> ScoreMatr
     missing = reference.difference(truth)
     if missing:
         offending = sorted(missing)[:10]
-        raise MissingLabelError(f"{len(missing)} keys missing from ground truth, e.g. {offending}")
+        raise IngestionError(f"{len(missing)} keys missing from ground truth, e.g. {offending}")
 
     keys = sorted(reference)
     index = {key: row for row, key in enumerate(keys)}

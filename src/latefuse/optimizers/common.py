@@ -38,7 +38,7 @@ class NonFiniteObjectiveError(RuntimeError):
 
 
 class ParameterError(ValueError):
-    """An optimizer setting has the wrong type or lies out of its range."""
+    """A usage error (exit code 2): a bad flag or manifest, or a setting of the wrong type or out of its range."""
 
 
 class Setting(NamedTuple):

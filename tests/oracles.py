@@ -40,14 +40,13 @@ from typing import IO, Callable, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from latefuse.cli import compare
-from latefuse.evaluation import EvalReport, UndefinedMetricError
+from latefuse.evaluation import EvalReport
 from latefuse.ingestion import (
     INDUCER_HEADER,
     TRUTH_HEADER,
-    DuplicateKeyError,
+    IngestionError,
     InducerTable,
     Key,
-    ParseError,
     ScoreMatrix,
     apply_minmax,
     fit_minmax,
@@ -68,12 +67,12 @@ def read_rows(
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             lineno = data.count(b"\n", 0, exc.start) + 1
-            raise ParseError(f"{where}: not valid UTF-8 at line {lineno}") from None
+            raise IngestionError(f"{where}: not valid UTF-8 at line {lineno}") from None
     lines = data.removeprefix("\ufeff").splitlines()
     if not lines:
-        raise ParseError(f"{where}: empty file, expected header {header!r}")
+        raise IngestionError(f"{where}: empty file, expected header {header!r}")
     if lines[0].strip() != header:
-        raise ParseError(f"{where}: bad header at line 1: {lines[0]!r}")
+        raise IngestionError(f"{where}: bad header at line 1: {lines[0]!r}")
 
     columns = header.split(",")
     rows: dict[Key, T] = {}
@@ -82,17 +81,17 @@ def read_rows(
             continue
         fields = line.split(",")
         if len(fields) != len(columns):
-            raise ParseError(f"{where}: expected {len(columns)} fields, got {len(fields)} at line {lineno}")
+            raise IngestionError(f"{where}: expected {len(columns)} fields, got {len(fields)} at line {lineno}")
         vid, iid, flag, *rest = (f.strip() for f in fields)
         if flag not in ("0", "1"):
-            raise ParseError(f"{where}: {columns[2]} out of {{0,1}} at line {lineno}: {flag!r}")
+            raise IngestionError(f"{where}: {columns[2]} out of {{0,1}} at line {lineno}: {flag!r}")
         value = parse(int(flag), rest, lineno)
         for column, part in zip(columns, (vid, iid)):
             if not part:
-                raise ParseError(f"{where}: empty {column} at line {lineno}")
+                raise IngestionError(f"{where}: empty {column} at line {lineno}")
         key = (vid, iid)
         if key in rows:
-            raise DuplicateKeyError(f"{where}: duplicate key {key} at line {lineno}")
+            raise IngestionError(f"{where}: duplicate key {key} at line {lineno}")
         rows[key] = value
     return rows
 
@@ -104,9 +103,9 @@ def parse_inducer_file(source: IO[bytes] | IO[str], inducer_name: str, where: st
         try:
             value = float(rest[0])
         except ValueError:
-            raise ParseError(f"{where}: non-numeric score at line {lineno}: {rest[0]!r}") from None
+            raise IngestionError(f"{where}: non-numeric score at line {lineno}: {rest[0]!r}") from None
         if not math.isfinite(value):
-            raise ParseError(f"{where}: non-finite score at line {lineno}: {rest[0]!r}")
+            raise IngestionError(f"{where}: non-finite score at line {lineno}: {rest[0]!r}")
         return value
 
     rows = read_rows(source, INDUCER_HEADER, where, score)
@@ -266,7 +265,7 @@ def reference_map_at_k(fused, matrix: ScoreMatrix, k: int = 10) -> EvalReport:
         if rel >= 1:
             included.append(ap)
     if not included:
-        raise UndefinedMetricError("no group has a relevant item; MAP@k is undefined")
+        raise ValueError("no group has a relevant item; MAP@k is undefined")
     return EvalReport(sum(included) / len(included), k, per_group)
 
 

@@ -22,7 +22,6 @@ from latefuse.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RunManifest,
-    UsageError,
     compare,
     main,
     parse_set_values,
@@ -35,7 +34,7 @@ from latefuse.ingestion import (
     read_inducer_csv,
 )
 from latefuse.optimizers import METHODS, optimize
-from latefuse.optimizers.common import CONFIG_SETTINGS, NonFiniteObjectiveError
+from latefuse.optimizers.common import CONFIG_SETTINGS, NonFiniteObjectiveError, ParameterError
 from latefuse.synth import SynthSpec, generate
 from oracles import generate_perfect_inducer
 
@@ -556,7 +555,7 @@ def test_manifest_round_trip():
 
 
 def test_manifest_rejects_unknown_method():
-    with pytest.raises(UsageError):
+    with pytest.raises(ParameterError, match="^unknown method 'adam'; choose one of "):
         RunManifest(
             method="adam", dev_paths=["a"], test_paths=["b"],
             truth_paths=["c"], out_dir="o",
@@ -564,7 +563,7 @@ def test_manifest_rejects_unknown_method():
 
 
 def test_manifest_rejects_bad_k():
-    with pytest.raises(UsageError):
+    with pytest.raises(ParameterError, match="^k must be >= 1$"):
         RunManifest(
             method="equal", dev_paths=["a"], test_paths=["b"],
             truth_paths=["c"], out_dir="o", k=0,
@@ -572,7 +571,7 @@ def test_manifest_rejects_bad_k():
 
 
 def test_manifest_from_dict_missing_field():
-    with pytest.raises(UsageError, match="missing field"):
+    with pytest.raises(ParameterError, match="missing field"):
         RunManifest.from_dict({"method": "equal"})
 
 
@@ -697,13 +696,18 @@ def test_an_empty_path_is_a_usage_error_before_any_file_is_read(
 
 
 def test_run_manifest_that_is_not_json_is_a_usage_error(tmp_path, capsys):
-    path = tmp_path / "manifest.json"
-    path.write_text("{method: pso}")
-    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "b")])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "usage error" in err and str(path) in err and "not valid JSON" in err
-    assert not (tmp_path / "b").exists()
+    # bytes that are not UTF-8 are no JSON text either; json.loads on bytes would guess UTF-16 or UTF-32
+    cases = [
+        (b"{method: pso}", "Expecting property name enclosed in double quotes"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ]
+    for i, (data, detail) in enumerate(cases):
+        path = tmp_path / f"manifest-{i}.json"
+        path.write_bytes(data)
+        code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "b")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: manifest {path} is not valid JSON: {detail}")
+        assert not (tmp_path / "b").exists()
 
 
 def test_run_manifest_nested_past_the_parsers_depth_is_a_usage_error(tmp_path, capsys, monkeypatch):
@@ -755,10 +759,10 @@ def test_run_manifest_that_cannot_be_read_is_a_data_error(tmp_path, capsys):
 def test_parse_set_values():
     parsed = parse_set_values(["swarm_size=40", "tolerance=1e-6", "pso.tolerance=0.5"])
     assert parsed == {"swarm_size": 40.0, "tolerance": 1e-6, "pso.tolerance": 0.5}
-    with pytest.raises(UsageError):
+    with pytest.raises(ParameterError, match="^--set expects key=value, got 'swarm_size'$"):
         parse_set_values(["swarm_size"])
     # int() refuses more than 4300 digits, which float() would read as inf
-    with pytest.raises(UsageError, match="^--set value for 'max_iterations' is not a readable integer: ") as error:
+    with pytest.raises(ParameterError, match="^--set value for 'max_iterations' is not a readable integer: ") as error:
         parse_set_values(["max_iterations=" + "1" * 5000])
     assert "inf" not in str(error.value)
 
@@ -958,7 +962,7 @@ def test_compare_call_checks_everything_before_reading_a_file(
 ):
     monkeypatch.setattr(cli, "read_inducer_csv", None)  # a parse would raise TypeError
     dev, test = dataset_pair
-    with pytest.raises(UsageError, match=re.escape(message)):
+    with pytest.raises(ParameterError, match=re.escape(message)):
         compare(
             methods, [str(dev.inducer_paths[0].parent)], [str(test.inducer_paths[0].parent)],
             [str(dev.truth_path), str(test.truth_path)], tmp_path / "cmp", overrides=settings,

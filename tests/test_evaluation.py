@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latefuse.evaluation import UndefinedMetricError, map_at_k
+from latefuse.evaluation import map_at_k
 from latefuse.ingestion import ScoreMatrix
 from oracles import ap_oracle, reference_map_at_k
 
@@ -159,7 +159,7 @@ def test_map_excludes_groups_without_relevant_items():
 
 def test_map_undefined_when_all_groups_empty_of_relevance():
     matrix = matrix_with({"v1": [("i0", 0)], "v2": [("i1", 0)]})
-    with pytest.raises(UndefinedMetricError):
+    with pytest.raises(ValueError, match="no group has a relevant item; MAP@k is undefined"):
         map_at_k(np.array([0.5, 0.5]), matrix, k=10)
 
 
@@ -244,8 +244,8 @@ def test_map_kernel_is_bit_equal_to_per_row_reference(case, k):
     fused, matrix = case
     try:
         expected = reference_map_at_k(fused, matrix, k)
-    except UndefinedMetricError:
-        with pytest.raises(UndefinedMetricError):
+    except ValueError:
+        with pytest.raises(ValueError, match="no group has a relevant item; MAP@k is undefined"):
             map_at_k(fused, matrix, k)
         return
     got = map_at_k(fused, matrix, k)

@@ -7,10 +7,12 @@ unless this CPython lacks one of hashlib's builtin hash modules, keeps
 `_hashlib` and so OpenSSL's libcrypto unloaded; a library import does
 neither.  Without OpenSSL a compare writes the same bytes, and a run of a
 deterministic method loads no `numpy.random`.  Each name is imported from
-the module that defines it: no module re-exports another's names.
+the module that defines it: no module re-exports another's names.  Each
+exit code but 0 has one exception class.
 """
 
 import ast
+import builtins
 import importlib.util
 import io
 import json
@@ -22,6 +24,9 @@ from pathlib import Path
 
 import pytest
 
+from latefuse import cli
+from latefuse.ingestion import IngestionError
+from latefuse.optimizers.common import NonFiniteObjectiveError, ParameterError
 from oracles import golden_run
 from test_readme import library_use_blocks
 
@@ -258,3 +263,38 @@ def test_every_imported_name_comes_from_the_module_that_defines_it():
                 if alias.name not in defined and module_file(f"{module}.{alias.name}") is None:
                     wrong.append(f"{where}: from {module} import {alias.name}")
     assert wrong == []
+
+
+def test_src_defines_one_exception_class_per_exit_code(tmp_path, monkeypatch, capsys):
+    """A usage error, a data error and an abort each have one class, which `main` turns into its exit code."""
+    classes = [
+        node
+        for path in sorted((ROOT / "src" / "latefuse").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    ]
+
+    def is_error(base: str, errors: set[str]) -> bool:
+        builtin = getattr(builtins, base, None)
+        return base in errors or isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    errors: set[str] = set()
+    while True:  # the classes whose base is a builtin exception or a class already found
+        found = {c.name for c in classes for b in c.bases if is_error(ast.unparse(b).rpartition(".")[2], errors)}
+        if found == errors:
+            break
+        errors = found
+    assert errors == {"ParameterError", "IngestionError", "NonFiniteObjectiveError"}
+
+    argv = ["run", "--method", "equal", "--dev", "d", "--test", "t", "--truth", "g", "--out", str(tmp_path / "o")]
+    for error, code, prefix in [
+        (ParameterError("bad flag"), cli.EXIT_USAGE, "usage error: bad flag"),
+        (IngestionError("bad file"), cli.EXIT_DATA, "data error: bad file"),
+        (NonFiniteObjectiveError([0.5], float("nan")), cli.EXIT_ABORT, "optimization aborted: non-finite objective"),
+    ]:
+        def fail(manifest, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "prepare", fail)
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err.startswith(prefix)
