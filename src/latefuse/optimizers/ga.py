@@ -27,7 +27,6 @@ def optimize_ga(search: Search) -> OptimizerReport:
     mutation_rate = 1.0 / m
     n_children = pop_size - ELITE_COUNT
     n_genes = n_children * m
-    slates = np.arange(2)[:, None], np.arange(n_children)[None, :]
     value_batch = search.value_batch
 
     def step(rng, population, fitness):
@@ -36,11 +35,10 @@ def optimize_ga(search: Search) -> OptimizerReport:
         next_pop = np.empty_like(population)
         next_pop[:ELITE_COUNT] = population[order[:ELITE_COUNT]]
 
-        # tournament selection for both parent slates at once
-        contenders = rng.integers(0, pop_size, size=(2, n_children, TOURNAMENT_SIZE))
-        winners = contenders[(*slates, np.argmin(fitness[contenders], axis=2))]
-        parents_a = population[winners[0]]
-        parents_b = population[winners[1]]
+        # tournament selection for both parent slates at once: contenders are drawn as ranks in
+        # `order`, so each winner is its best-ranked contender, a tie going to the lower index
+        ranks = rng.integers(0, pop_size, size=(2, n_children, TOURNAMENT_SIZE))
+        parents_a, parents_b = population[order[ranks.min(axis=2)]]
 
         # one draw for the crossover, gene-swap and mutation coins, in that order
         coins = rng.random(n_children + 2 * n_genes)
@@ -48,11 +46,9 @@ def optimize_ga(search: Search) -> OptimizerReport:
         take_b = coins[n_children : n_children + n_genes].reshape(n_children, m) < 0.5
         mutate = coins[n_children + n_genes :].reshape(n_children, m) < mutation_rate
         children = np.where(cross[:, None] & take_b, parents_b, parents_a)
-
-        mutation = rng.normal(0.0, MUTATION_SIGMA, size=(n_children, m))
-        mutation *= mutate
-        mutation += children
-        mutation.clip(0.0, 1.0, out=next_pop[ELITE_COUNT:])
+        # one normal per mutated gene, in row-major order
+        children[mutate] += rng.normal(0.0, MUTATION_SIGMA, size=np.count_nonzero(mutate))
+        children.clip(0.0, 1.0, out=next_pop[ELITE_COUNT:])
         return next_pop, value_batch(next_pop)
 
     return evolve(search, pop_size, step)

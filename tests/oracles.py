@@ -6,7 +6,10 @@ arithmetic with the package code it checks:
 - `grid_oracle`: exhaustive MSE search over a lattice of the weight box;
 - `ap_oracle`: AP@k straight from the definition, and `reference_map_at_k`,
   the per-row MAP@k that scores each video through it;
-- `mse_gradient`: the gradient of the MSE in residual form.
+- `mse_gradient`: the gradient of the MSE in residual form;
+- `optimize_ga`: ga's generation step with one draw per scalar it uses: a
+  plain-Python tournament over each contender slate and one normal per
+  mutated gene, drawn child by child and gene by gene.
 
 Per-row versions of code that `src/` now runs column- or array-wise keep
 the earlier implementation, its code unchanged but for names, docstrings
@@ -16,9 +19,9 @@ results bit for bit:
 - `read_rows`, `parse_inducer_file` and `parse_ground_truth`: the CSV parser
   that checked one line at a time, which has since gained the one rule added
   to both parsers, that no id is empty;
-- `optimize_ga` and `optimize_pso`: the generation steps before their draws
-  were merged and their arithmetic was done in place, with the methods'
-  constants written as literals.
+- `optimize_pso`: the generation step before its draws were merged and its
+  arithmetic was done in place, with the method's constants written as
+  literals.
 
 The parser decodes bytes as before, so it names the wrong line for invalid
 UTF-8 after a break other than ``\\n``; compare it on valid text only.
@@ -117,22 +120,24 @@ def parse_ground_truth(source: IO[bytes] | IO[str], name: str = "ground truth") 
 
 
 def optimize_ga(search: Search) -> OptimizerReport:
+    """ga's generation step one draw at a time: the contender draw names each contender by its
+    rank in (fitness, population index) order, and a tournament goes to its lowest (fitness, index)."""
     pop_size = search.settings["population_size"]
     elite = 1
     m = search.dimension
     n_children = pop_size - elite
 
     def step(rng, population, fitness):
-        order = np.argsort(fitness, kind="stable")
+        ranked = sorted(range(pop_size), key=lambda i: (fitness[i], i))
         next_pop = np.empty_like(population)
-        next_pop[:elite] = population[order[:elite]]
+        next_pop[:elite] = population[ranked[:elite]]
 
         contenders = rng.integers(0, pop_size, size=(2, n_children, 3))
-        winners = contenders[
-            np.arange(2)[:, None],
-            np.arange(n_children)[None, :],
-            np.argmin(fitness[contenders], axis=2),
-        ]
+        winners = [[0] * n_children for _ in range(2)]
+        for slate in range(2):
+            for child in range(n_children):
+                drawn = [ranked[r] for r in contenders[slate, child]]
+                winners[slate][child] = min(drawn, key=lambda i: (fitness[i], i))
         parents_a = population[winners[0]]
         parents_b = population[winners[1]]
 
@@ -143,8 +148,11 @@ def optimize_ga(search: Search) -> OptimizerReport:
         children[swap] = parents_b[swap]
 
         mutate = rng.random((n_children, m)) < 1.0 / m
-        noise = rng.normal(0.0, 0.1, size=(n_children, m))
-        next_pop[elite:] = np.clip(children + mutate * noise, 0.0, 1.0)
+        for child in range(n_children):
+            for gene in range(m):
+                if mutate[child, gene]:
+                    children[child, gene] += rng.normal(0.0, 0.1)
+        next_pop[elite:] = np.clip(children, 0.0, 1.0)
         return next_pop, search.value_batch(next_pop)
 
     return evolve(search, pop_size, step)

@@ -127,28 +127,61 @@ TRUTH_H = "video_id,image_id,label"
 @pytest.mark.parametrize(
     "text, error, message",
     [
-        ("", IngestionError, f"inducer 'c': empty file, expected header {INDUCER_H!r}"),
-        ("a,b\n", IngestionError, "inducer 'c': bad header at line 1: 'a,b'"),
-        (f"{INDUCER_H}\nv,i,1\n", IngestionError, "inducer 'c': expected 4 fields, got 3 at line 2"),
-        (f"{INDUCER_H}\n\nv,i, 2 ,0.5\n", IngestionError, "inducer 'c': class out of {0,1} at line 3: '2'"),
-        (f"{INDUCER_H}\nv,i,1,x\n", IngestionError, "inducer 'c': non-numeric score at line 2: 'x'"),
-        (f"{INDUCER_H}\nv,i,1,nan\n", IngestionError, "inducer 'c': non-finite score at line 2: 'nan'"),
-        (f"{INDUCER_H}\nv,i,1,0.5\n v , i ,0,0.1\n", IngestionError, "inducer 'c': duplicate key ('v', 'i') at line 3"),
-        (f"{INDUCER_H}\nv,i1,1,0.5\n,i2,0,0.1\n", IngestionError, "inducer 'c': empty video_id at line 3"),
+        pytest.param("", IngestionError, f"inducer 'c': empty file, expected header {INDUCER_H!r}", id="inducer-empty"),
+        pytest.param("a,b\n", IngestionError, "inducer 'c': bad header at line 1: 'a,b'", id="inducer-header"),
+        pytest.param(
+            f"{INDUCER_H}\nv,i,1\n", IngestionError, "inducer 'c': expected 4 fields, got 3 at line 2", id="inducer-fields"
+        ),
+        pytest.param(
+            f"{INDUCER_H}\n\nv,i, 2 ,0.5\n", IngestionError, "inducer 'c': class out of {0,1} at line 3: '2'",
+            id="inducer-class",
+        ),
+        pytest.param(
+            f"{INDUCER_H}\nv,i,1,x\n", IngestionError, "inducer 'c': non-numeric score at line 2: 'x'", id="inducer-score"
+        ),
+        pytest.param(
+            f"{INDUCER_H}\nv,i,1,nan\n", IngestionError, "inducer 'c': non-finite score at line 2: 'nan'",
+            id="inducer-nan",
+        ),
+        pytest.param(
+            f"{INDUCER_H}\nv,i,1,0.5\n v , i ,0,0.1\n", IngestionError, "inducer 'c': duplicate key ('v', 'i') at line 3",
+            id="inducer-duplicate",
+        ),
+        pytest.param(
+            f"{INDUCER_H}\nv,i1,1,0.5\n,i2,0,0.1\n", IngestionError, "inducer 'c': empty video_id at line 3",
+            id="inducer-empty-id",
+        ),
         # a repeated key with a bad value reports the value
-        (f"{INDUCER_H}\nv,i,1,0.5\nv,i,0,x\n", IngestionError, "inducer 'c': non-numeric score at line 3: 'x'"),
-        ("", IngestionError, f"ground truth: empty file, expected header {TRUTH_H!r}"),
-        (f"{TRUTH_H}\nv,i,1,0\n", IngestionError, "ground truth: expected 3 fields, got 4 at line 2"),
-        (f"{TRUTH_H}\nv,i,5\n", IngestionError, "ground truth: label out of {0,1} at line 2: '5'"),
-        (f"{TRUTH_H}\nv,i,1\n\nv,i,0\n", IngestionError, "ground truth: duplicate key ('v', 'i') at line 4"),
-        (f"{TRUTH_H}\nv, \t,1\n", IngestionError, "ground truth: empty image_id at line 2"),
+        pytest.param(
+            f"{INDUCER_H}\nv,i,1,0.5\nv,i,0,x\n", IngestionError, "inducer 'c': non-numeric score at line 3: 'x'",
+            id="inducer-duplicate-bad-score",
+        ),
+        pytest.param("", IngestionError, f"ground truth: empty file, expected header {TRUTH_H!r}", id="truth-empty"),
+        pytest.param(
+            f"{TRUTH_H}\nv,i,1,0\n", IngestionError, "ground truth: expected 3 fields, got 4 at line 2", id="truth-fields"
+        ),
+        pytest.param(
+            f"{TRUTH_H}\nv,i,5\n", IngestionError, "ground truth: label out of {0,1} at line 2: '5'", id="truth-label"
+        ),
+        pytest.param(
+            f"{TRUTH_H}\nv,i,1\n\nv,i,0\n", IngestionError, "ground truth: duplicate key ('v', 'i') at line 4",
+            id="truth-duplicate",
+        ),
+        pytest.param(
+            f"{TRUTH_H}\nv, \t,1\n", IngestionError, "ground truth: empty image_id at line 2", id="truth-empty-id"
+        ),
         # invalid UTF-8 is reported at its line, whichever splitlines break ends the lines before it
         *(
-            (f"{INDUCER_H}{brk}v1,i1,0,0.5{brk}v1,i2,0,0.".encode() + b"\xff5" + brk.encode(), IngestionError,
-             "inducer 'c': not valid UTF-8 at line 3")
-            for brk in ("\n", "\r\n", "\r", "\u2028")
+            pytest.param(
+                f"{INDUCER_H}{brk}v1,i1,0,0.5{brk}v1,i2,0,0.".encode() + b"\xff5" + brk.encode(), IngestionError,
+                "inducer 'c': not valid UTF-8 at line 3", id=f"inducer-utf-8-after-{name}",
+            )
+            for name, brk in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r"), ("u2028", "\u2028"))
         ),
-        (b"\xef\xbb\xbf" + f"{TRUTH_H}\r\rv,i,1\r".encode() + b"\x80", IngestionError, "ground truth: not valid UTF-8 at line 4"),
+        pytest.param(
+            b"\xef\xbb\xbf" + f"{TRUTH_H}\r\rv,i,1\r".encode() + b"\x80", IngestionError,
+            "ground truth: not valid UTF-8 at line 4", id="truth-utf-8-after-bom-and-cr",
+        ),
     ],
 )
 def test_parse_errors_name_the_file_and_line(text, error, message):
@@ -206,14 +239,18 @@ def truth_outcome(text, parse=parse_ground_truth):
         # within one line: flag before score before key
         (["v1,i1,0,0.5", "v1,i1,7,x"], (IngestionError, "f.csv: class out of {0,1} at line 3: '7'")),
         # one leading byte-order mark is dropped, from text or bytes, and line numbers stay the same
-        (f"\ufeff{INDUCER_H}\nv1,i1,1,0.5\n", ([("v1", "i1")], [0.5])),
-        (f"\ufeff{INDUCER_H}\nv1,i1,1,0.5\n".encode(), ([("v1", "i1")], [0.5])),
-        (
+        pytest.param(f"\ufeff{INDUCER_H}\nv1,i1,1,0.5\n", ([("v1", "i1")], [0.5]), id="bom-text"),
+        pytest.param(f"\ufeff{INDUCER_H}\nv1,i1,1,0.5\n".encode(), ([("v1", "i1")], [0.5]), id="bom-bytes"),
+        pytest.param(
             f"\ufeff{INDUCER_H}\nv1,i1,0,0.5\nv1,i2,0\n".encode(),
             (IngestionError, "f.csv: expected 4 fields, got 3 at line 3"),
+            id="bom-bytes-fields",
         ),
         # any other U+FEFF is data: a second mark spoils the header, and one in a field is kept
-        (f"\ufeff\ufeff{INDUCER_H}\n", (IngestionError, f"f.csv: bad header at line 1: {chr(0xFEFF) + INDUCER_H!r}")),
+        pytest.param(
+            f"\ufeff\ufeff{INDUCER_H}\n", (IngestionError, f"f.csv: bad header at line 1: {chr(0xFEFF) + INDUCER_H!r}"),
+            id="second-bom",
+        ),
         (["\ufeffv1,i1,0,0.5"], ([("\ufeffv1", "i1")], [0.5])),
         # an id empty after stripping is a key fault, found after the score and before a repeated key
         (["v1,,0,x"], (IngestionError, "f.csv: non-numeric score at line 2: 'x'")),

@@ -258,6 +258,7 @@ def _lying_objective(m):
         ("trust-region", 10000, (24, False, 25, 1)),  # the radius falls below 1e-14
         ("trust-region", 3, (3, False, 4, 1)),  # the budget runs out first
     ],
+    ids=["lbfgsb", "tnc", "trust-region-radius", "trust-region-budget"],
 )
 def test_gradient_methods_stop_unconverged_without_a_step(method, max_iterations, expected):
     report = optimize(method, _lying_objective(4), {"max_iterations": max_iterations})

@@ -334,6 +334,76 @@ def test_population_steps_match_their_references_bit_for_bit(method, m, params, 
     assert (got.iterations, got.converged) == (expected.iterations, expected.converged)
 
 
+def test_scalar_normals_consume_the_stream_as_one_vector_draw():
+    # ga's reference draws its mutation noise one gene at a time, ga itself in one call
+    one_by_one, at_once = np.random.default_rng(8), np.random.default_rng(8)
+    scalars = np.array([one_by_one.normal(0.0, 0.1) for _ in range(500)])
+    assert scalars.tobytes() == at_once.normal(0.0, 0.1, size=500).tobytes()
+    assert one_by_one.bit_generator.state == at_once.bit_generator.state
+
+
+class RecordedGenerator:
+    """A real `Generator` that logs each draw as (method name, result)."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            result = getattr(self.rng, name)(*args, **kwargs)
+            self.draws.append((name, result))
+            return result
+
+        return draw
+
+
+@pytest.mark.parametrize("landscape", ["mse", "flat"])
+def test_ga_draws_one_normal_per_mutated_gene_and_best_contenders_win(monkeypatch, landscape):
+    # On the flat landscape every contender ties, so each tournament goes to its lowest index.
+    m, size, generations = 4, 10, 6
+    n_children = size - 1
+    if landscape == "mse":
+        objective = make_mse_objective(random_score_matrix(40, m, seed=3))
+    else:
+        objective = quadratic(np.zeros((m, m)), np.zeros(m), 1.0)
+    batches = []
+    value_batch = objective.value_batch
+    objective.value_batch = lambda xs: batches.append((xs.copy(), value_batch(xs))) or batches[-1][1]
+    generators = []
+    default_rng = np.random.default_rng
+
+    def recorded(seed):
+        generators.append(RecordedGenerator(default_rng(seed)))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+
+    optimize("ga", objective, {"population_size": size, "max_iterations": generations, "stagnation_window": 0}, seed=5)
+
+    (rng,) = generators
+    assert [name for name, _ in rng.draws] == ["uniform"] + ["integers", "random", "normal"] * generations
+    ties = 0
+    for g in range(generations):
+        (population, fitness), (next_pop, _) = batches[g], batches[g + 1]
+        ranks, coins, noise = (result for _, result in rng.draws[1 + 3 * g : 4 + 3 * g])
+        cross = coins[:n_children] < 0.9
+        take_b = coins[n_children : n_children * (m + 1)].reshape(n_children, m) < 0.5
+        mutate = coins[n_children * (m + 1) :].reshape(n_children, m) < 1.0 / m
+        assert noise.shape == (np.count_nonzero(mutate),)
+
+        # the contender draw names each contender by its rank in (fitness, index) order
+        ranked = sorted(range(size), key=lambda i: (fitness[i], i))
+        winners = np.empty((2, n_children), dtype=int)
+        for slate, child in np.ndindex(winners.shape):
+            contenders = [ranked[r] for r in ranks[slate, child]]
+            winners[slate, child] = min(contenders, key=lambda i: (fitness[i], i))
+            ties += len({fitness[i] for i in contenders}) < len(set(contenders))
+        parent = np.where(cross[:, None] & take_b, population[winners[1]], population[winners[0]])
+        assert np.array_equal(next_pop[1:][~mutate], parent[~mutate])
+    if landscape == "flat":
+        assert ties > 0
+
+
 # ---------------------------------------------------------------- method specifics
 
 def test_ga_dominates_seeded_equal_vector():
