@@ -18,13 +18,8 @@ SHRINK = 0.5
 
 
 def _initial_simplex(x0: np.ndarray, step: float) -> np.ndarray:
-    m = x0.size
-    simplex = np.tile(x0, (m + 1, 1))
-    for j in range(m):
-        if x0[j] + step <= 1.0:
-            simplex[j + 1, j] = x0[j] + step
-        else:
-            simplex[j + 1, j] = max(x0[j] - step, 0.0)
+    simplex = np.tile(x0, (x0.size + 1, 1))
+    np.fill_diagonal(simplex[1:], np.where(x0 + step <= 1.0, x0 + step, np.maximum(x0 - step, 0.0)))
     return simplex
 
 
@@ -51,28 +46,17 @@ def optimize_nelder_mead(search: Search) -> OptimizerReport:
     search.consider(best, 0)
     offered = values[0]  # the search value of the last vertex offered to the incumbent
 
-    converged = False
-    iterations = 0
     for it in range(1, max_iterations + 1):
-        iterations = it
-        if values[-1] - values[0] <= tolerance:
-            if float(np.max(np.abs(simplex[1:] - best))) <= tolerance:
-                converged = True
-                iterations = it - 1
-                break
+        if values[-1] - values[0] <= tolerance and np.abs(simplex[1:] - best).max() <= tolerance:
+            return search.report(it - 1, converged=True)
 
-        centroid = reduce(head, axis=0)
-        centroid /= m  # bit-equal to .mean(axis=0)
+        centroid = reduce(head, axis=0) / m  # bit-equal to .mean(axis=0)
         toward = centroid - worst
-        reflected = REFLECTION * toward
-        reflected += centroid
-        reflected.clip(0.0, 1.0, out=reflected)
+        reflected = (centroid + REFLECTION * toward).clip(0.0, 1.0)
         f_reflected = value(reflected)
 
         if f_reflected < values[0]:
-            expanded = EXPANSION * toward
-            expanded += centroid
-            expanded.clip(0.0, 1.0, out=expanded)
+            expanded = (centroid + EXPANSION * toward).clip(0.0, 1.0)
             f_expanded = value(expanded)
             if f_expanded < f_reflected:
                 vertex, f_vertex = expanded, f_expanded
@@ -88,9 +72,8 @@ def optimize_nelder_mead(search: Search) -> OptimizerReport:
             f_vertex = value(vertex)
             if not f_vertex < min(f_reflected, values[-1]):
                 vertex = None
-                for i in range(1, m + 1):
-                    simplex[i] = (best + SHRINK * (simplex[i] - best)).clip(0.0, 1.0)
-                    values[i] = value(simplex[i])
+                simplex[1:] = (best + SHRINK * (simplex[1:] - best)).clip(0.0, 1.0)
+                values[1:] = [value(v) for v in simplex[1:]]
                 _sort(simplex, values)
 
         if vertex is not None:  # replace the worst vertex, keeping the rows sorted
@@ -103,4 +86,4 @@ def optimize_nelder_mead(search: Search) -> OptimizerReport:
             offered = values[0]
             search.consider(best, it)
 
-    return search.report(iterations, converged)
+    return search.report(max_iterations, converged=False)

@@ -17,7 +17,6 @@ from latefuse.optimizers.common import (
     line_search,
     projected_gradient_norm,
 )
-from latefuse.optimizers.nelder_mead import _initial_simplex
 from latefuse.synth import SynthSpec
 from oracles import build_tables
 
@@ -27,12 +26,20 @@ def _reference_nelder_mead(objective, settings):
 
     Like the method, its search state starts from the equal weights, and it takes
     the standard coefficients: reflection 1, expansion 2, contraction and shrink 1/2.
+    It builds the start simplex and shrinks one coordinate or vertex at a time, so it
+    also checks the method's array forms of both.
     """
     p = check("nelder-mead", settings)
     alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
     search = Search(objective, "nelder-mead", p)
 
-    simplex = _initial_simplex(equal_weights(objective.dimension), 0.05)
+    x0 = equal_weights(objective.dimension)
+    simplex = np.tile(x0, (x0.size + 1, 1))
+    for j in range(x0.size):
+        if x0[j] + 0.05 <= 1.0:
+            simplex[j + 1, j] = x0[j] + 0.05
+        else:
+            simplex[j + 1, j] = max(x0[j] - 0.05, 0.0)
     values = np.array([search.value(v) for v in simplex])
     b = int(np.argmin(values))
     search.consider(simplex[b], 0)
@@ -123,6 +130,21 @@ def test_nelder_mead_matches_argsort_every_iteration(m, data, step, max_iteratio
     assert got.function_evaluations == expected.function_evaluations
     assert got.iterations == expected.iterations
     assert got.converged == expected.converged
+
+
+@pytest.mark.parametrize("m", [1, 4, 29])
+def test_nelder_mead_shrinks_every_iteration_on_a_flat_objective(m):
+    """On a constant objective no trial point improves, so every iteration tries a reflection
+    and a contraction and then shrinks the m non-best vertices halfway to the best one.
+
+    The initial step 0.05 halves to within the default tolerance 1e-8 after 23 shrinks, and
+    the equal weights, the first vertex, stay the only incumbent.
+    """
+    report = optimize("nelder-mead", quadratic(np.zeros((m, m)), np.zeros(m), 1.0))
+    assert report.converged and report.iterations == 23
+    assert report.trace == [(0, 1.0)]
+    assert report.best_weights.tobytes() == equal_weights(m).tobytes()
+    assert report.function_evaluations == (m + 1) + 23 * (m + 2)
 
 
 def test_free_set_at_the_bounds():
