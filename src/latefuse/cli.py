@@ -34,7 +34,7 @@ from .ingestion import (
     read_inducer_csv,
 )
 from .optimizers import METHODS, check, optimize
-from .optimizers.common import CONFIG_SETTINGS, SEED, NonFiniteObjectiveError, OptimizerReport, ParameterError
+from .optimizers.common import CONFIG_SETTINGS, SEED, NonFiniteObjectiveError, ParameterError, Search
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,7 +63,10 @@ class RunManifest:
         if not self.dev_paths or not self.test_paths or not self.truth_paths:
             raise ParameterError("dev, test, and truth paths are all required")
         for name in ("dev_paths", "test_paths", "truth_paths"):
-            setattr(self, name, [_absolute(path, name) for path in getattr(self, name)])
+            paths = getattr(self, name)
+            if isinstance(paths, (str, os.PathLike)):  # iterating it would make each character a path
+                raise ParameterError(f"{name} must be a list of paths, got the one path {paths!r}")
+            setattr(self, name, [_absolute(path, name) for path in paths])
         self.out_dir = _absolute(self.out_dir, "out_dir")
 
     @classmethod
@@ -105,7 +108,7 @@ def _is_json_type(value, annotation: str) -> bool:
 @dataclass
 class RunResult:
     manifest: RunManifest
-    report: OptimizerReport
+    report: Search
     eval_report: EvalReport
     norm_params: dict[str, tuple[float, float]]
     inducer_names: list[str]
@@ -302,10 +305,11 @@ def compare(
     """Fit each method on one dataset, prepared once; method m writes to `<out_dir>/m`, plus a summary table.
 
     Each method's `RunManifest` makes the paths absolute, as a run's does, so
-    an empty path is a usage error.  A plain key of `overrides` reaches every
-    method, a `method.key` one only that method, and wins there.  Repeated
-    methods are dropped, keeping the order.  Every method, setting and path is
-    checked before any file is read, and every fit succeeds before any write.
+    an empty path, or one path where a list is taken, is a usage error.  A
+    plain key of `overrides` reaches every method, a `method.key` one only
+    that method, and wins there.  Repeated methods are dropped, keeping the
+    order.  Every method, setting and path is checked before any file is
+    read, and every fit succeeds before any write.
     """
     if not methods:
         raise ParameterError("no methods selected")

@@ -14,11 +14,11 @@ from typing import Callable, Mapping, NamedTuple
 
 from ..fusion import Objective
 from . import equal, ga, lbfgsb, nelder_mead, pso, tnc, trust_region
-from .common import CONFIG_SETTINGS, SEED, OptimizerReport, ParameterError, Search, Setting
+from .common import CONFIG_SETTINGS, SEED, ParameterError, Search, Setting
 
 
 class Method(NamedTuple):
-    run: Callable[[Search], OptimizerReport]
+    run: Callable[[Search], Search]
     settings: Mapping[str, Setting]
 
 
@@ -51,7 +51,7 @@ def check(method: str, settings: Mapping) -> dict:
     return {key: settings.get(key, spec.default) for key, spec in specs.items()}
 
 
-def optimize(method: str, objective: Objective, settings: Mapping | None = None, seed: int = 0) -> OptimizerReport:
+def optimize(method: str, objective: Objective, settings: Mapping | None = None, seed: int = 0) -> Search:
     resolved = check(method, settings or {})
     SEED.check("seed", seed)
     return METHODS[method].run(Search(objective, method, resolved, seed))

@@ -6,8 +6,9 @@ builds for its run: it counts the search's evaluations (calls of the
 objective's `value`, `gradient` and `value_batch`), keeps a canonical
 incumbent (best weights re-scored through the objective's `exact`, so the
 reported objective is bit-reproducible) that starts at the equal weights,
-the start point of every method, and builds the OptimizerReport, named after
-the method, with its non-increasing best-so-far trace.
+the start point of every method, and records its non-increasing best-so-far
+trace.  The search is the run's report: `Search.report` sets how the run
+stopped and returns the search itself, which `optimize` returns.
 
 The gradient methods run in `descend`, the one projected-descent loop: it
 stops at a box-stationary point, and each method supplies only its step on
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -86,22 +86,8 @@ CONFIG_SETTINGS = {
 SEED = Setting(int, 0, 0, math.inf, "[)")
 
 
-@dataclass
-class OptimizerReport:
-    method: str
-    best_weights: np.ndarray
-    best_objective: float
-    function_evaluations: int
-    gradient_evaluations: int
-    iterations: int
-    converged: bool
-    trace: list[tuple[int, float]]
-    settings: dict  # the run's resolved settings: each given value, else its default
-    seed: int
-
-
 class Search:
-    """One run's search state: counted evaluations, the exact incumbent and its report.
+    """One run's search state and, once `report` ends the run, its report.
 
     `value`, `gradient` and `value_batch` are the search's evaluations, each
     one call of the objective's attribute of that name, counted and checked
@@ -116,7 +102,8 @@ class Search:
     construction, so no method reports worse than the equal weights.
     `method` names the report, `settings` are the run's resolved settings,
     which the method reads, `seed` seeds its random draws and `dimension`
-    is the objective's m.
+    is the objective's m.  `report` sets `iterations` and `converged` and
+    returns the search itself: the run's one record, which `optimize` returns.
     """
 
     def __init__(self, objective: Objective, method: str, settings: dict, seed: int = 0):
@@ -127,9 +114,9 @@ class Search:
         self.dimension = objective.dimension
         self.function_evaluations = 0
         self.gradient_evaluations = 0
-        self.best_x = equal_weights(self.dimension)
-        self.best_f = self.exact(self.best_x)
-        self.trace: list[tuple[int, float]] = [(0, self.best_f)]
+        self.best_weights = equal_weights(self.dimension)
+        self.best_objective = self.exact(self.best_weights)
+        self.trace: list[tuple[int, float]] = [(0, self.best_objective)]
 
     def value(self, x: np.ndarray) -> float:
         self.function_evaluations += 1
@@ -162,31 +149,22 @@ class Search:
         return vals
 
     def consider(self, x: np.ndarray, iteration: int) -> bool:
-        if np.array_equal(x, self.best_x):
+        if np.array_equal(x, self.best_weights):
             return False  # the incumbent itself: a re-score could not improve on it
         f = self.exact(x)
-        if f < self.best_f:
-            self.best_f = f
-            self.best_x = np.array(x, dtype=np.float64, copy=True)
+        if f < self.best_objective:
+            self.best_objective = f
+            self.best_weights = np.array(x, dtype=np.float64, copy=True)
             self.trace.append((iteration, f))
             return True
         return False
 
-    def report(self, iterations: int, converged: bool) -> OptimizerReport:
-        w = self.best_x
+    def report(self, iterations: int, converged: bool) -> Search:
+        w = self.best_weights
         assert np.all(w >= 0.0) and np.all(w <= 1.0), "incumbent escaped the box"
-        return OptimizerReport(
-            method=self.method,
-            best_weights=w.copy(),
-            best_objective=self.best_f,
-            function_evaluations=self.function_evaluations,
-            gradient_evaluations=self.gradient_evaluations,
-            iterations=iterations,
-            converged=converged,
-            trace=list(self.trace),
-            settings=self.settings,
-            seed=self.seed,
-        )
+        self.iterations = iterations
+        self.converged = converged
+        return self
 
 
 def projected_gradient_norm(x: np.ndarray, g: np.ndarray) -> float:
@@ -241,7 +219,7 @@ def line_search(
     return None
 
 
-def descend(search: Search, step: Callable) -> OptimizerReport:
+def descend(search: Search, step: Callable) -> Search:
     """The gradient methods' projected-descent loop, from the equal weights.
 
     Each iteration calls step(x, f, g, free) with the `free_set` mask;
@@ -252,7 +230,7 @@ def descend(search: Search, step: Callable) -> OptimizerReport:
     moved is offered to the incumbent.
     """
     max_iterations, tolerance = search.settings["max_iterations"], search.settings["tolerance"]
-    x = search.best_x.copy()  # a copy: x must never alias the incumbent
+    x = search.best_weights.copy()  # a copy: x must never alias the incumbent
     f = search.value(x)
     g = search.gradient(x)
     for it in range(1, max_iterations + 1):
@@ -271,7 +249,7 @@ def descend(search: Search, step: Callable) -> OptimizerReport:
 EVOLVE_SETTINGS = {"stagnation_window": Setting(int, 100, 0, 10**7)}
 
 
-def evolve(search: Search, size: int, step: Callable) -> OptimizerReport:
+def evolve(search: Search, size: int, step: Callable) -> Search:
     """The population methods' generation loop, from a seeded uniform population.
 
     Row 0 of the first population is the equal weights.  Each generation calls
@@ -284,19 +262,19 @@ def evolve(search: Search, size: int, step: Callable) -> OptimizerReport:
     generations, window, tolerance = p["max_iterations"], p["stagnation_window"], p["tolerance"]
     rng = np.random.default_rng(search.seed)
     population = rng.uniform(0.0, 1.0, size=(size, search.dimension))
-    population[0] = search.best_x
+    population[0] = search.best_weights
     values = search.value_batch(population)
     search.consider(population[int(np.argmin(values))], 0)
 
-    anchor = search.best_f
+    anchor = search.best_objective
     since_improvement = 0
     for it in range(1, generations + 1):
         population, values = step(rng, population, values)
         b = int(np.argmin(values))
-        if values[b] < search.best_f:
+        if values[b] < search.best_objective:
             search.consider(population[b], it)
-        if anchor - search.best_f >= tolerance:
-            anchor = search.best_f
+        if anchor - search.best_objective >= tolerance:
+            anchor = search.best_objective
             since_improvement = 0
         else:
             since_improvement += 1

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from .common import OptimizerReport, Search
+from .common import Search
 
 
-def optimize_equal(search: Search) -> OptimizerReport:
-    search.value(search.best_x)  # the one search evaluation the report counts
+def optimize_equal(search: Search) -> Search:
+    search.value(search.best_weights)  # the one search evaluation the report counts
     return search.report(iterations=0, converged=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import EVOLVE_SETTINGS, OptimizerReport, Search, Setting, evolve
+from .common import EVOLVE_SETTINGS, Search, Setting, evolve
 
 SETTINGS = {
     "population_size": Setting(int, 100, 2, 10**5),
@@ -21,7 +21,7 @@ MUTATION_SIGMA = 0.1
 ELITE_COUNT = 1
 
 
-def optimize_ga(search: Search) -> OptimizerReport:
+def optimize_ga(search: Search) -> Search:
     pop_size = search.settings["population_size"]
     m = search.dimension
     mutation_rate = 1.0 / m

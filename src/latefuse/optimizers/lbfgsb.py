@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 
-from .common import OptimizerReport, Search, descend, line_search
+from .common import Search, descend, line_search
 
 # The curvature pairs kept for the two-loop product.
 HISTORY = 10
@@ -42,7 +42,7 @@ def _two_loop(g: np.ndarray, pairs: deque, free: np.ndarray) -> np.ndarray:
     return product
 
 
-def optimize_lbfgsb(search: Search) -> OptimizerReport:
+def optimize_lbfgsb(search: Search) -> Search:
     pairs: deque = deque(maxlen=HISTORY)
 
     def step(x, f, g, free):

@@ -6,7 +6,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .common import OptimizerReport, Search
+from .common import Search
 
 # How far each initial vertex lies from the equal weights, and the standard
 # reflection, expansion, contraction and shrink coefficients.
@@ -30,7 +30,7 @@ def _sort(simplex: np.ndarray, values: list[float]) -> None:
     values[:] = [values[i] for i in order]
 
 
-def optimize_nelder_mead(search: Search) -> OptimizerReport:
+def optimize_nelder_mead(search: Search) -> Search:
     m = search.dimension
     max_iterations, tolerance = search.settings["max_iterations"], search.settings["tolerance"]
     value, reduce = search.value, np.add.reduce
@@ -39,7 +39,7 @@ def optimize_nelder_mead(search: Search) -> OptimizerReport:
     # a new vertex goes after the vertices it ties with, and only a shrink
     # re-sorts the whole simplex.  Rows move only in place, so the views
     # `best`, `head` (all but the worst) and `worst` stay valid.
-    simplex = _initial_simplex(search.best_x, INITIAL_STEP)
+    simplex = _initial_simplex(search.best_weights, INITIAL_STEP)
     values = [value(v) for v in simplex]
     _sort(simplex, values)
     best, head, worst = simplex[0], simplex[:-1], simplex[-1]

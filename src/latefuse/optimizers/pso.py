@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import EVOLVE_SETTINGS, OptimizerReport, Search, Setting, evolve
+from .common import EVOLVE_SETTINGS, Search, Setting, evolve
 
 SETTINGS = {"swarm_size": Setting(int, 300, 1, 10**5), **EVOLVE_SETTINGS}
 
@@ -13,7 +13,7 @@ INERTIA = 0.729
 COGNITIVE = SOCIAL = 1.49445
 
 
-def optimize_pso(search: Search) -> OptimizerReport:
+def optimize_pso(search: Search) -> Search:
     value_batch = search.value_batch
     positions = velocities = None
 
@@ -29,7 +29,7 @@ def optimize_pso(search: Search) -> OptimizerReport:
         r1 *= pbest - positions
         velocities += r1
         r2 *= SOCIAL
-        r2 *= search.best_x - positions
+        r2 *= search.best_weights - positions
         velocities += r2
         velocities.clip(-1.0, 1.0, out=velocities)  # at most the box's width per step
         positions += velocities

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .common import OptimizerReport, Search, descend, line_search
+from .common import Search, descend, line_search
 
 _SQRT_EPS = math.sqrt(np.finfo(np.float64).eps)
 
@@ -41,7 +41,7 @@ def _truncated_cg(hessvec, b: np.ndarray, max_inner: int) -> np.ndarray:
     return d
 
 
-def optimize_tnc(search: Search) -> OptimizerReport:
+def optimize_tnc(search: Search) -> Search:
     m = search.dimension
     max_inner = min(2 * m, 50)
 

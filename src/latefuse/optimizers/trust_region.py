@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .common import OptimizerReport, Search, descend
+from .common import Search, descend
 
 # The first radius; the radius never exceeds sqrt(m), the box's diagonal, which is at least 1.
 INITIAL_RADIUS = 1.0
@@ -46,7 +46,7 @@ def _dogleg(g: np.ndarray, hessian: np.ndarray, radius: float) -> np.ndarray:
     return cauchy + min(max(t, 0.0), 1.0) * leg
 
 
-def optimize_trust_region(search: Search) -> OptimizerReport:
+def optimize_trust_region(search: Search) -> Search:
     m = search.dimension
     max_radius = math.sqrt(m)
     radius = INITIAL_RADIUS

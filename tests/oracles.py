@@ -55,7 +55,7 @@ from latefuse.ingestion import (
     fit_minmax,
 )
 from latefuse.optimizers import METHODS
-from latefuse.optimizers.common import OptimizerReport, Search, evolve
+from latefuse.optimizers.common import Search, evolve
 from latefuse.synth import GeneratedDataset, SynthSpec, generate, raw_matrix, sample_keys, write_dataset
 
 T = TypeVar("T")
@@ -119,7 +119,7 @@ def parse_ground_truth(source: IO[bytes] | IO[str], name: str = "ground truth") 
     return read_rows(source, TRUTH_HEADER, name, lambda label, rest, lineno: label)
 
 
-def optimize_ga(search: Search) -> OptimizerReport:
+def optimize_ga(search: Search) -> Search:
     """ga's generation step one draw at a time: the contender draw names each contender by its
     rank in (fitness, population index) order, and a tournament goes to its lowest (fitness, index)."""
     pop_size = search.settings["population_size"]
@@ -158,7 +158,7 @@ def optimize_ga(search: Search) -> OptimizerReport:
     return evolve(search, pop_size, step)
 
 
-def optimize_pso(search: Search) -> OptimizerReport:
+def optimize_pso(search: Search) -> Search:
     positions = velocities = None
 
     def step(rng, pbest, pbest_values):
@@ -170,7 +170,7 @@ def optimize_pso(search: Search) -> OptimizerReport:
         velocities = (
             0.729 * velocities
             + 1.49445 * r1 * (pbest - positions)
-            + 1.49445 * r2 * (search.best_x - positions)
+            + 1.49445 * r2 * (search.best_weights - positions)
         )
         np.clip(velocities, -1.0, 1.0, out=velocities)
         positions = np.clip(positions + velocities, 0.0, 1.0)

@@ -695,6 +695,27 @@ def test_an_empty_path_is_a_usage_error_before_any_file_is_read(
     assert not (tmp_path / "o").exists() and not (tmp_path / "echo").exists()
 
 
+@pytest.mark.parametrize("field", ["dev_paths", "test_paths", "truth_paths"])
+@pytest.mark.parametrize("kind", [str, Path])
+def test_one_path_for_a_path_list_is_a_usage_error_before_any_file_is_read(
+    dataset_pair, tmp_path, monkeypatch, field, kind
+):
+    # iterating a string would make each of its characters a path: "/" the root, "." the working directory
+    dev, test = dataset_pair
+    paths = {
+        "dev_paths": [str(dev.inducer_paths[0].parent)], "test_paths": [str(test.inducer_paths[0].parent)],
+        "truth_paths": [str(dev.truth_path), str(test.truth_path)],
+    }
+    paths[field] = kind(paths[field][0])
+    monkeypatch.setattr(cli, "read_inducer_csv", None)  # a parse would raise TypeError
+    message = f"^{field} must be a list of paths, got the one path "
+    with pytest.raises(ParameterError, match=message):
+        compare(["equal"], out_dir=tmp_path / "o", **paths)
+    with pytest.raises(ParameterError, match=message):
+        RunManifest("equal", out_dir=str(tmp_path / "o"), **paths)
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_manifest_that_is_not_json_is_a_usage_error(tmp_path, capsys):
     # bytes that are not UTF-8 are no JSON text either; json.loads on bytes would guess UTF-16 or UTF-32
     cases = [

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import quadratic
 from latefuse.fusion import equal_weights, make_mse_objective
 from latefuse.ingestion import apply_minmax, assemble, fit_minmax
-from latefuse.optimizers import check, common, optimize
+from latefuse.optimizers import check, common, lbfgsb, optimize, trust_region
 from latefuse.optimizers.common import (
     Search,
     free_set,
@@ -87,7 +87,7 @@ def _reference_nelder_mead(objective, settings):
                     values[i] = search.value(simplex[i])
 
         b = int(np.argmin(values))
-        if values[b] < search.best_f:
+        if values[b] < search.best_objective:
             search.consider(simplex[b], it)
 
     return search.report(iterations, converged)
@@ -325,3 +325,34 @@ def test_line_search_without_a_step_in_either_direction(monkeypatch):
     steepest = -g
     assert line_search(search, x, f, g, steepest.copy(), steepest) is None
     assert search.function_evaluations == 2 * common.MAX_BACKTRACKS  # equal values, two directions
+
+
+# ---------------------------------------------------------------- the steps' fallbacks
+
+def test_lbfgsb_forgets_its_curvature_pairs_after_a_fallback(monkeypatch):
+    """A step found only along steepest descent clears the pairs: the next two-loop sees the one pair added since."""
+    line_search_, two_loop = lbfgsb.line_search, lbfgsb._two_loop
+    seen = []  # the number of pairs each two-loop product was given
+
+    def falls_back(*args):
+        found = line_search_(*args)
+        return None if found is None else (*found[:2], True)
+
+    def counted(g, pairs, free):
+        seen.append(len(pairs))
+        return two_loop(g, pairs, free)
+
+    monkeypatch.setattr(lbfgsb, "line_search", falls_back)
+    monkeypatch.setattr(lbfgsb, "_two_loop", counted)
+    report = optimize("lbfgsb", _coupled_quadratic(6, 0))
+    assert report.iterations >= 3 and len(seen) >= 2
+    assert max(seen) == 1
+
+
+def test_dogleg_takes_the_steepest_step_to_the_radius_without_a_usable_model():
+    # a singular B: no Newton point, and no curvature along g
+    step = trust_region._dogleg(np.array([3.0, 4.0]), np.zeros((2, 2)), 0.5)
+    assert step.tolist() == pytest.approx([-0.3, -0.4], abs=1e-15)
+    # negative curvature along g, with the Newton point (0, 1) outside the radius
+    step = trust_region._dogleg(np.array([0.0, 1.0]), np.diag([1.0, -1.0]), 0.5)
+    assert step.tolist() == [0.0, -0.5]

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ import oracles
 from conftest import quadratic
 from latefuse.fusion import equal_weights, make_mse_objective, mse
 from latefuse.optimizers import METHODS, check, optimize, trust_region
-from latefuse.optimizers.common import CONFIG_SETTINGS, NonFiniteObjectiveError, OptimizerReport, ParameterError, Search
+from latefuse.optimizers.common import CONFIG_SETTINGS, NonFiniteObjectiveError, ParameterError, Search
 from oracles import planted_score_matrix, random_score_matrix
 
 SEARCH_METHODS = [m for m in METHODS if m != "equal"]
@@ -27,6 +26,7 @@ def quadratic_objective(center):
 def cheap_params(method):
     """Small budgets so the whole matrix of method tests stays fast."""
     return {
+        "equal": {},
         "pso": {"swarm_size": 40, "stagnation_window": 30},
         "ga": {"population_size": 40, "stagnation_window": 30, "max_iterations": 400},
         "nelder-mead": {},
@@ -213,16 +213,37 @@ def test_stochastic_determinism_seed_42(method):
         return optimize(method, obj, {"stagnation_window": 20}, seed=42)
 
     a, b = one_run(), one_run()
-    assert replace(a, best_weights=a.best_weights.tolist()) == replace(b, best_weights=b.best_weights.tolist())
+    fields = ("method", "best_objective", "function_evaluations", "gradient_evaluations",
+              "iterations", "converged", "trace", "settings", "seed")
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
     assert np.array_equal(a.best_weights, b.best_weights)
 
 
-@pytest.mark.parametrize("method", SEARCH_METHODS)
-def test_non_finite_objective_aborts_with_point(method):
+NON_FINITE_CASES = (
+    [(method, "value") for method in SEARCH_METHODS]
+    + [(method, "gradient") for method in GRADIENT_METHODS]
+    + [(method, "exact") for method in METHODS]
+)
+
+
+@pytest.mark.parametrize(
+    "method,broken", NON_FINITE_CASES, ids=[m if b == "value" else f"{b}-{m}" for m, b in NON_FINITE_CASES]
+)
+def test_non_finite_objective_aborts_with_point(method, broken):
     obj = quadratic_objective([0.5, 0.5])
-    obj.value = lambda x: math.nan
-    obj.value_batch = lambda xs: np.full(len(xs), math.nan)
-    with pytest.raises(NonFiniteObjectiveError) as excinfo:
+    if broken == "value":
+        obj.value = lambda x: math.nan
+        obj.value_batch = lambda xs: np.full(len(xs), math.nan)
+        message = "non-finite objective value .*nan.* at point "
+    elif broken == "gradient":
+        obj.gradient = lambda x: np.full(len(x), math.nan)
+        message = "non-finite gradient value .*nan.* at point "
+    else:
+        # the equal start is scored exactly while the Search is built, before any counted evaluation
+        obj.exact = lambda x: math.inf
+        obj.value = obj.gradient = obj.value_batch = None  # an evaluation would raise TypeError
+        message = r"non-finite objective value inf at point \[0.5, 0.5\]$"
+    with pytest.raises(NonFiniteObjectiveError, match=f"^{message}") as excinfo:
         optimize(method, obj, cheap_params(method), seed=0)
     assert excinfo.value.point.shape == (2,)
 
@@ -276,14 +297,14 @@ def test_incumbent_does_not_rescore_itself():
     objective = quadratic_objective([0.2, 0.7])  # away from the equal start [0.5, 0.5]
     objective.exact = lambda x: scored.append(x) or objective.value(x)
     search = Search(objective, "equal", check("equal", {}))
-    start_f = search.best_f
+    start_f = search.best_objective
     del scored[:]  # the equal start's score, made on construction
     x = np.array([0.2, 0.7])
     assert search.consider(x, 0)
     assert not search.consider(x.copy(), 1)
     assert len(scored) == 1
     assert search.function_evaluations == 0  # exact re-scores are not search evaluations
-    assert search.trace == [(0, start_f), (0, search.best_f)]
+    assert search.trace == [(0, start_f), (0, search.best_objective)]
 
 
 @pytest.mark.parametrize("method,size_key", [("pso", "swarm_size"), ("ga", "population_size")])
